@@ -70,8 +70,23 @@ class Report:
 # -- chain references ----------------------------------------------------------
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",")) if text else ()
+def _int_list(text: str, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",")) if text else ()
+    except ValueError:
+        raise ContractError(
+            f"--{name} takes comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _one_int(text: str, name: str) -> int:
+    # wild's --n/--r arrive as the comma-list strings shared with stable
+    try:
+        return int(text)
+    except ValueError:
+        raise ContractError(
+            f"--{name} takes one integer for this chain, got {text!r}"
+        ) from None
 
 
 def resolve_chain(args) -> ChainSpec:
@@ -84,14 +99,12 @@ def resolve_chain(args) -> ChainSpec:
             params["p"] = _require(args, "p")
             params["q"] = _require(args, "q")
         elif ref == "stable":
-            params["pi_f"] = _int_list(_require(args, "pi_f"))
-            params["r"] = _int_list(_require(args, "r"))
-            params["n"] = _int_list(_require(args, "n"))
-            params["pi_inf"] = _int_list(_require(args, "pi_inf"))
+            for name in ("pi_f", "r", "n", "pi_inf"):
+                params[name] = _int_list(_require(args, name), name)
         elif ref == "wild":
-            params["n"] = _require(args, "n")
-            params["r"] = _require(args, "r")
-            params["pi_inf"] = _int_list(args.pi_inf) if args.pi_inf else ()
+            params["n"] = _one_int(_require(args, "n"), "n")
+            params["r"] = _one_int(_require(args, "r"), "r")
+            params["pi_inf"] = _int_list(args.pi_inf or "", "pi_inf")
         return builtin_chain(ref, **params)
     if os.path.exists(ref):
         with open(ref, "r", encoding="utf-8") as fh:
@@ -126,17 +139,6 @@ def _chain_flag_params(args) -> tuple:
         if value is not None:
             out.append((name, value))
     return tuple(out)
-
-
-def _wild_numeric(args, name):
-    # wild's --n/--r arrive as the comma-list strings shared with stable
-    value = getattr(args, name, None)
-    if value is None:
-        return None
-    values = _int_list(value)
-    if len(values) != 1:
-        raise ContractError(f"--{name} takes one integer for this chain")
-    return values[0]
 
 
 # -- commands -------------------------------------------------------------------
@@ -256,7 +258,10 @@ def cmd_freeness(args) -> Report:
 
 def _budget_from(args) -> OracleBudget:
     env_order = os.environ.get(BUDGET_ENV)
-    max_order = args.max_group_order or (int(env_order) if env_order else 10**6)
+    try:
+        max_order = args.max_group_order or (int(env_order) if env_order else 10**6)
+    except ValueError:
+        raise ContractError(f"{BUDGET_ENV} must be an integer, got {env_order!r}") from None
     return OracleBudget(
         max_modulus=args.max_modulus,
         max_group_order=max_order,
@@ -265,13 +270,20 @@ def _budget_from(args) -> OracleBudget:
     )
 
 
+def _oracle_flag(args, name: str) -> str:
+    value = getattr(args, name)
+    if value is None:
+        raise ContractError(f"oracle {args.subtarget} requires --{name}")
+    return value
+
+
 def cmd_oracle(args) -> Report:
     budget = _budget_from(args)
     target = args.subtarget
     results = []
     chain_label = "(none)"
     if target == "core":
-        box = BoxSubgroup.parse(args.box)
+        box = BoxSubgroup.parse(_oracle_flag(args, "box"))
         found = core_by_enumeration(box, budget)
         results = [
             ("enumerated", str(found)),
@@ -279,8 +291,8 @@ def cmd_oracle(args) -> Report:
             ("agree", "yes" if found == core(box) else "NO"),
         ]
     elif target == "relative-core":
-        outer = BoxSubgroup.parse(args.outer)
-        inner = BoxSubgroup.parse(args.box)
+        outer = BoxSubgroup.parse(_oracle_flag(args, "outer"))
+        inner = BoxSubgroup.parse(_oracle_flag(args, "box"))
         found = relative_core_by_enumeration(outer, inner, budget)
         closed = relative_core(outer, inner)
         results = [
@@ -289,8 +301,8 @@ def cmd_oracle(args) -> Report:
             ("agree", "yes" if found == closed else "NO"),
         ]
     elif target == "canonical":
-        box = BoxSubgroup.parse(args.box)
-        g = HeisenbergElement.parse(args.element)
+        box = BoxSubgroup.parse(_oracle_flag(args, "box"))
+        g = HeisenbergElement.parse(_oracle_flag(args, "element"))
         found = canonical_by_enumeration(box, g, budget)
         closed = CosetSpace(box).canonical(g)
         results = [
@@ -299,7 +311,7 @@ def cmd_oracle(args) -> Report:
             ("agree", "yes" if found == closed else "NO"),
         ]
     elif target == "partition":
-        box = BoxSubgroup.parse(args.box)
+        box = BoxSubgroup.parse(_oracle_flag(args, "box"))
         classes = coset_partition(box, budget)
         results = [
             ("classes", len(classes)),
@@ -544,10 +556,6 @@ def _add_chain_arguments_optional(sub):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # wild's --n/--r are comma-list strings on the shared flag set
-    if getattr(args, "chain_ref", None) == "wild":
-        args.n = _wild_numeric(args, "n")
-        args.r = _wild_numeric(args, "r")
     try:
         report = args.handler(args)
     except ContractError as exc:

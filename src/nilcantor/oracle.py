@@ -8,16 +8,16 @@ coset.  The closed forms are trusted only because they agree with these
 scans on every input within budget; that equivalence is this module's
 entire contract and runs in the regular test suite.
 
-numpy is used to vectorize the larger grid scans; the semantics stay
-plain enumeration and the results are deterministic.
+Invariants of the scans are explicit checks that raise ContractError, so
+they hold under ``python -O`` too.  numpy vectorizes one grid scan,
+``canonical_table_by_enumeration``, which only the tests call; it is
+imported inside that function, so the package runs without numpy.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ContractError, ResourceError
 from .heisenberg import BoxSubgroup, HeisenbergElement
@@ -52,6 +52,11 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise ContractError(message)
+
+
 def _same_left_coset(g: HeisenbergElement, h: HeisenbergElement, box: BoxSubgroup) -> bool:
     return box.contains(g.inverse() * h)
 
@@ -80,12 +85,24 @@ def core_by_enumeration(box: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET)
     rb = min(b for b in surviving_b if b > 0)
     # The survivors must be exactly the lattices the minima generate, and
     # the two coordinates must be independent (product structure).
-    assert surviving_a == [a for a in range(0, ma * mc + ma, ra) if a <= ma * mc]
-    assert surviving_b == [b for b in range(0, mb * mc + mb, rb) if b <= mb * mc]
+    _check_lattices(surviving_a, surviving_b, ra, rb, box)
     for a in surviving_a:
         for b in surviving_b:
-            assert survives(a, b)
+            _check(survives(a, b), f"scan of {box}: ({a}, {b}) breaks the product structure")
     return BoxSubgroup(ra, rb, mc)
+
+
+def _check_lattices(surviving_a, surviving_b, ra, rb, box: BoxSubgroup) -> None:
+    """The survivors must be exactly the lattices their minima generate."""
+    ma, mb, mc = box.Ma, box.Mb, box.Mc
+    _check(
+        surviving_a == [a for a in range(0, ma * mc + ma, ra) if a <= ma * mc],
+        f"scan of {box}: the surviving a-values are not the multiples of {ra}",
+    )
+    _check(
+        surviving_b == [b for b in range(0, mb * mc + mb, rb) if b <= mb * mc],
+        f"scan of {box}: the surviving b-values are not the multiples of {rb}",
+    )
 
 
 def relative_core_by_enumeration(
@@ -111,8 +128,7 @@ def relative_core_by_enumeration(
     surviving_b = [mb * k for k in range(0, mc + 1) if survives(0, mb * k)]
     ra = min(a for a in surviving_a if a > 0)
     rb = min(b for b in surviving_b if b > 0)
-    assert surviving_a == [a for a in range(0, ma * mc + ma, ra) if a <= ma * mc]
-    assert surviving_b == [b for b in range(0, mb * mc + mb, rb) if b <= mb * mc]
+    _check_lattices(surviving_a, surviving_b, ra, rb, inner)
     return BoxSubgroup(ra, rb, mc)
 
 
@@ -207,7 +223,7 @@ def canonical_by_enumeration(
         for c in range(box.Mc)
         if _same_left_coset(g, HeisenbergElement(a, b, c), box)
     ]
-    assert len(matches) == 1, f"coset of {g} meets the grid in {len(matches)} points"
+    _check(len(matches) == 1, f"coset of {g} meets the grid in {len(matches)} points")
     return matches[0]
 
 
@@ -220,6 +236,8 @@ def canonical_table_by_enumeration(box: BoxSubgroup, span: int = 2) -> dict:
     find all plain-grid r with g^-1 r in the box and insist there is
     exactly one.
     """
+    import numpy as np
+
     ma, mb, mc = box.Ma, box.Mb, box.Mc
     ga, gb, gc = np.meshgrid(
         np.arange(span * ma), np.arange(span * mb), np.arange(span * mc), indexing="ij"
@@ -241,7 +259,7 @@ def canonical_table_by_enumeration(box: BoxSubgroup, span: int = 2) -> dict:
     )
     member = (ua % ma == 0) & (ub % mb == 0) & (uc % mc == 0)
     counts = member.sum(axis=1)
-    assert (counts == 1).all(), "some coset meets the representative grid oddly"
+    _check(bool((counts == 1).all()), "some coset meets the representative grid oddly")
     idx = member.argmax(axis=1)
     return {
         (int(x[0]), int(x[1]), int(x[2])): (int(y[0]), int(y[1]), int(y[2]))

@@ -34,9 +34,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from sympy import isprime, nextprime, prime as nth_prime, primepi
-
 from .errors import ContractError, UndecidableError
+from .primes import factorize, isprime, nth_prime, primepi
 
 __all__ = [
     "INF",
@@ -96,7 +95,7 @@ Exponent = object  # int >= 0 or INF; kept loose on purpose
 
 
 def _check_prime(p) -> int:
-    if not isinstance(p, int) or not isprime(p):
+    if not isprime(p):
         raise ContractError(f"not a prime: {p!r}")
     return p
 
@@ -134,17 +133,6 @@ class PrimeEnumeration:
             i += 1
 
 
-@functools.lru_cache(maxsize=None)
-def _nth_skipping(exclude: tuple, i: int) -> int:
-    """i-th prime (0-indexed) not in `exclude`."""
-    p, seen = 1, -1
-    while seen < i:
-        p = int(nextprime(p))
-        if p not in exclude:
-            seen += 1
-    return p
-
-
 @dataclass(frozen=True)
 class Primes(PrimeEnumeration):
     """All primes in increasing order, minus a finite excluded set."""
@@ -155,13 +143,24 @@ class Primes(PrimeEnumeration):
         ex = tuple(sorted({_check_prime(p) for p in self.exclude}))
         object.__setattr__(self, "exclude", ex)
 
+    @functools.cached_property
+    def _excluded_indices(self) -> tuple:
+        return tuple(primepi(q) for q in self.exclude)
+
     def prime(self, i: int) -> int:
-        return _nth_skipping(self.exclude, i)
+        # Each excluded prime at or below the candidate moves it one index
+        # on; the indices are sorted, so the first one above it ends the scan.
+        n = i + 1
+        for k in self._excluded_indices:
+            if k > n:
+                break
+            n += 1
+        return nth_prime(n)
 
     def index_of(self, p: int) -> Optional[int]:
         if not isprime(p) or p in self.exclude:
             return None
-        before = int(primepi(p)) - 1  # primes strictly below p
+        before = primepi(p) - 1  # primes strictly below p
         skipped = sum(1 for q in self.exclude if q < p)
         return before - skipped
 
@@ -209,12 +208,12 @@ class TreeBranchPrimes(PrimeEnumeration):
         return (1 << n) | _branch_bits(self.branch, self.width, n)
 
     def prime(self, i: int) -> int:
-        return int(nth_prime(self._code(i + 1)))
+        return nth_prime(self._code(i + 1))
 
     def index_of(self, p: int) -> Optional[int]:
         if not isprime(p):
             return None
-        code = int(primepi(p))  # p is the code-th prime
+        code = primepi(p)  # p is the code-th prime
         n = code.bit_length() - 1
         if n < 1:
             return None
@@ -364,15 +363,7 @@ class SteinitzNumber:
 
     @classmethod
     def from_int(cls, n: int) -> "SteinitzNumber":
-        if not (isinstance(n, int) and n >= 1):
-            raise ContractError(f"need a positive integer, got {n!r}")
-        fp, p = {}, 2
-        while n > 1:
-            while n % p == 0:
-                fp[p] = fp.get(p, 0) + 1
-                n //= p
-            p = int(nextprime(p))
-        return cls(tuple(sorted(fp.items())))
+        return cls(tuple(sorted(factorize(n).items())))
 
     @classmethod
     def of(cls, finite=None, infinite=(), tail=None) -> "SteinitzNumber":

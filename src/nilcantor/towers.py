@@ -36,10 +36,9 @@ from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional
 
-from sympy import isprime
-
 from .errors import ContractError, ResourceError
 from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in
+from .primes import isprime
 from .steinitz import (
     INF,
     PrimeEnumeration,
@@ -830,7 +829,10 @@ def parse_chain_config(text: str) -> ChainSpec:
                 tok.split("=", 1) for tok in tokens[1:] if "=" in tok
             )
             if "exclude" in fields:
-                family_exclude = tuple(int(x) for x in fields["exclude"].split(","))
+                try:
+                    family_exclude = tuple(int(x) for x in fields["exclude"].split(","))
+                except ValueError:
+                    fail("family exclude takes comma-separated integers")
                 continue
             if tokens[1:2] != ["qi"]:
                 fail("family lines read: family qi coord=<a|b|c> start=i base=<int> slope=0")
@@ -839,7 +841,10 @@ def parse_chain_config(text: str) -> ChainSpec:
             coord = fields.get("coord")
             if coord not in COORDS:
                 fail("coord must be a, b or c")
-            family_coords[coord] = int(fields["base"])
+            try:
+                family_coords[coord] = int(fields["base"])
+            except (KeyError, ValueError):
+                fail("family lines need base=<int>")
             continue
         fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
         if len(fields) != len(tokens):

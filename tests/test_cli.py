@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, report shape, golden reproduce scenarios."""
 
 import io
+import os
 import pathlib
 import subprocess
 import sys
@@ -125,6 +126,36 @@ def test_contract_violation_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,env,config",
+    [
+        (["spectrum", "wild", "--n", "2,3", "--r", "1", "--depth", "3"], {}, None),
+        (["spectrum", "wild", "--n", "x", "--r", "1", "--depth", "3"], {}, None),
+        (
+            ["spectrum", "stable", "--pi_f", "2,x", "--r", "1,1", "--n", "2,2",
+             "--pi_inf", "5", "--depth", "3"],
+            {},
+            None,
+        ),
+        (["oracle", "core"], {}, None),
+        (["oracle", "core", "--box", "Box(2,2,4)"], {"NILCANTOR_MAX_GROUP_ORDER": "abc"}, None),
+        (["spectrum", "{config}", "--depth", "3"], {}, "family qi coord=a\n"),
+    ],
+    ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
+         "budget-env-text", "family-no-base"],
+)
+def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if config is not None:
+        cfg = tmp_path / "chain.cfg"
+        cfg.write_text(config)
+        argv = [str(cfg) if a == "{config}" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_resource_exhaustion_exits_3(capsys):
     code, _, err = run_cli(
         [
@@ -201,6 +232,20 @@ def test_budget_env_var_applies(monkeypatch, capsys):
         capsys,
     )
     assert code == 0 and "agree: yes" in out
+
+
+def test_cli_and_oracle_import_neither_sympy_nor_numpy():
+    probe = (
+        "import nilcantor.cli, nilcantor.oracle, sys; "
+        "print(','.join(m for m in ('sympy', 'numpy') if m in sys.modules))"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_console_entry_point():

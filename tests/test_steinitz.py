@@ -20,6 +20,7 @@ from nilcantor.steinitz import (
     spectra,
     type_leq,
 )
+from nilcantor.towers import PrimeSchedule
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -50,6 +51,21 @@ def test_multiplicity_rejects_nonprime():
         multiplicity(ONE, 4)
     with pytest.raises(ContractError):
         SteinitzNumber.of({6: 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PrimeSchedule(2.0),
+        lambda: PrimeSchedule(True),
+        lambda: Primes(exclude=(True,)),
+        lambda: SteinitzNumber.of({True: 1}),
+    ],
+    ids=["schedule-float", "schedule-bool", "exclude-bool", "number-bool"],
+)
+def test_non_integer_primes_are_contract_violations(build):
+    with pytest.raises(ContractError):
+        build()
 
 
 def test_disjointness_invariants():
