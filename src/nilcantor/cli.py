@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__
+from ._value import Value, set_field
 from .dynamics import (
     Certificate,
     discriminant_limit_report,
@@ -39,14 +39,27 @@ from .towers import ChainSpec, CosetSpace, builtin_chain, parse_chain_config, wi
 BUDGET_ENV = "NILCANTOR_MAX_GROUP_ORDER"
 
 
-@dataclass
-class Report:
-    command: str
-    chain: str
-    parameters: tuple
-    results: tuple  # lines: (key, value) pairs or plain strings
-    evidence_grade: str
-    seed: int = 0
+class Report(Value):
+    """One command's report; `results` holds lines, each a (key, value)
+    pair or a plain string."""
+
+    __slots__ = ("command", "chain", "parameters", "results", "evidence_grade", "seed")
+
+    def __init__(
+        self,
+        command: str,
+        chain: str,
+        parameters: tuple,
+        results: tuple,
+        evidence_grade: str,
+        seed: int = 0,
+    ):
+        set_field(self, "command", command)
+        set_field(self, "chain", chain)
+        set_field(self, "parameters", parameters)
+        set_field(self, "results", results)
+        set_field(self, "evidence_grade", evidence_grade)
+        set_field(self, "seed", seed)
 
     def render(self) -> str:
         lines = [
@@ -122,23 +135,16 @@ def _require(args, name):
     return value
 
 
+_CHAIN_REF_HELP = "built-in chain name or config file path"
+
+
 def _add_chain_arguments(sub):
-    sub.add_argument("chain_ref", help="built-in chain name or config file path")
     sub.add_argument("--p", type=int)
     sub.add_argument("--q", type=int)
     sub.add_argument("--pi_f", type=str)
     sub.add_argument("--r", type=str)
     sub.add_argument("--n", type=str)
     sub.add_argument("--pi_inf", type=str)
-
-
-def _chain_flag_params(args) -> tuple:
-    out = []
-    for name in ("p", "q", "pi_f", "r", "n", "pi_inf"):
-        value = getattr(args, name, None)
-        if value is not None:
-            out.append((name, value))
-    return tuple(out)
 
 
 # -- commands -------------------------------------------------------------------
@@ -265,7 +271,6 @@ def _budget_from(args) -> OracleBudget:
     return OracleBudget(
         max_modulus=args.max_modulus,
         max_group_order=max_order,
-        random_trials=args.trials,
         seed=args.seed,
     )
 
@@ -482,8 +487,16 @@ def cmd_reproduce(args) -> Report:
 # -- entry point ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line and exit code 2,
+    like every other contract violation; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilcantor",
         description="Exact Heisenberg chain towers, Steinitz orders, and "
         "dynamics certificates",
@@ -492,24 +505,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="Steinitz order and prime spectra")
+    sp.add_argument("chain_ref", help=_CHAIN_REF_HELP)
     _add_chain_arguments(sp)
     sp.add_argument("--depth", type=int, required=True)
     sp.add_argument("--bound", type=int)
     sp.set_defaults(handler=cmd_spectrum)
 
     dc = sub.add_parser("discriminant", help="stabilized discriminant images")
+    dc.add_argument("chain_ref", help=_CHAIN_REF_HELP)
     _add_chain_arguments(dc)
     dc.add_argument("--level", type=int, required=True)
     dc.add_argument("--depth", type=int, required=True)
     dc.set_defaults(handler=cmd_discriminant)
 
     wd = sub.add_parser("wildness", help="stable/wild certificate")
+    wd.add_argument("chain_ref", help=_CHAIN_REF_HELP)
     _add_chain_arguments(wd)
     wd.add_argument("--lmax", type=int, required=True)
     wd.add_argument("--dmax", type=int, required=True)
     wd.set_defaults(handler=cmd_wildness)
 
     fr = sub.add_parser("freeness", help="topological freeness certificate")
+    fr.add_argument("chain_ref", help=_CHAIN_REF_HELP)
     _add_chain_arguments(fr)
     fr.add_argument("--level", type=int, required=True)
     fr.add_argument("--radius", type=int, required=True)
@@ -528,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--depth", type=int, default=1)
     orc.add_argument("--max-modulus", type=int, default=12)
     orc.add_argument("--max-group-order", type=int)
-    orc.add_argument("--trials", type=int, default=1000)
-    _add_chain_arguments_optional(orc)
+    orc.add_argument("chain_ref", nargs="?", default="ex41", help=_CHAIN_REF_HELP)
+    _add_chain_arguments(orc)
     orc.set_defaults(handler=cmd_oracle)
 
     rp = sub.add_parser("reproduce", help="bundled reference scenarios")
@@ -541,16 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     rp.set_defaults(handler=cmd_reproduce)
 
     return parser
-
-
-def _add_chain_arguments_optional(sub):
-    sub.add_argument("chain_ref", nargs="?", default="ex41")
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--pi_f", type=str)
-    sub.add_argument("--r", type=str)
-    sub.add_argument("--n", type=str)
-    sub.add_argument("--pi_inf", type=str)
 
 
 def main(argv=None) -> int:

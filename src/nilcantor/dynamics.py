@@ -29,10 +29,10 @@ activations can certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
+from ._value import Value, set_field
 from .errors import ContractError
 from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
 from .towers import COORDS, ChainSpec, Eventually
@@ -81,18 +81,24 @@ def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> Eve
     return own.max_with(ec.relu_minus(k))
 
 
-@dataclass(frozen=True)
-class _PairAnalysis:
-    """Schedule-level comparison of the kernels at cylinders l < l'."""
+class _PairAnalysis(Value):
+    """Schedule-level comparison of the kernels at cylinders l < l':
+    `ratio` is the kernel-order ratio when independent of the depth (else
+    None), `limit_gap` the order of the gap that survives the inverse
+    limit, and `sound` whether the structural checks held."""
 
-    ratio: Optional[int]  # kernel-order ratio when d-independent, else None
-    limit_gap: int  # order of the gap that survives the inverse limit
-    sound: bool  # structural assertions held
-    notes: tuple = ()
+    __slots__ = ("ratio", "limit_gap", "sound", "notes")
+
+    def __init__(self, ratio: Optional[int], limit_gap: int, sound: bool, notes: tuple = ()):
+        set_field(self, "ratio", ratio)
+        set_field(self, "limit_gap", limit_gap)
+        set_field(self, "sound", sound)
+        set_field(self, "notes", notes)
 
 
 def _analyze_pair(chain: ChainSpec, l1: int, l2: int) -> _PairAnalysis:
-    assert 1 <= l1 < l2
+    if not 1 <= l1 < l2:
+        raise ContractError(f"need 1 <= l1 < l2, got {l1} and {l2}")
     relevant = set(chain.explicit_primes()) | set(chain.family_primes(l2))
     ratio, limit_gap, sound, notes = 1, 1, True, []
     for p in sorted(relevant):
@@ -182,27 +188,55 @@ def _stable_level(chain: ChainSpec) -> int:
 # -- reports and certificates --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(Value):
     """Finite-depth comparison of the trivial-action kernels at two
-    cylinder levels; `persistent` means the schedule-level stabilization
-    checks passed, i.e. the same gap survives the inverse limit."""
+    cylinder levels l = `cylinder` < l' = `refined` at depth d = `depth`.
+    `kernel_box` is the kernel at the smaller cylinder (l'),
+    `comparison_box` the kernel at the larger cylinder (l); `persistent`
+    means the schedule-level stabilization checks passed, i.e. the same
+    gap survives the inverse limit."""
 
-    cylinder: int  # l
-    refined: int  # l' > l
-    depth: int  # d
-    kernel_box: BoxSubgroup  # kernel at the smaller cylinder (l')
-    comparison_box: BoxSubgroup  # kernel at the larger cylinder (l)
-    kernel_order: int
-    witness: Optional[HeisenbergElement]
-    persistent: bool = False
+    __slots__ = (
+        "cylinder",
+        "refined",
+        "depth",
+        "kernel_box",
+        "comparison_box",
+        "kernel_order",
+        "witness",
+        "persistent",
+    )
 
-    def __post_init__(self):
-        assert self.kernel_order >= 1
-        assert (self.witness is not None) == (self.kernel_order > 1)
-        if self.witness is not None:
-            assert self.kernel_box.contains(self.witness)
-            assert not self.comparison_box.contains(self.witness)
+    def __init__(
+        self,
+        cylinder: int,
+        refined: int,
+        depth: int,
+        kernel_box: BoxSubgroup,
+        comparison_box: BoxSubgroup,
+        kernel_order: int,
+        witness: Optional[HeisenbergElement],
+        persistent: bool = False,
+    ):
+        if kernel_order < 1:
+            raise ContractError(f"kernel order must be >= 1, got {kernel_order}")
+        if (witness is not None) != (kernel_order > 1):
+            raise ContractError("a witness is given exactly when the kernel order exceeds 1")
+        if witness is not None:
+            if not kernel_box.contains(witness):
+                raise ContractError(f"witness {witness} is not in the kernel {kernel_box}")
+            if comparison_box.contains(witness):
+                raise ContractError(
+                    f"witness {witness} is in the comparison kernel {comparison_box}"
+                )
+        set_field(self, "cylinder", cylinder)
+        set_field(self, "refined", refined)
+        set_field(self, "depth", depth)
+        set_field(self, "kernel_box", kernel_box)
+        set_field(self, "comparison_box", comparison_box)
+        set_field(self, "kernel_order", kernel_order)
+        set_field(self, "witness", witness)
+        set_field(self, "persistent", persistent)
 
 
 def _pick_witness(kernel: BoxSubgroup, comparison: BoxSubgroup):
@@ -260,19 +294,48 @@ GRADE_FINITE = "finite-depth"
 GRADE_SCHEDULE = "schedule-certified"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A structured verdict with exactly the evidence that was computed."""
+class Certificate(Value):
+    """A structured verdict with exactly the evidence that was computed.
 
-    verdict: str  # StableCertified | WildEvidence | FreeCertified | NotFree | Inconclusive
-    chain_label: str
-    parameters: tuple  # ordered (name, value) pairs, echoed into reports
-    evidence_grade: str
-    reports: tuple = ()  # KernelReport evidence, when relevant
-    stable_from_level: Optional[int] = None
-    witness: Optional[HeisenbergElement] = None
-    reason: Optional[str] = None
-    escape_depth: Optional[int] = None
+    `verdict` is one of StableCertified, WildEvidence, FreeCertified,
+    NotFree and Inconclusive; `parameters` holds ordered (name, value)
+    pairs echoed into reports; `reports` holds the KernelReport evidence,
+    when relevant.
+    """
+
+    __slots__ = (
+        "verdict",
+        "chain_label",
+        "parameters",
+        "evidence_grade",
+        "reports",
+        "stable_from_level",
+        "witness",
+        "reason",
+        "escape_depth",
+    )
+
+    def __init__(
+        self,
+        verdict: str,
+        chain_label: str,
+        parameters: tuple,
+        evidence_grade: str,
+        reports: tuple = (),
+        stable_from_level: Optional[int] = None,
+        witness: Optional[HeisenbergElement] = None,
+        reason: Optional[str] = None,
+        escape_depth: Optional[int] = None,
+    ):
+        set_field(self, "verdict", verdict)
+        set_field(self, "chain_label", chain_label)
+        set_field(self, "parameters", parameters)
+        set_field(self, "evidence_grade", evidence_grade)
+        set_field(self, "reports", reports)
+        set_field(self, "stable_from_level", stable_from_level)
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
+        set_field(self, "escape_depth", escape_depth)
 
 
 def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) -> Certificate:
@@ -450,7 +513,8 @@ def freeness_certificate(
             "b": HeisenbergElement(0, value, 0),
             "c": HeisenbergElement(0, 0, value),
         }[coord]
-        assert all(k.contains(witness) for k in kernels.values())
+        if not all(k.contains(witness) for k in kernels.values()):
+            raise ContractError(f"stabilized generator {witness} leaves a tested kernel")
         return Certificate(
             verdict="NotFree",
             chain_label=chain.label,
@@ -495,16 +559,26 @@ def element_escape_depth(
     return None
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(Value):
     """Orders of the stabilized images of D_depth inside D_level."""
 
-    level: int
-    depths: tuple
-    orders: tuple
-    stabilized: bool
-    limit_order: Optional[int]
-    evidence_grade: str = GRADE_FINITE
+    __slots__ = ("level", "depths", "orders", "stabilized", "limit_order", "evidence_grade")
+
+    def __init__(
+        self,
+        level: int,
+        depths: tuple,
+        orders: tuple,
+        stabilized: bool,
+        limit_order: Optional[int],
+        evidence_grade: str = GRADE_FINITE,
+    ):
+        set_field(self, "level", level)
+        set_field(self, "depths", depths)
+        set_field(self, "orders", orders)
+        set_field(self, "stabilized", stabilized)
+        set_field(self, "limit_order", limit_order)
+        set_field(self, "evidence_grade", evidence_grade)
 
 
 def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> DiscriminantReport:

@@ -18,9 +18,9 @@ Everything here is immutable and pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, lcm
 
+from ._value import OrderedValue, set_field
 from .errors import ContractError
 
 __all__ = [
@@ -28,9 +28,6 @@ __all__ = [
     "BoxSubgroup",
     "IDENTITY",
     "GAMMA",
-    "multiply",
-    "inverse",
-    "conjugate",
     "contains",
     "index_in",
     "core",
@@ -39,18 +36,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class HeisenbergElement:
+class HeisenbergElement(OrderedValue):
     """Integer triple (a, b, c); identity is (0, 0, 0)."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        for v in (self.a, self.b, self.c):
+    def __init__(self, a: int, b: int, c: int):
+        for v in (a, b, c):
             if not isinstance(v, int):
                 raise ContractError(f"coordinates must be integers, got {v!r}")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+
+    def _key(self) -> tuple:
+        return (self.a, self.b, self.c)
 
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         return HeisenbergElement(
@@ -90,27 +90,30 @@ class HeisenbergElement:
 IDENTITY = HeisenbergElement(0, 0, 0)
 
 
-@dataclass(frozen=True, order=True)
-class BoxSubgroup:
+class BoxSubgroup(OrderedValue):
     """The subgroup {(a*Ma, b*Mb, c*Mc)} of the Heisenberg group.
 
     Requires Mc | Ma*Mb: the product of two box elements adds a*Ma*b'*Mb
     to the central coordinate, so this is exactly closure under the law.
     """
 
-    Ma: int
-    Mb: int
-    Mc: int
+    __slots__ = ("Ma", "Mb", "Mc")
 
-    def __post_init__(self):
-        for v in (self.Ma, self.Mb, self.Mc):
+    def __init__(self, Ma: int, Mb: int, Mc: int):
+        for v in (Ma, Mb, Mc):
             if not isinstance(v, int) or v <= 0:
                 raise ContractError(f"box moduli must be positive integers, got {v!r}")
-        if (self.Ma * self.Mb) % self.Mc != 0:
+        if (Ma * Mb) % Mc != 0:
             raise ContractError(
-                f"Box({self.Ma},{self.Mb},{self.Mc}) is not a subgroup: "
-                f"{self.Mc} does not divide {self.Ma}*{self.Mb}"
+                f"Box({Ma},{Mb},{Mc}) is not a subgroup: "
+                f"{Mc} does not divide {Ma}*{Mb}"
             )
+        set_field(self, "Ma", Ma)
+        set_field(self, "Mb", Mb)
+        set_field(self, "Mc", Mc)
+
+    def _key(self) -> tuple:
+        return (self.Ma, self.Mb, self.Mc)
 
     # -- membership -----------------------------------------------------
 
@@ -166,18 +169,6 @@ GAMMA = BoxSubgroup(1, 1, 1)
 
 
 # -- free-standing forms of the operations -------------------------------
-
-
-def multiply(g: HeisenbergElement, h: HeisenbergElement) -> HeisenbergElement:
-    return g * h
-
-
-def inverse(g: HeisenbergElement) -> HeisenbergElement:
-    return g.inverse()
-
-
-def conjugate(g: HeisenbergElement, by: HeisenbergElement) -> HeisenbergElement:
-    return g.conjugate_by(by)
 
 
 def contains(box: BoxSubgroup, g: HeisenbergElement) -> bool:

@@ -17,8 +17,8 @@ imported inside that function, so the package runs without numpy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._value import Value, set_field
 from .errors import ContractError, ResourceError
 from .heisenberg import BoxSubgroup, HeisenbergElement
 from .towers import ChainSpec
@@ -34,16 +34,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_modulus: int = 12
-    max_group_order: int = 10**6
-    random_trials: int = 1000
-    seed: int = 0
+class OracleBudget(Value):
+    __slots__ = ("max_modulus", "max_group_order", "seed")
 
-    def __post_init__(self):
-        if min(self.max_modulus, self.max_group_order, self.random_trials) < 1:
+    def __init__(self, max_modulus: int = 12, max_group_order: int = 10**6, seed: int = 0):
+        if min(max_modulus, max_group_order) < 1:
             raise ContractError("budget fields must be positive")
+        set_field(self, "max_modulus", max_modulus)
+        set_field(self, "max_group_order", max_group_order)
+        set_field(self, "seed", seed)
 
     def rng(self) -> random.Random:
         return random.Random(self.seed)

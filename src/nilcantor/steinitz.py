@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from ._value import Value, set_field
 from .errors import ContractError, UndecidableError
 from .primes import factorize, isprime, nth_prime, primepi
 
@@ -133,15 +133,13 @@ class PrimeEnumeration:
             i += 1
 
 
-@dataclass(frozen=True)
-class Primes(PrimeEnumeration):
+class Primes(PrimeEnumeration, Value):
     """All primes in increasing order, minus a finite excluded set."""
 
-    exclude: tuple = ()
+    __slots__ = ("exclude",)  # PrimeEnumeration gives the cache a __dict__
 
-    def __post_init__(self):
-        ex = tuple(sorted({_check_prime(p) for p in self.exclude}))
-        object.__setattr__(self, "exclude", ex)
+    def __init__(self, exclude: tuple = ()):
+        set_field(self, "exclude", tuple(sorted({_check_prime(p) for p in exclude})))
 
     @functools.cached_property
     def _excluded_indices(self) -> tuple:
@@ -183,8 +181,7 @@ def _branch_bits(branch: int, width: int, n: int) -> int:
     return bits
 
 
-@dataclass(frozen=True)
-class TreeBranchPrimes(PrimeEnumeration):
+class TreeBranchPrimes(PrimeEnumeration, Value):
     """Primes indexed by the prefixes of one branch of the binary tree.
 
     A finite 0/1 word w of length n has heap code 2^n + int(w); the set of
@@ -195,14 +192,13 @@ class TreeBranchPrimes(PrimeEnumeration):
     width.
     """
 
-    branch: int
-    width: int
+    __slots__ = ("branch", "width")
 
-    def __post_init__(self):
-        if not (self.width >= 1 and 0 <= self.branch < 2**self.width):
-            raise ContractError(
-                f"branch {self.branch} does not fit in width {self.width}"
-            )
+    def __init__(self, branch: int, width: int):
+        if not (width >= 1 and 0 <= branch < 2**width):
+            raise ContractError(f"branch {branch} does not fit in width {width}")
+        set_field(self, "branch", branch)
+        set_field(self, "width", width)
 
     def _code(self, n: int) -> int:
         return (1 << n) | _branch_bits(self.branch, self.width, n)
@@ -240,8 +236,7 @@ def _enumeration_from_key(key: str) -> PrimeEnumeration:
 # -- tails -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TailSchedule:
+class TailSchedule(Value):
     """Lazily enumerated continuation of a Steinitz number.
 
     Contributes ``primes.prime(i)`` with multiplicity ``exponent`` for
@@ -251,15 +246,16 @@ class TailSchedule:
     comparisons decidable.
     """
 
-    primes: PrimeEnumeration
-    exponent: int
-    start: int = 0
+    __slots__ = ("primes", "exponent", "start")
 
-    def __post_init__(self):
-        if not (isinstance(self.exponent, int) and self.exponent >= 1):
+    def __init__(self, primes: PrimeEnumeration, exponent: int, start: int = 0):
+        if not (isinstance(exponent, int) and exponent >= 1):
             raise ContractError("tail exponent must be a positive integer")
-        if not (isinstance(self.start, int) and self.start >= 0):
+        if not (isinstance(start, int) and start >= 0):
             raise ContractError("tail start index must be >= 0")
+        set_field(self, "primes", primes)
+        set_field(self, "exponent", exponent)
+        set_field(self, "start", start)
 
     def entry(self, i: int) -> tuple[int, int]:
         if i < self.start:
@@ -333,31 +329,38 @@ def _tail_relation(t1: TailSchedule, t2: TailSchedule):
 # -- the numbers -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SteinitzNumber:
-    """An exact supernatural number; see the module docstring."""
+class SteinitzNumber(Value):
+    """An exact supernatural number; see the module docstring.
 
-    finite_part: tuple = ()  # sorted ((prime, exponent), ...)
-    infinite_primes: tuple = ()  # sorted (prime, ...)
-    tail: Optional[TailSchedule] = None
+    ``finite_part`` is stored as sorted ((prime, exponent), ...) pairs and
+    ``infinite_primes`` as a sorted tuple of primes.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("finite_part", "infinite_primes", "tail")
+
+    def __init__(
+        self,
+        finite_part: tuple = (),
+        infinite_primes: tuple = (),
+        tail: Optional[TailSchedule] = None,
+    ):
         fp = {}
-        for p, e in dict(self.finite_part).items():
+        for p, e in dict(finite_part).items():
             _check_prime(p)
             if not (isinstance(e, int) and e >= 1):
                 raise ContractError(f"finite exponent of {p} must be >= 1, got {e!r}")
             fp[p] = e
-        inf = tuple(sorted({_check_prime(p) for p in self.infinite_primes}))
+        inf = tuple(sorted({_check_prime(p) for p in infinite_primes}))
         overlap = set(fp) & set(inf)
         if overlap:
             raise ContractError(f"primes with both finite and infinite exponent: {overlap}")
-        if self.tail is not None:
+        if tail is not None:
             for p in list(fp) + list(inf):
-                if self.tail.member_exponent(p):
+                if tail.member_exponent(p):
                     raise ContractError(f"prime {p} appears explicitly and in the tail")
-        object.__setattr__(self, "finite_part", tuple(sorted(fp.items())))
-        object.__setattr__(self, "infinite_primes", inf)
+        set_field(self, "finite_part", tuple(sorted(fp.items())))
+        set_field(self, "infinite_primes", inf)
+        set_field(self, "tail", tail)
 
     # -- constructors ------------------------------------------------------
 
@@ -512,30 +515,34 @@ def _combine(x1: SteinitzNumber, x2: SteinitzNumber, op) -> SteinitzNumber:
 # -- spectra ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Value):
     """An enumerated prime set plus whether the enumeration is the whole set."""
 
-    primes: tuple
-    complete: bool
+    __slots__ = ("primes", "complete")
+
+    def __init__(self, primes: tuple, complete: bool):
+        set_field(self, "primes", primes)
+        set_field(self, "complete", complete)
 
     def __str__(self) -> str:
         body = "{" + ",".join(str(p) for p in self.primes) + "}"
         return body if self.complete else body + " (truncated)"
 
 
-@dataclass(frozen=True)
-class PrimeSpectra:
+class PrimeSpectra(Value):
     """Classification of the primes of a Steinitz number up to a bound."""
 
-    pi: PrimeSet
-    pi_f: PrimeSet
-    pi_inf: PrimeSet
-    enumeration_bound: int
+    __slots__ = ("pi", "pi_f", "pi_inf", "enumeration_bound")
 
-    def __post_init__(self):
-        assert set(self.pi.primes) == set(self.pi_f.primes) | set(self.pi_inf.primes)
-        assert not (set(self.pi_f.primes) & set(self.pi_inf.primes))
+    def __init__(self, pi: PrimeSet, pi_f: PrimeSet, pi_inf: PrimeSet, enumeration_bound: int):
+        if set(pi.primes) != set(pi_f.primes) | set(pi_inf.primes):
+            raise ContractError("pi must be the union of pi_f and pi_inf")
+        if set(pi_f.primes) & set(pi_inf.primes):
+            raise ContractError("pi_f and pi_inf must be disjoint")
+        set_field(self, "pi", pi)
+        set_field(self, "pi_f", pi_f)
+        set_field(self, "pi_inf", pi_inf)
+        set_field(self, "enumeration_bound", enumeration_bound)
 
 
 def spectra(xi: SteinitzNumber, bound: int) -> PrimeSpectra:

@@ -16,8 +16,9 @@ From the chain the module builds, all in exact integer arithmetic:
   * box_at / core_at          -- Gamma_l and its normal core C_l,
   * quotient_at               -- the finite group Q_l = Gamma/C_l,
   * discriminant_level        -- the subgroup D_l = Gamma_l/C_l of Q_l,
-  * connecting_map            -- Q_{l+1} -> Q_l, coordinatewise reduction,
-  * stable_image              -- the image of D_depth inside D_level,
+  * stable_image              -- the image of D_depth inside D_level under
+                                 the connecting maps (coordinatewise
+                                 reduction Q_depth -> Q_level),
   * steinitz_order            -- lcm of the coset-space sizes #(Gamma/Gamma_l),
                                  with schedule-certified infinity promotion,
   * canonical coset arithmetic and the left action on Gamma/Gamma_l.
@@ -31,11 +32,11 @@ they were computed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from typing import Iterator, Optional
 
+from ._value import Value, set_field
 from .errors import ContractError, ResourceError
 from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in
 from .primes import isprime
@@ -54,7 +55,6 @@ __all__ = [
     "IndexedFamily",
     "ChainSpec",
     "FiniteQuotient",
-    "ConnectingMap",
     "QuotientSubgroup",
     "CosetSpace",
     "ChainSteinitzOrder",
@@ -78,23 +78,22 @@ _VALIDATE_MARGIN = 2
 # -- eventually affine integer functions ------------------------------------
 
 
-@dataclass(frozen=True)
-class Eventually:
+class Eventually(Value):
     """An integer function of the level that equals base + slope*level for
     all levels >= threshold.  Only the eventual behaviour is represented;
     exact small-level values come from the schedules directly."""
 
-    threshold: int
-    base: int
-    slope: int
+    __slots__ = ("threshold", "base", "slope")
+
+    def __init__(self, threshold: int, base: int, slope: int):
+        set_field(self, "threshold", threshold)
+        set_field(self, "base", base)
+        set_field(self, "slope", slope)
 
     def value(self, level: int) -> int:
         if level < self.threshold:
             raise ContractError(f"level {level} below threshold {self.threshold}")
         return self.base + self.slope * level
-
-    def is_constant(self) -> bool:
-        return self.slope == 0
 
     @staticmethod
     def constant(k: int, threshold: int = 1) -> "Eventually":
@@ -102,10 +101,6 @@ class Eventually:
 
     def shift(self, k: int) -> "Eventually":
         return Eventually(self.threshold, self.base + k, self.slope)
-
-    def sub(self, other: "Eventually") -> "Eventually":
-        t = max(self.threshold, other.threshold)
-        return Eventually(t, self.base - other.base, self.slope - other.slope)
 
     def max_with(self, other: "Eventually") -> "Eventually":
         """Pointwise max, valid beyond the last crossing of the two lines."""
@@ -125,25 +120,22 @@ class Eventually:
         """Pointwise max(0, value - k)."""
         return self.shift(-k).max_with(Eventually.constant(0, self.threshold))
 
-    def equals_eventually(self, other: "Eventually") -> bool:
-        return self.base == other.base and self.slope == other.slope
-
 
 # -- schedules ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoordSchedule:
+class CoordSchedule(Value):
     """One prime's exponent in one coordinate: 0 below `start`, then
     base + slope*level.  Monotone because slope >= 0."""
 
-    start: int = 0
-    base: int = 0
-    slope: int = 0
+    __slots__ = ("start", "base", "slope")
 
-    def __post_init__(self):
-        if self.start < 0 or self.base < 0 or self.slope < 0:
+    def __init__(self, start: int = 0, base: int = 0, slope: int = 0):
+        if start < 0 or base < 0 or slope < 0:
             raise ContractError("schedule parameters must be non-negative")
+        set_field(self, "start", start)
+        set_field(self, "base", base)
+        set_field(self, "slope", slope)
 
     def exponent(self, level: int) -> int:
         if level < self.start:
@@ -160,42 +152,48 @@ class CoordSchedule:
 ZERO_SCHEDULE = CoordSchedule()
 
 
-@dataclass(frozen=True)
-class PrimeSchedule:
+class PrimeSchedule(Value):
     """The three coordinate schedules of one explicit prime."""
 
-    prime: int
-    a: CoordSchedule = ZERO_SCHEDULE
-    b: CoordSchedule = ZERO_SCHEDULE
-    c: CoordSchedule = ZERO_SCHEDULE
+    __slots__ = ("prime", "a", "b", "c")
 
-    def __post_init__(self):
-        if not isprime(self.prime):
-            raise ContractError(f"not a prime: {self.prime!r}")
+    def __init__(
+        self,
+        prime: int,
+        a: CoordSchedule = ZERO_SCHEDULE,
+        b: CoordSchedule = ZERO_SCHEDULE,
+        c: CoordSchedule = ZERO_SCHEDULE,
+    ):
+        if not isprime(prime):
+            raise ContractError(f"not a prime: {prime!r}")
+        set_field(self, "prime", prime)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
     def coord(self, coord: str) -> CoordSchedule:
         return getattr(self, coord)
 
 
-@dataclass(frozen=True)
-class IndexedFamily:
+class IndexedFamily(Value):
     """One new prime per level: q_i = primes.prime(i-1) enters at level i
     with constant per-coordinate exponents (a_exp, b_exp, c_exp)."""
 
-    primes: PrimeEnumeration
-    a_exp: int
-    b_exp: int
-    c_exp: int
+    __slots__ = ("primes", "a_exp", "b_exp", "c_exp")
 
-    def __post_init__(self):
-        if min(self.a_exp, self.b_exp, self.c_exp) < 0:
+    def __init__(self, primes: PrimeEnumeration, a_exp: int, b_exp: int, c_exp: int):
+        if min(a_exp, b_exp, c_exp) < 0:
             raise ContractError("family exponents must be non-negative")
-        if self.c_exp > self.a_exp + self.b_exp:
+        if c_exp > a_exp + b_exp:
             raise ContractError(
                 "family violates the box condition: c exponent exceeds a+b"
             )
-        if self.a_exp + self.b_exp + self.c_exp == 0:
+        if a_exp + b_exp + c_exp == 0:
             raise ContractError("family must contribute at least one coordinate")
+        set_field(self, "primes", primes)
+        set_field(self, "a_exp", a_exp)
+        set_field(self, "b_exp", b_exp)
+        set_field(self, "c_exp", c_exp)
 
     def exp(self, coord: str) -> int:
         return {"a": self.a_exp, "b": self.b_exp, "c": self.c_exp}[coord]
@@ -212,23 +210,31 @@ class IndexedFamily:
 # -- the chain ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Value):
     """A properly descending chain of box subgroups, given symbolically.
 
-    `trivial_intersection` declares that the boxes shrink to the identity
-    (all three moduli grow without bound); it is checked against the
-    schedules and may be disabled to model degenerate chains on purpose.
+    `explicit` holds PrimeSchedule entries for distinct primes, stored
+    sorted by prime.  `trivial_intersection` declares that the boxes
+    shrink to the identity (all three moduli grow without bound); it is
+    checked against the schedules and may be disabled to model degenerate
+    chains on purpose.
     """
 
-    label: str
-    explicit: tuple = ()  # PrimeSchedule entries, distinct primes
-    family: Optional[IndexedFamily] = None
-    trivial_intersection: bool = True
+    __slots__ = ("label", "explicit", "family", "trivial_intersection")
 
-    def __post_init__(self):
-        entries = tuple(sorted(self.explicit, key=lambda s: s.prime))
-        object.__setattr__(self, "explicit", entries)
+    def __init__(
+        self,
+        label: str,
+        explicit: tuple = (),
+        family: Optional[IndexedFamily] = None,
+        trivial_intersection: bool = True,
+    ):
+        entries = tuple(sorted(explicit, key=lambda s: s.prime))
+        # Stored before validation, because the validators read the fields.
+        set_field(self, "label", label)
+        set_field(self, "explicit", entries)
+        set_field(self, "family", family)
+        set_field(self, "trivial_intersection", trivial_intersection)
         seen = set()
         for s in entries:
             if s.prime in seen:
@@ -273,7 +279,7 @@ class ChainSpec:
                 raise ContractError(
                     f"prime {s.prime}: box condition fails for all large levels"
                 )
-        # The family was checked in IndexedFamily.__post_init__.
+        # The family was checked in IndexedFamily.__init__.
 
     def _validate_proper_descent(self):
         if self.family is not None:
@@ -360,9 +366,6 @@ class ChainSpec:
         """D_level: the image of Gamma_level inside Q_level."""
         return self.stable_image(level, level, cap=cap)
 
-    def connecting_map(self, level: int) -> "ConnectingMap":
-        return ConnectingMap(self.quotient_at(level + 1), self.quotient_at(level))
-
     def stable_image(
         self, level: int, depth: int, cap: int = DEFAULT_CLOSURE_CAP
     ) -> "QuotientSubgroup":
@@ -420,15 +423,18 @@ class ChainSpec:
                                   promoted=tuple(sorted(promoted)))
 
 
-@dataclass(frozen=True)
-class ChainSteinitzOrder:
+class ChainSteinitzOrder(Value):
     """Steinitz order of a chain: the raw finite lcm at the computed depth
-    and the schedule-certified limit (infinity promotions and lazy tail)."""
+    and the schedule-certified limit (infinity promotions and lazy tail).
+    `promoted` holds the primes certified to have unbounded exponent."""
 
-    raw: SteinitzNumber
-    limit: SteinitzNumber
-    depth: int
-    promoted: tuple  # primes certified to have unbounded exponent
+    __slots__ = ("raw", "limit", "depth", "promoted")
+
+    def __init__(self, raw: SteinitzNumber, limit: SteinitzNumber, depth: int, promoted: tuple):
+        set_field(self, "raw", raw)
+        set_field(self, "limit", limit)
+        set_field(self, "depth", depth)
+        set_field(self, "promoted", promoted)
 
     def __str__(self) -> str:
         return f"{self.limit} (raw at depth {self.depth}: {self.raw})"
@@ -437,8 +443,7 @@ class ChainSteinitzOrder:
 # -- finite quotients ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteQuotient:
+class FiniteQuotient(Value):
     """The group of triples (a mod A, b mod B, c mod C) under the twisted
     law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').
 
@@ -448,18 +453,18 @@ class FiniteQuotient:
     always qualify.
     """
 
-    A: int
-    B: int
-    C: int
+    __slots__ = ("A", "B", "C")
 
-    def __post_init__(self):
-        if min(self.A, self.B, self.C) < 1:
+    def __init__(self, A: int, B: int, C: int):
+        if min(A, B, C) < 1:
             raise ContractError("quotient moduli must be positive")
-        if self.A % self.C or self.B % self.C:
+        if A % C or B % C:
             raise ContractError(
-                f"twisted product not well defined: {self.C} must divide "
-                f"both {self.A} and {self.B}"
+                f"twisted product not well defined: {C} must divide both {A} and {B}"
             )
+        set_field(self, "A", A)
+        set_field(self, "B", B)
+        set_field(self, "C", C)
 
     @property
     def order(self) -> int:
@@ -498,28 +503,7 @@ class FiniteQuotient:
         return (rng.randrange(self.A), rng.randrange(self.B), rng.randrange(self.C))
 
 
-@dataclass(frozen=True)
-class ConnectingMap:
-    """Coordinatewise residue reduction Q_{level+1} -> Q_level; a
-    surjective homomorphism because the cores are nested."""
-
-    source: FiniteQuotient
-    target: FiniteQuotient
-
-    def __post_init__(self):
-        if (
-            self.source.A % self.target.A
-            or self.source.B % self.target.B
-            or self.source.C % self.target.C
-        ):
-            raise ContractError("target moduli must divide source moduli")
-
-    def __call__(self, x) -> tuple[int, int, int]:
-        return self.target.reduce(x)
-
-
-@dataclass(frozen=True)
-class QuotientSubgroup:
+class QuotientSubgroup(Value):
     """A subgroup of a finite quotient, given by generators.
 
     Subgroups arising as images of boxes are product sets of coordinate
@@ -528,21 +512,26 @@ class QuotientSubgroup:
     of the generators stays available as the independent route (capped).
     """
 
-    ambient: FiniteQuotient
-    generators: tuple
-    lattice: Optional[tuple[int, int, int]] = None
-    cap: int = DEFAULT_CLOSURE_CAP
+    __slots__ = ("ambient", "generators", "lattice", "cap", "__dict__")
 
-    def __post_init__(self):
-        gens = tuple(self.ambient.reduce(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if self.lattice is not None:
-            la, lb, lc = self.lattice
-            amb = self.ambient
-            if amb.A % la or amb.B % lb or amb.C % lc:
+    def __init__(
+        self,
+        ambient: FiniteQuotient,
+        generators: tuple,
+        lattice: Optional[tuple[int, int, int]] = None,
+        cap: int = DEFAULT_CLOSURE_CAP,
+    ):
+        gens = tuple(ambient.reduce(g) for g in generators)
+        if lattice is not None:
+            la, lb, lc = lattice
+            if ambient.A % la or ambient.B % lb or ambient.C % lc:
                 raise ContractError("lattice parameters must divide the moduli")
-            if (la * lb) % gcd(lc, amb.C):
+            if (la * lb) % gcd(lc, ambient.C):
                 raise ContractError("lattice is not closed under the product")
+        set_field(self, "ambient", ambient)
+        set_field(self, "generators", gens)
+        set_field(self, "lattice", lattice)
+        set_field(self, "cap", cap)
 
     @property
     def order(self) -> int:
@@ -596,14 +585,16 @@ class QuotientSubgroup:
 # -- coset spaces -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetSpace:
+class CosetSpace(Value):
     """The finite space Gamma/B for a box B, with canonical representatives
     (a mod Ma, b mod Mb, reduced c).  The chain's level-l space is
     CosetSpace(box_at(l)), and the identity-coset cylinder corresponds to
     the representative (0, 0, 0)."""
 
-    box: BoxSubgroup
+    __slots__ = ("box",)
+
+    def __init__(self, box: BoxSubgroup):
+        set_field(self, "box", box)
 
     @property
     def size(self) -> int:
@@ -800,9 +791,14 @@ directives:
 
 
 def parse_chain_config(text: str) -> ChainSpec:
-    """Parse the declarative chain format (see _CONFIG_GRAMMAR)."""
+    """Parse the declarative chain format (see _CONFIG_GRAMMAR).
+
+    A (prime, coord) pair, or a family coord, may be given on one line
+    only; a repeat is an error naming both lines.
+    """
     explicit: dict[int, dict[str, CoordSchedule]] = {}
     family_coords: dict[str, int] = {}
+    first_line: dict[tuple, int] = {}  # (prime or "family", coord) -> line
     family_exclude: tuple = ()
     label = "config"
     trivial = True
@@ -812,7 +808,13 @@ def parse_chain_config(text: str) -> ChainSpec:
             continue
 
         def fail(msg):
-            raise ContractError(f"line {lineno}, column 1: {msg}: {rawline!r}")
+            raise ContractError(f"line {lineno}: {msg}: {rawline!r}")
+
+        def claim(owner, coord):
+            first = first_line.setdefault((owner, coord), lineno)
+            if first != lineno:
+                what = "the family" if owner == "family" else f"prime {owner}"
+                fail(f"{what} already has a coord={coord} schedule on line {first}")
 
         if line.startswith("label="):
             label = line.split("=", 1)[1].strip()
@@ -841,6 +843,7 @@ def parse_chain_config(text: str) -> ChainSpec:
             coord = fields.get("coord")
             if coord not in COORDS:
                 fail("coord must be a, b or c")
+            claim("family", coord)
             try:
                 family_coords[coord] = int(fields["base"])
             except (KeyError, ValueError):
@@ -861,6 +864,7 @@ def parse_chain_config(text: str) -> ChainSpec:
             fail(f"bad schedule line ({exc})")
         if coord not in COORDS:
             fail("coord must be a, b or c")
+        claim(p, coord)
         explicit.setdefault(p, {})[coord] = sched
 
     entries = tuple(

@@ -14,7 +14,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(argv, capsys):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -140,9 +143,13 @@ def test_contract_violation_exits_2(capsys):
         (["oracle", "core"], {}, None),
         (["oracle", "core", "--box", "Box(2,2,4)"], {"NILCANTOR_MAX_GROUP_ORDER": "abc"}, None),
         (["spectrum", "{config}", "--depth", "3"], {}, "family qi coord=a\n"),
+        (["spectrum", "ex41", "--p", "x", "--depth", "3"], {}, None),
+        (["bogus"], {}, None),
+        (["spectrum", "ex41", "--p", "2"], {}, None),
     ],
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
-         "budget-env-text", "family-no-base"],
+         "budget-env-text", "family-no-base", "argparse-bad-int",
+         "argparse-unknown-command", "argparse-missing-depth"],
 )
 def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
@@ -186,6 +193,28 @@ def test_config_parse_error_exits_2(tmp_path, capsys):
     cfg.write_text("prime=2 coord=z start=1 base=0 slope=1\n")
     code, _, err = run_cli(["spectrum", str(cfg), "--depth", "3"], capsys)
     assert code == 2 and "line 1" in err
+    assert "column" not in err
+
+
+@pytest.mark.parametrize(
+    "repeated",
+    ["prime=2 coord=a start=1 base=0 slope=3", "family qi coord=a start=i base=1 slope=0"],
+    ids=["prime-coord", "family-coord"],
+)
+def test_config_repeated_schedule_exits_2_naming_both_lines(repeated, tmp_path, capsys):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text(
+        "prime=2 coord=a start=1 base=0 slope=1\n"
+        "family qi coord=a start=i base=1 slope=0\n"
+        "prime=2 coord=b start=1 base=0 slope=1\n"
+        "prime=2 coord=c start=1 base=0 slope=2\n"
+        f"{repeated}\n"
+    )
+    code, out, err = run_cli(["spectrum", str(cfg), "--depth", "3"], capsys)
+    first = "line 1" if repeated.startswith("prime") else "line 2"
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: line 5: ")
+    assert first in err
 
 
 @pytest.mark.parametrize(
@@ -234,18 +263,45 @@ def test_budget_env_var_applies(monkeypatch, capsys):
     assert code == 0 and "agree: yes" in out
 
 
-def test_cli_and_oracle_import_neither_sympy_nor_numpy():
-    probe = (
-        "import nilcantor.cli, nilcantor.oracle, sys; "
-        "print(','.join(m for m in ('sympy', 'numpy') if m in sys.modules))"
-    )
+def run_python(*args):
+    """A fresh interpreter with this checkout's package on the path."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    return proc.stdout
+
+
+def test_cli_and_oracle_import_neither_sympy_nor_numpy():
+    # dataclasses would bring inspect, ast and per-class exec into every call
+    probe = (
+        "import nilcantor.cli, nilcantor.oracle, sys; "
+        "print(','.join(m for m in ('sympy', 'numpy', 'dataclasses', 'inspect') "
+        "if m in sys.modules))"
+    )
+    assert run_python("-c", probe).strip() == ""
+
+
+def test_invariants_hold_under_python_O():
+    probe = (
+        "import sys\n"
+        "from nilcantor.dynamics import KernelReport\n"
+        "from nilcantor.errors import ContractError\n"
+        "from nilcantor.heisenberg import BoxSubgroup\n"
+        "from nilcantor.steinitz import PrimeSet, PrimeSpectra\n"
+        "print('optimize', sys.flags.optimize)\n"
+        "box = BoxSubgroup(1, 1, 1)\n"
+        "for make in (lambda: KernelReport(1, 2, 2, box, box, 0, None),\n"
+        "             lambda: PrimeSpectra(PrimeSet((2,), True), PrimeSet((), True),\n"
+        "                                  PrimeSet((), True), 7)):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ContractError:\n"
+        "        print('refused')\n"
+    )
+    assert run_python("-O", "-c", probe).split("\n") == ["optimize 1", "refused", "refused", ""]
 
 
 def test_console_entry_point():

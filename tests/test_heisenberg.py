@@ -1,6 +1,8 @@
 """Element arithmetic against a 3x3 matrix oracle; box closed forms
 against small exhaustive enumerations."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -18,6 +20,8 @@ from nilcantor.heisenberg import (
     relative_core,
 )
 from nilcantor.oracle import coset_partition
+from nilcantor.steinitz import Primes
+from nilcantor.towers import FiniteQuotient
 
 
 # -- matrix oracle -----------------------------------------------------------
@@ -88,6 +92,41 @@ def test_conjugation_shear_relations():
     assert y.conjugate_by(x) == HeisenbergElement(0, 1, 1)  # x y x^-1 = y z
     assert z.conjugate_by(x) == z  # x z x^-1 = z
     assert HeisenbergElement(2, 3, 4).conjugate_by(HeisenbergElement(1, 1, 1)) == HeisenbergElement(2, 3, 5)
+
+
+# -- value semantics -------------------------------------------------------------
+
+
+def test_value_semantics():
+    g, box = HeisenbergElement(1, 2, 3), BoxSubgroup(2, 3, 6)
+    assert g == HeisenbergElement(1, 2, 3) and hash(g) == hash(HeisenbergElement(1, 2, 3))
+    assert box == BoxSubgroup(2, 3, 6) and hash(box) == hash(BoxSubgroup(2, 3, 6))
+    assert g != HeisenbergElement(1, 2, 4) and box != BoxSubgroup(2, 3, 3)
+    # equality needs the same class, not just the same fields
+    assert BoxSubgroup(2, 2, 2) != FiniteQuotient(2, 2, 2)
+    assert len({g, HeisenbergElement(1, 2, 3), box, BoxSubgroup(2, 3, 6)}) == 2
+    for value, field in ((g, "a"), (box, "Ma"), (Primes((5,)), "exclude")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+    # ordering compares the field tuples, within one class only
+    assert sorted([HeisenbergElement(1, 0, 0), HeisenbergElement(0, 5, 5), g]) == [
+        HeisenbergElement(0, 5, 5), HeisenbergElement(1, 0, 0), g
+    ]
+    assert BoxSubgroup(1, 1, 1) < box <= BoxSubgroup(2, 3, 6) < BoxSubgroup(4, 1, 2)
+    assert box >= BoxSubgroup(2, 3, 6) > BoxSubgroup(2, 1, 1)
+    with pytest.raises(TypeError):
+        g < box
+    assert repr(g) == "HeisenbergElement(a=1, b=2, c=3)"
+    assert repr(box) == "BoxSubgroup(Ma=2, Mb=3, Mc=6)"
+    # a cached property lives beside the fields and stays out of equality
+    cached = Primes((5,))
+    assert cached.prime(2) == 7 and cached == Primes((5,)) and repr(cached) == "Primes(exclude=(5,))"
 
 
 # -- boxes --------------------------------------------------------------------
