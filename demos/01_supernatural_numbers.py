@@ -8,8 +8,6 @@ from nilcantor.steinitz import (
     SteinitzNumber,
     TailSchedule,
     asymptotically_equivalent,
-    lcm,
-    product,
     spectra,
     type_leq,
 )
@@ -21,8 +19,8 @@ a = SteinitzNumber.parse("2^3 * 3 * 5^inf")
 b = SteinitzNumber.parse("2 * 7^2")
 print("a           =", a)
 print("b           =", b)
-print("a * b       =", product(a, b))
-print("lcm(a, b)   =", lcm(a, b))
+print("a * b       =", a.product(b))
+print("lcm(a, b)   =", a.lcm(b))
 
 # Spectra classify primes by multiplicity: finite part vs infinite part.
 print("\nspectra of a up to 11:")

@@ -3,14 +3,7 @@
 Run:  python3 demos/02_heisenberg_boxes.py
 """
 
-from nilcantor.heisenberg import (
-    GAMMA,
-    BoxSubgroup,
-    HeisenbergElement,
-    core,
-    index_in,
-    relative_core,
-)
+from nilcantor.heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in, relative_core
 from nilcantor.oracle import core_by_enumeration, relative_core_by_enumeration
 
 # (a, b, c) stands for the unipotent matrix with rows (1,a,c),(0,1,b),(0,0,1).
@@ -24,7 +17,7 @@ box = BoxSubgroup(2, 2, 4)
 print("\nbox:", box, " index in the full group:", index_in(GAMMA, box))
 
 # The normal core has a closed form, validated against dumb enumeration.
-print("core:", core(box), " by enumeration:", core_by_enumeration(box))
+print("core:", box.core(), " by enumeration:", core_by_enumeration(box))
 
 # Relative cores intersect conjugates over a smaller conjugator group;
 # they are the pointwise-fixing kernels of the odometer cylinders.

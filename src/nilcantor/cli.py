@@ -4,7 +4,7 @@ Every command writes exactly one report to stdout, with all quantities as
 exact integers (never floating point), and is byte-identical across runs
 with the same inputs and seed.  Exit codes: 0 success, 2 contract
 violation (bad flags, parse errors, broken invariants, undecidable
-questions), 3 resource exhaustion (budgets, closure caps).
+questions), 3 resource exhaustion (oracle budgets, prime-layer caps).
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from .dynamics import (
     Certificate,
     discriminant_limit_report,
     freeness_certificate,
-    lqa_witness,
     trivial_action_kernel,
     wildness_certificate,
 )
 from .errors import ContractError, ResourceError
-from .heisenberg import BoxSubgroup, HeisenbergElement, core, index_in, relative_core
+from .heisenberg import BoxSubgroup, HeisenbergElement, relative_core
 from .oracle import (
     OracleBudget,
     canonical_by_enumeration,
@@ -290,10 +289,11 @@ def cmd_oracle(args) -> Report:
     if target == "core":
         box = BoxSubgroup.parse(_oracle_flag(args, "box"))
         found = core_by_enumeration(box, budget)
+        closed = box.core()
         results = [
             ("enumerated", str(found)),
-            ("closed_form", str(core(box))),
-            ("agree", "yes" if found == core(box) else "NO"),
+            ("closed_form", str(closed)),
+            ("agree", "yes" if found == closed else "NO"),
         ]
     elif target == "relative-core":
         outer = BoxSubgroup.parse(_oracle_flag(args, "outer"))
@@ -324,24 +324,20 @@ def cmd_oracle(args) -> Report:
             ("agree", "yes" if len(classes) == box.index() else "NO"),
         ]
     elif target == "fixing":
+        if args.chain_ref is None:
+            raise ContractError(
+                "oracle fixing needs a chain reference: a built-in name or a config file"
+            )
         chain = resolve_chain(args)
         chain_label = chain.label
         found = fixing_scan(chain, args.cylinder, args.depth, budget)
         kernel = trivial_action_kernel(chain, args.cylinder, args.depth)
-        q = chain.quotient_at(args.depth)
-        from math import gcd
-
-        steps = (gcd(kernel.Ma, q.A), gcd(kernel.Mb, q.B), gcd(kernel.Mc, q.C))
-        reduced = frozenset(
-            (a, b, c)
-            for a in range(0, q.A, steps[0])
-            for b in range(0, q.B, steps[1])
-            for c in range(0, q.C, steps[2])
-        )
+        closed = chain.quotient_at(args.depth).image(kernel)
+        agree = len(found) == closed.order and all(closed.contains(x) for x in found)
         results = [
             ("scanned_size", len(found)),
-            ("closed_form_size", len(reduced)),
-            ("agree", "yes" if found == reduced else "NO"),
+            ("closed_form_size", closed.order),
+            ("agree", "yes" if agree else "NO"),
         ]
     else:
         raise ContractError(f"unknown oracle subtarget {target!r}")
@@ -545,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--depth", type=int, default=1)
     orc.add_argument("--max-modulus", type=int, default=12)
     orc.add_argument("--max-group-order", type=int)
-    orc.add_argument("chain_ref", nargs="?", default="ex41", help=_CHAIN_REF_HELP)
+    orc.add_argument("chain_ref", nargs="?", help=_CHAIN_REF_HELP + " (fixing only)")
     _add_chain_arguments(orc)
     orc.set_defaults(handler=cmd_oracle)
 

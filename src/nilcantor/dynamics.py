@@ -29,7 +29,6 @@ activations can certify.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Optional
 
 from ._value import Value, set_field
@@ -131,12 +130,10 @@ def _analyze_pair(chain: ChainSpec, l1: int, l2: int) -> _PairAnalysis:
 def _kernel_tower_surjective(chain: ChainSpec, cylinder: int, depth: int) -> bool:
     """Whether the connecting map carries the depth+1 kernel *onto* the
     depth-`depth` kernel inside Q_depth (it always maps into it)."""
-    core = chain.core_at(depth)
-    k0 = trivial_action_kernel(chain, cylinder, depth)
-    k1 = trivial_action_kernel(chain, cylinder, depth + 1)
-    img0 = (gcd(k0.Ma, core.Ma), gcd(k0.Mb, core.Mb), gcd(k0.Mc, core.Mc))
-    img1 = (gcd(k1.Ma, core.Ma), gcd(k1.Mb, core.Mb), gcd(k1.Mc, core.Mc))
-    return img0 == img1
+    q = chain.quotient_at(depth)
+    return q.image(trivial_action_kernel(chain, cylinder, depth)) == q.image(
+        trivial_action_kernel(chain, cylinder, depth + 1)
+    )
 
 
 def _family_activation_gap(chain: ChainSpec) -> int:
@@ -359,15 +356,16 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     problems = []
     for l1 in range(1, max_cylinder):
         for l2 in range(l1 + 1, max_cylinder + 1):
-            orders = []
-            surjective = True
-            for d in range(l2, max_depth + 1):
-                k = trivial_action_kernel(chain, l2, d)
-                c = trivial_action_kernel(chain, l1, d)
-                orders.append(index_in(k, c))
-                surjective = surjective and _kernel_tower_surjective(
-                    chain, l1, d
-                ) and _kernel_tower_surjective(chain, l2, d)
+            kernels = [
+                (trivial_action_kernel(chain, l2, d), trivial_action_kernel(chain, l1, d))
+                for d in range(l2, max_depth + 1)
+            ]
+            orders = [index_in(k, c) for k, c in kernels]
+            surjective = all(
+                _kernel_tower_surjective(chain, l1, d)
+                and _kernel_tower_surjective(chain, l2, d)
+                for d in range(l2, max_depth + 1)
+            )
             analysis = _analyze_pair(chain, l1, l2)
             constant = len(set(orders)) == 1
             persistent = (
@@ -379,16 +377,16 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
             )
             if not analysis.sound:
                 problems.extend(analysis.notes)
-            report = lqa_witness(chain, l1, l2, l2)
+            kernel, comparison = kernels[0]  # at depth l2
             reports.append(
                 KernelReport(
                     cylinder=l1,
                     refined=l2,
                     depth=l2,
-                    kernel_box=report.kernel_box,
-                    comparison_box=report.comparison_box,
-                    kernel_order=report.kernel_order,
-                    witness=report.witness,
+                    kernel_box=kernel,
+                    comparison_box=comparison,
+                    kernel_order=orders[0],
+                    witness=_pick_witness(kernel, comparison),
                     persistent=persistent,
                 )
             )
@@ -608,7 +606,7 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
                 lat *= p ** min(box_exp.base, core_exp)
         floor.append(lat)
     symbolic = tuple(floor) == images[-1].lattice
-    numeric = len(images) >= 2 and images[-1].same_subgroup(images[-2])
+    numeric = len(images) >= 2 and images[-1] == images[-2]
     stabilized = bool(symbolic and (numeric or len(images) == 1))
     return DiscriminantReport(
         level=level,

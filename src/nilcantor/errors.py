@@ -1,7 +1,7 @@
 """Shared exception types.
 
 Contract violations (bad arguments, broken invariants, undecidable
-questions) and resource exhaustion (enumeration budgets, closure caps)
+questions) and resource exhaustion (enumeration budgets, prime-layer caps)
 are kept apart because callers react differently: the first is a caller
 bug or an honest "cannot decide", the second is fixable by raising a cap.
 """

@@ -28,11 +28,8 @@ __all__ = [
     "BoxSubgroup",
     "IDENTITY",
     "GAMMA",
-    "contains",
     "index_in",
-    "core",
     "relative_core",
-    "is_normal_in_gamma",
 ]
 
 
@@ -168,11 +165,7 @@ class BoxSubgroup(OrderedValue):
 GAMMA = BoxSubgroup(1, 1, 1)
 
 
-# -- free-standing forms of the operations -------------------------------
-
-
-def contains(box: BoxSubgroup, g: HeisenbergElement) -> bool:
-    return box.contains(g)
+# -- operations on two boxes ---------------------------------------------
 
 
 def index_in(outer: BoxSubgroup, inner: BoxSubgroup) -> int:
@@ -180,10 +173,6 @@ def index_in(outer: BoxSubgroup, inner: BoxSubgroup) -> int:
     if not outer.contains_box(inner):
         raise ContractError(f"{inner} is not contained in {outer}")
     return (inner.Ma // outer.Ma) * (inner.Mb // outer.Mb) * (inner.Mc // outer.Mc)
-
-
-def core(box: BoxSubgroup) -> BoxSubgroup:
-    return box.core()
 
 
 def relative_core(outer: BoxSubgroup, inner: BoxSubgroup) -> BoxSubgroup:
@@ -203,7 +192,3 @@ def relative_core(outer: BoxSubgroup, inner: BoxSubgroup) -> BoxSubgroup:
     ra = lcm(inner.Ma, inner.Mc // gcd(inner.Mc, outer.Mb))
     rb = lcm(inner.Mb, inner.Mc // gcd(inner.Mc, outer.Ma))
     return BoxSubgroup(ra, rb, inner.Mc)
-
-
-def is_normal_in_gamma(box: BoxSubgroup) -> bool:
-    return box.is_normal_in_gamma()

@@ -47,9 +47,6 @@ __all__ = [
     "TreeBranchPrimes",
     "TailSchedule",
     "ONE",
-    "multiplicity",
-    "product",
-    "lcm",
     "spectra",
     "asymptotically_equivalent",
     "type_leq",
@@ -122,15 +119,6 @@ class PrimeEnumeration:
     def excluding(self, p: int) -> Optional["PrimeEnumeration"]:
         """Same enumeration with p removed, when expressible; else None."""
         return None
-
-    def iter_upto(self, bound: int) -> Iterator[int]:
-        i = 0
-        while True:
-            q = self.prime(i)
-            if q > bound:
-                return
-            yield q
-            i += 1
 
 
 class Primes(PrimeEnumeration, Value):
@@ -408,9 +396,6 @@ class SteinitzNumber(Value):
     def lcm(self, other: "SteinitzNumber") -> "SteinitzNumber":
         return _combine(self, other, max)
 
-    def spectra(self, bound: int) -> "PrimeSpectra":
-        return spectra(self, bound)
-
     # -- text form -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -657,21 +642,6 @@ def type_leq(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> bool:
             f"undecidable with bound {bound}: primes {over} must be inspected"
         )
     return True
-
-
-# -- module-level operation aliases -----------------------------------------
-
-
-def multiplicity(xi: SteinitzNumber, p: int):
-    return xi.multiplicity(p)
-
-
-def product(x1: SteinitzNumber, x2: SteinitzNumber) -> SteinitzNumber:
-    return x1.product(x2)
-
-
-def lcm(x1: SteinitzNumber, x2: SteinitzNumber) -> SteinitzNumber:
-    return x1.lcm(x2)
 
 
 # -- almost-disjoint infinite prime sets -------------------------------------

@@ -23,6 +23,9 @@ From the chain the module builds, all in exact integer arithmetic:
                                  with schedule-certified infinity promotion,
   * canonical coset arithmetic and the left action on Gamma/Gamma_l.
 
+Every one of these is a closed form; the enumerations that check them
+(subgroup closures, orbits, fixing scans) live in the oracle module.
+
 Exponent infinity is never extrapolated: a prime is promoted to the
 infinite part of a Steinitz order only when its schedule provably grows
 (slope > 0), and raw finite lcm values always carry the depth at which
@@ -31,14 +34,12 @@ they were computed.
 
 from __future__ import annotations
 
-import re
-from functools import cached_property
 from math import gcd
-from typing import Iterator, Optional
+from typing import Optional
 
 from ._value import Value, set_field
-from .errors import ContractError, ResourceError
-from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in
+from .errors import ContractError
+from .heisenberg import BoxSubgroup, HeisenbergElement
 from .primes import isprime
 from .steinitz import (
     INF,
@@ -58,7 +59,6 @@ __all__ = [
     "QuotientSubgroup",
     "CosetSpace",
     "ChainSteinitzOrder",
-    "DEFAULT_CLOSURE_CAP",
     "ex41",
     "ex42",
     "stable_chain",
@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 COORDS = ("a", "b", "c")
-DEFAULT_CLOSURE_CAP = 10**6
 
 # Levels up to which structural invariants are checked numerically before
 # the symbolic (eventually-affine) argument takes over.
@@ -362,26 +361,17 @@ class ChainSpec(Value):
         c = self.core_at(level)
         return FiniteQuotient(c.Ma, c.Mb, c.Mc)
 
-    def discriminant_level(self, level: int, cap: int = DEFAULT_CLOSURE_CAP) -> "QuotientSubgroup":
+    def discriminant_level(self, level: int) -> "QuotientSubgroup":
         """D_level: the image of Gamma_level inside Q_level."""
-        return self.stable_image(level, level, cap=cap)
+        return self.stable_image(level, level)
 
-    def stable_image(
-        self, level: int, depth: int, cap: int = DEFAULT_CLOSURE_CAP
-    ) -> "QuotientSubgroup":
-        """Image of D_depth in D_level under the composed connecting maps.
-
-        The image of a box under coordinatewise reduction is the product
-        of the reduced coordinate lattices, so it has a closed form; the
-        generator closure is kept as the independently checkable route.
-        """
+    def stable_image(self, level: int, depth: int) -> "QuotientSubgroup":
+        """Image of D_depth in D_level under the composed connecting maps,
+        i.e. the image of Gamma_depth in Q_level (see FiniteQuotient.image);
+        oracle.subgroup_closure is the independent route."""
         if depth < level:
             raise ContractError("depth must be >= level")
-        box = self.box_at(depth)
-        amb = self.quotient_at(level)
-        gens = tuple(amb.reduce(g) for g in box.generators())
-        lattice = (gcd(box.Ma, amb.A), gcd(box.Mb, amb.B), gcd(box.Mc, amb.C))
-        return QuotientSubgroup(amb, gens, lattice=lattice, cap=cap)
+        return self.quotient_at(level).image(self.box_at(depth))
 
     def steinitz_order(self, depth: int) -> "ChainSteinitzOrder":
         """lcm of the coset-space sizes #(Gamma/Gamma_l), l <= depth.
@@ -489,97 +479,40 @@ class FiniteQuotient(Value):
     def inv(self, x) -> tuple[int, int, int]:
         return ((-x[0]) % self.A, (-x[1]) % self.B, (-x[2] + x[0] * x[1]) % self.C)
 
-    def elements(self, cap: int = DEFAULT_CLOSURE_CAP) -> Iterator[tuple[int, int, int]]:
-        if self.order > cap:
-            raise ResourceError(
-                f"quotient of order {self.order} exceeds the cap {cap}"
-            )
-        for a in range(self.A):
-            for b in range(self.B):
-                for c in range(self.C):
-                    yield (a, b, c)
-
-    def random_element(self, rng) -> tuple[int, int, int]:
-        return (rng.randrange(self.A), rng.randrange(self.B), rng.randrange(self.C))
+    def image(self, box: BoxSubgroup) -> "QuotientSubgroup":
+        """The image of a box under coordinatewise reduction: the product
+        of the reduced coordinate lattices."""
+        return QuotientSubgroup(
+            self, (gcd(box.Ma, self.A), gcd(box.Mb, self.B), gcd(box.Mc, self.C))
+        )
 
 
 class QuotientSubgroup(Value):
-    """A subgroup of a finite quotient, given by generators.
+    """The subgroup (La*Z/A) x (Lb*Z/B) x (Lc*Z/C) of a finite quotient,
+    given by its coordinate lattice.  Images of boxes have this shape, and
+    a lattice dividing the moduli names exactly one subgroup, so equal
+    values are equal subgroups."""
 
-    Subgroups arising as images of boxes are product sets of coordinate
-    lattices (La*Z/A) x (Lb*Z/B) x (Lc*Z/C); when known, that lattice is
-    the fast path for orders and membership, and the breadth-first closure
-    of the generators stays available as the independent route (capped).
-    """
+    __slots__ = ("ambient", "lattice")
 
-    __slots__ = ("ambient", "generators", "lattice", "cap", "__dict__")
-
-    def __init__(
-        self,
-        ambient: FiniteQuotient,
-        generators: tuple,
-        lattice: Optional[tuple[int, int, int]] = None,
-        cap: int = DEFAULT_CLOSURE_CAP,
-    ):
-        gens = tuple(ambient.reduce(g) for g in generators)
-        if lattice is not None:
-            la, lb, lc = lattice
-            if ambient.A % la or ambient.B % lb or ambient.C % lc:
-                raise ContractError("lattice parameters must divide the moduli")
-            if (la * lb) % gcd(lc, ambient.C):
-                raise ContractError("lattice is not closed under the product")
+    def __init__(self, ambient: FiniteQuotient, lattice: tuple[int, int, int]):
+        la, lb, lc = lattice
+        if ambient.A % la or ambient.B % lb or ambient.C % lc:
+            raise ContractError("lattice parameters must divide the moduli")
+        if (la * lb) % gcd(lc, ambient.C):
+            raise ContractError("lattice is not closed under the product")
         set_field(self, "ambient", ambient)
-        set_field(self, "generators", gens)
         set_field(self, "lattice", lattice)
-        set_field(self, "cap", cap)
 
     @property
     def order(self) -> int:
-        if self.lattice is not None:
-            la, lb, lc = self.lattice
-            return (self.ambient.A // la) * (self.ambient.B // lb) * (self.ambient.C // lc)
-        return len(self.closure())
+        la, lb, lc = self.lattice
+        return (self.ambient.A // la) * (self.ambient.B // lb) * (self.ambient.C // lc)
 
     def contains(self, x) -> bool:
+        la, lb, lc = self.lattice
         x = self.ambient.reduce(x)
-        if self.lattice is not None:
-            la, lb, lc = self.lattice
-            return x[0] % la == 0 and x[1] % lb == 0 and x[2] % lc == 0
-        return x in self.closure()
-
-    @cached_property
-    def _closure(self) -> frozenset:
-        amb = self.ambient
-        seed = set(self.generators) | {amb.identity}
-        seed |= {amb.inv(g) for g in self.generators}
-        frontier = list(seed)
-        seen = set(seed)
-        gens = list(seed)
-        while frontier:
-            nxt = []
-            for g in gens:
-                for h in frontier:
-                    x = amb.mul(g, h)
-                    if x not in seen:
-                        seen.add(x)
-                        nxt.append(x)
-                        if len(seen) > self.cap:
-                            raise ResourceError(
-                                f"subgroup closure exceeded cap {self.cap}; "
-                                "raise the cap or use the lattice fast path"
-                            )
-            frontier = nxt
-        return frozenset(seen)
-
-    def closure(self) -> frozenset:
-        return self._closure
-
-    def same_subgroup(self, other: "QuotientSubgroup") -> bool:
-        if self.ambient != other.ambient:
-            return False
-        if self.lattice is not None and other.lattice is not None:
-            return self.lattice == other.lattice
-        return self.closure() == other.closure()
+        return x[0] % la == 0 and x[1] % lb == 0 and x[2] % lc == 0
 
 
 # -- coset spaces -------------------------------------------------------------
@@ -632,24 +565,6 @@ class CosetSpace(Value):
         if not self.is_canonical(x):
             raise ContractError(f"{x} is not a canonical representative")
         return self.canonical(g * self.lift(x))
-
-    def orbit(self, generators, start=None, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset:
-        start = self.basepoint if start is None else start
-        seen = {start}
-        frontier = [start]
-        gens = list(generators) + [g.inverse() for g in generators]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.act(g, x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        if len(seen) > cap:
-                            raise ResourceError(f"orbit exceeded cap {cap}")
-            frontier = nxt
-        return frozenset(seen)
 
 
 # -- built-in chains ----------------------------------------------------------
@@ -793,12 +708,12 @@ directives:
 def parse_chain_config(text: str) -> ChainSpec:
     """Parse the declarative chain format (see _CONFIG_GRAMMAR).
 
-    A (prime, coord) pair, or a family coord, may be given on one line
-    only; a repeat is an error naming both lines.
+    A (prime, coord) pair, a family coord, or a directive may be given on
+    one line only; a repeat is an error naming both lines.
     """
     explicit: dict[int, dict[str, CoordSchedule]] = {}
     family_coords: dict[str, int] = {}
-    first_line: dict[tuple, int] = {}  # (prime or "family", coord) -> line
+    first_line: dict = {}  # (prime or "family", coord) or directive -> line
     family_exclude: tuple = ()
     label = "config"
     trivial = True
@@ -810,16 +725,17 @@ def parse_chain_config(text: str) -> ChainSpec:
         def fail(msg):
             raise ContractError(f"line {lineno}: {msg}: {rawline!r}")
 
-        def claim(owner, coord):
-            first = first_line.setdefault((owner, coord), lineno)
+        def claim(key, what):
+            first = first_line.setdefault(key, lineno)
             if first != lineno:
-                what = "the family" if owner == "family" else f"prime {owner}"
-                fail(f"{what} already has a coord={coord} schedule on line {first}")
+                fail(f"{what} on line {first}")
 
         if line.startswith("label="):
+            claim("label", "the label was already set")
             label = line.split("=", 1)[1].strip()
             continue
         if line.startswith("trivial_intersection="):
+            claim("trivial_intersection", "trivial_intersection was already set")
             value = line.split("=", 1)[1].strip().lower()
             if value not in ("true", "false"):
                 fail("expected true or false")
@@ -831,6 +747,7 @@ def parse_chain_config(text: str) -> ChainSpec:
                 tok.split("=", 1) for tok in tokens[1:] if "=" in tok
             )
             if "exclude" in fields:
+                claim("exclude", "the family exclusions were already set")
                 try:
                     family_exclude = tuple(int(x) for x in fields["exclude"].split(","))
                 except ValueError:
@@ -843,7 +760,7 @@ def parse_chain_config(text: str) -> ChainSpec:
             coord = fields.get("coord")
             if coord not in COORDS:
                 fail("coord must be a, b or c")
-            claim("family", coord)
+            claim(("family", coord), f"the family already has a coord={coord} schedule")
             try:
                 family_coords[coord] = int(fields["base"])
             except (KeyError, ValueError):
@@ -864,7 +781,7 @@ def parse_chain_config(text: str) -> ChainSpec:
             fail(f"bad schedule line ({exc})")
         if coord not in COORDS:
             fail("coord must be a, b or c")
-        claim(p, coord)
+        claim((p, coord), f"prime {p} already has a coord={coord} schedule")
         explicit.setdefault(p, {})[coord] = sched
 
     entries = tuple(

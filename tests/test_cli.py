@@ -11,6 +11,7 @@ import pytest
 from nilcantor.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 
 def run_cli(argv, capsys):
@@ -127,6 +128,8 @@ def test_contract_violation_exits_2(capsys):
         ["wildness", "ex41", "--p", "2", "--lmax", "1", "--dmax", "3"], capsys
     )
     assert code == 2
+    code, _, err = run_cli(["oracle", "fixing", "--depth", "2"], capsys)
+    assert code == 2 and "needs a chain reference" in err
 
 
 @pytest.mark.parametrize(
@@ -146,10 +149,11 @@ def test_contract_violation_exits_2(capsys):
         (["spectrum", "ex41", "--p", "x", "--depth", "3"], {}, None),
         (["bogus"], {}, None),
         (["spectrum", "ex41", "--p", "2"], {}, None),
+        (["oracle", "fixing", "--depth", "2"], {}, None),
     ],
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
          "budget-env-text", "family-no-base", "argparse-bad-int",
-         "argparse-unknown-command", "argparse-missing-depth"],
+         "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain"],
 )
 def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
@@ -197,24 +201,32 @@ def test_config_parse_error_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "repeated",
-    ["prime=2 coord=a start=1 base=0 slope=3", "family qi coord=a start=i base=1 slope=0"],
-    ids=["prime-coord", "family-coord"],
+    "repeated,first",
+    [
+        ("prime=2 coord=a start=1 base=0 slope=3", 1),
+        ("family qi coord=a start=i base=1 slope=0", 2),
+        ("label=second", 5),
+        ("family exclude=3", 6),
+        ("trivial_intersection=true", 7),
+    ],
+    ids=["prime-coord", "family-coord", "label", "family-exclude", "trivial-intersection"],
 )
-def test_config_repeated_schedule_exits_2_naming_both_lines(repeated, tmp_path, capsys):
+def test_config_repeated_schedule_exits_2_naming_both_lines(repeated, first, tmp_path, capsys):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text(
         "prime=2 coord=a start=1 base=0 slope=1\n"
         "family qi coord=a start=i base=1 slope=0\n"
         "prime=2 coord=b start=1 base=0 slope=1\n"
         "prime=2 coord=c start=1 base=0 slope=2\n"
+        "label=first\n"
+        "family exclude=2\n"
+        "trivial_intersection=false\n"
         f"{repeated}\n"
     )
     code, out, err = run_cli(["spectrum", str(cfg), "--depth", "3"], capsys)
-    first = "line 1" if repeated.startswith("prime") else "line 2"
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: line 5: ")
-    assert first in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: line 8: ")
+    assert f"line {first}" in err
 
 
 @pytest.mark.parametrize(
@@ -275,13 +287,21 @@ def run_python(*args):
 
 
 def test_cli_and_oracle_import_neither_sympy_nor_numpy():
-    # dataclasses would bring inspect, ast and per-class exec into every call
+    # dataclasses would bring inspect, ast and per-class exec into every call;
+    # the table scan is the oracle's last former numpy user
     probe = (
         "import nilcantor.cli, nilcantor.oracle, sys; "
+        "from nilcantor.heisenberg import BoxSubgroup; "
+        "nilcantor.oracle.canonical_table_by_enumeration(BoxSubgroup(2, 3, 6)); "
         "print(','.join(m for m in ('sympy', 'numpy', 'dataclasses', 'inspect') "
         "if m in sys.modules))"
     )
     assert run_python("-c", probe).strip() == ""
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_runs(demo):
+    assert run_python(str(DEMOS / demo)).strip()
 
 
 def test_invariants_hold_under_python_O():

@@ -15,7 +15,6 @@ from nilcantor.heisenberg import (
     IDENTITY,
     BoxSubgroup,
     HeisenbergElement,
-    core,
     index_in,
     relative_core,
 )
@@ -194,9 +193,9 @@ def test_index_multiplicative_along_nested_triples():
 
 
 def test_core_examples():
-    assert core(BoxSubgroup(2, 2, 4)) == BoxSubgroup(4, 4, 4)
-    assert core(BoxSubgroup(2, 3, 6)) == BoxSubgroup(6, 6, 6)
-    assert core(BoxSubgroup(2, 4, 4)) == BoxSubgroup(4, 4, 4)
+    assert BoxSubgroup(2, 2, 4).core() == BoxSubgroup(4, 4, 4)
+    assert BoxSubgroup(2, 3, 6).core() == BoxSubgroup(6, 6, 6)
+    assert BoxSubgroup(2, 4, 4).core() == BoxSubgroup(4, 4, 4)
 
 
 def test_core_properties():
@@ -205,7 +204,7 @@ def test_core_properties():
         ma, mb = rng.randrange(1, 13), rng.randrange(1, 13)
         divisors = [d for d in range(1, 13) if (ma * mb) % d == 0]
         box = BoxSubgroup(ma, mb, rng.choice(divisors))
-        c = core(box)
+        c = box.core()
         assert box.contains_box(c)
         assert c.is_normal_in_gamma()
         assert relative_core(GAMMA, box) == c
@@ -227,7 +226,7 @@ def test_relative_core_sandwich():
         inner = BoxSubgroup(outer.Ma * 2, outer.Mb * 3, outer.Mc * 6)
         rc = relative_core(outer, inner)
         assert inner.contains_box(rc)
-        assert rc.contains_box(core(inner))
+        assert rc.contains_box(inner.core())
         assert inner.core() == relative_core(GAMMA, inner)
 
 
@@ -263,7 +262,7 @@ def test_normality_is_core_fixed_point():
         ma, mb = rng.randrange(1, 13), rng.randrange(1, 13)
         divisors = [d for d in range(1, 13) if (ma * mb) % d == 0]
         box = BoxSubgroup(ma, mb, rng.choice(divisors))
-        assert box.is_normal_in_gamma() == (core(box) == box)
+        assert box.is_normal_in_gamma() == (box.core() == box)
 
 
 # -- text forms ---------------------------------------------------------------

@@ -14,7 +14,6 @@ from nilcantor.heisenberg import (
     GAMMA,
     BoxSubgroup,
     HeisenbergElement,
-    core,
     index_in,
     relative_core,
 )
@@ -26,8 +25,16 @@ from nilcantor.oracle import (
     coset_partition,
     fixing_scan,
     relative_core_by_enumeration,
+    subgroup_closure,
 )
-from nilcantor.towers import ChainSpec, CoordSchedule, CosetSpace, PrimeSchedule, wild_chain
+from nilcantor.towers import (
+    ChainSpec,
+    CoordSchedule,
+    CosetSpace,
+    FiniteQuotient,
+    PrimeSchedule,
+    wild_chain,
+)
 from nilcantor.dynamics import trivial_action_kernel
 
 
@@ -49,7 +56,7 @@ def test_core_oracle_equals_closed_form_all_moduli_up_to_12():
                 if (ma * mb) % mc:
                     continue
                 box = BoxSubgroup(ma, mb, mc)
-                assert core_by_enumeration(box) == core(box)
+                assert core_by_enumeration(box) == box.core()
 
 
 def test_relative_core_oracle_examples():
@@ -57,6 +64,15 @@ def test_relative_core_oracle_examples():
     b = BoxSubgroup(2, 2, 4)
     assert relative_core_by_enumeration(GAMMA, b) == core_by_enumeration(b)
     assert relative_core_by_enumeration(b, b) == b
+
+
+def test_relative_core_oracle_budget_states_demand_and_budget():
+    with pytest.raises(ResourceError) as err:
+        relative_core_by_enumeration(
+            BoxSubgroup(2, 3, 6), BoxSubgroup(4, 9, 36), OracleBudget(max_modulus=5)
+        )
+    assert "largest modulus 36" in str(err.value)
+    assert "budget 30 (max_modulus 5 x 6)" in str(err.value)
 
 
 def test_relative_core_oracle_handles_coarse_outer_moduli():
@@ -130,6 +146,12 @@ def test_fixing_scan_on_seeded_random_small_chains():
             for c in range(0, q.C, steps[2])
         )
         assert scanned == expected
+
+
+def test_subgroup_closure_cap():
+    q = FiniteQuotient(64, 64, 64)
+    with pytest.raises(ResourceError):
+        subgroup_closure(q, ((1, 0, 0), (0, 1, 0)), OracleBudget(max_group_order=100))
 
 
 def test_partition_examples():

@@ -14,9 +14,6 @@ from nilcantor.steinitz import (
     TreeBranchPrimes,
     almost_disjoint_spectra,
     asymptotically_equivalent,
-    lcm,
-    multiplicity,
-    product,
     spectra,
     type_leq,
 )
@@ -41,14 +38,14 @@ def random_explicit(rng, allow_infinite=True):
 
 def test_multiplicity_examples():
     xi = SteinitzNumber.of({3: 1}, infinite=(2,))
-    assert multiplicity(xi, 3) == 1
-    assert multiplicity(xi, 5) == 0
-    assert multiplicity(xi, 2) is INF
+    assert xi.multiplicity(3) == 1
+    assert xi.multiplicity(5) == 0
+    assert xi.multiplicity(2) is INF
 
 
 def test_multiplicity_rejects_nonprime():
     with pytest.raises(ContractError):
-        multiplicity(ONE, 4)
+        ONE.multiplicity(4)
     with pytest.raises(ContractError):
         SteinitzNumber.of({6: 1})
 
@@ -83,41 +80,41 @@ def test_disjointness_invariants():
 def test_product_examples():
     a = SteinitzNumber.of({2: 2, 3: 1})
     b = SteinitzNumber.of({2: 1, 5: 1})
-    assert product(a, b) == SteinitzNumber.of({2: 3, 3: 1, 5: 1})
-    assert product(SteinitzNumber.of(infinite=(2,)), SteinitzNumber.of({2: 4})) == SteinitzNumber.of(infinite=(2,))
+    assert a.product(b) == SteinitzNumber.of({2: 3, 3: 1, 5: 1})
+    assert SteinitzNumber.of(infinite=(2,)).product(SteinitzNumber.of({2: 4})) == SteinitzNumber.of(infinite=(2,))
 
 
 def test_lcm_examples():
     a = SteinitzNumber.of({2: 3, 3: 1})
     b = SteinitzNumber.of({2: 1}, infinite=(5,))
-    assert lcm(a, b) == SteinitzNumber.of({2: 3, 3: 1}, infinite=(5,))
+    assert a.lcm(b) == SteinitzNumber.of({2: 3, 3: 1}, infinite=(5,))
     xi = SteinitzNumber.of({2: 2}, infinite=(7,))
-    assert lcm(xi, xi) == xi
+    assert xi.lcm(xi) == xi
 
 
 def test_pointwise_laws_on_seeded_numbers():
     rng = random.Random(101)
     for _ in range(300):
         x, y = random_explicit(rng), random_explicit(rng)
-        prod, join = product(x, y), lcm(x, y)
+        prod, join = x.product(y), x.lcm(y)
         for p in PRIMES:
-            ex, ey = multiplicity(x, p), multiplicity(y, p)
+            ex, ey = x.multiplicity(p), y.multiplicity(p)
             if ex is INF or ey is INF:
-                assert multiplicity(prod, p) is INF
-                assert multiplicity(join, p) is INF
+                assert prod.multiplicity(p) is INF
+                assert join.multiplicity(p) is INF
             else:
-                assert multiplicity(prod, p) == ex + ey
-                assert multiplicity(join, p) == max(ex, ey)
-        assert product(x, y) == product(y, x)
-        assert lcm(x, y) == lcm(y, x)
+                assert prod.multiplicity(p) == ex + ey
+                assert join.multiplicity(p) == max(ex, ey)
+        assert x.product(y) == y.product(x)
+        assert x.lcm(y) == y.lcm(x)
 
 
 def test_associativity_on_seeded_numbers():
     rng = random.Random(103)
     for _ in range(100):
         x, y, z = (random_explicit(rng) for _ in range(3))
-        assert product(product(x, y), z) == product(x, product(y, z))
-        assert lcm(lcm(x, y), z) == lcm(x, lcm(y, z))
+        assert x.product(y).product(z) == x.product(y.product(z))
+        assert x.lcm(y).lcm(z) == x.lcm(y.lcm(z))
 
 
 def test_integer_embedding():
@@ -127,35 +124,35 @@ def test_integer_embedding():
     rng = random.Random(105)
     for _ in range(50):
         a, b = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
-        assert product(SteinitzNumber.from_int(a), SteinitzNumber.from_int(b)).as_int() == a * b
+        assert SteinitzNumber.from_int(a).product(SteinitzNumber.from_int(b)).as_int() == a * b
 
 
 def test_tailed_product_same_schedule():
     t1 = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 0))
     t2 = SteinitzNumber.of(tail=TailSchedule(Primes(), 2, 1))
-    prod = product(t1, t2)
+    prod = t1.product(t2)
     # index 0 (prime 2) is only in t1; beyond, exponents add.
-    assert multiplicity(prod, 2) == 1
-    assert multiplicity(prod, 3) == 3
-    assert multiplicity(prod, 97) == 3
+    assert prod.multiplicity(2) == 1
+    assert prod.multiplicity(3) == 3
+    assert prod.multiplicity(97) == 3
 
 
 def test_tailed_product_unrelated_schedules_rejected():
     t1 = SteinitzNumber.of(tail=TailSchedule(TreeBranchPrimes(0, 1), 1))
     t2 = SteinitzNumber.of(tail=TailSchedule(TreeBranchPrimes(1, 1), 1))
     with pytest.raises(ContractError):
-        product(t1, t2)
+        t1.product(t2)
 
 
 def test_tailed_times_explicit_collision_is_absorbed():
     tail = SteinitzNumber.of(tail=TailSchedule(Primes(), 2, 0))
     expl = SteinitzNumber.of({5: 3})
-    prod = product(tail, expl)
-    assert multiplicity(prod, 5) == 5
-    assert multiplicity(prod, 7) == 2
-    join = lcm(tail, expl)
-    assert multiplicity(join, 5) == 3
-    assert multiplicity(join, 3) == 2
+    prod = tail.product(expl)
+    assert prod.multiplicity(5) == 5
+    assert prod.multiplicity(7) == 2
+    join = tail.lcm(expl)
+    assert join.multiplicity(5) == 3
+    assert join.multiplicity(3) == 2
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -230,9 +227,8 @@ def test_equivalence_against_multiplier_oracle():
     def oracle(x, y, bound=2**6):
         for m in range(1, bound):
             for mp in range(1, bound):
-                if product(SteinitzNumber.from_int(m), x) == product(
-                    SteinitzNumber.from_int(mp), y
-                ):
+                left = SteinitzNumber.from_int(m).product(x)
+                if left == SteinitzNumber.from_int(mp).product(y):
                     return True
         return False
 
@@ -275,10 +271,10 @@ def test_type_leq_brute_force_multiplier_search():
         return e2 is INF or (e1 is not INF and e1 <= e2)
 
     def dominated(u, v):
-        return all(leq(multiplicity(u, p), multiplicity(v, p)) for p in (2, 3, 5, 7))
+        return all(leq(u.multiplicity(p), v.multiplicity(p)) for p in (2, 3, 5, 7))
 
     found = any(
-        dominated(x, product(SteinitzNumber.from_int(m), y)) for m in range(1, 2**6)
+        dominated(x, SteinitzNumber.from_int(m).product(y)) for m in range(1, 2**6)
     )
     assert found and type_leq(x, y, 10)
 
@@ -294,7 +290,7 @@ def test_type_leq_reflexive_transitive_and_divisibility():
                 if type_leq(x, y, 101) and type_leq(y, z, 101):
                     assert type_leq(x, z, 101)
     for x in numbers[:10]:
-        bigger = product(x, SteinitzNumber.from_int(360))
+        bigger = x.product(SteinitzNumber.from_int(360))
         assert type_leq(x, bigger, 101)
 
 
