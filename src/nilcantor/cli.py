@@ -147,6 +147,9 @@ def _add_chain_arguments(sub):
 
 
 # -- commands -------------------------------------------------------------------
+#
+# Each cmd_* handler returns (chain label, parameters, result lines,
+# evidence grade); `main` renders them as the command's one Report.
 
 
 def _spectra_lines(sp) -> list:
@@ -158,7 +161,7 @@ def _spectra_lines(sp) -> list:
     ]
 
 
-def cmd_spectrum(args) -> Report:
+def cmd_spectrum(args) -> tuple:
     chain = resolve_chain(args)
     order = chain.steinitz_order(args.depth)
     bound = args.bound
@@ -168,19 +171,12 @@ def cmd_spectrum(args) -> Report:
     results = [
         ("steinitz_order_raw", str(order.raw)),
         ("steinitz_order_limit", str(order.limit)),
-        ("promoted_to_infinity", ",".join(map(str, order.promoted)) or "(none)"),
+        ("promoted_to_infinity", ",".join(map(str, order.limit.infinite_primes)) or "(none)"),
     ] + _spectra_lines(sp)
-    return Report(
-        command="spectrum",
-        chain=chain.label,
-        parameters=(("depth", args.depth), ("bound", bound)),
-        results=tuple(results),
-        evidence_grade="schedule-certified",
-        seed=args.seed,
-    )
+    return chain.label, (("depth", args.depth), ("bound", bound)), results, "schedule-certified"
 
 
-def cmd_discriminant(args) -> Report:
+def cmd_discriminant(args) -> tuple:
     chain = resolve_chain(args)
     rep = discriminant_limit_report(chain, args.level, args.depth)
     results = [
@@ -189,14 +185,7 @@ def cmd_discriminant(args) -> Report:
         ("stabilized", "yes" if rep.stabilized else "no"),
         ("limit_order", rep.limit_order if rep.limit_order is not None else "(open)"),
     ]
-    return Report(
-        command="discriminant",
-        chain=chain.label,
-        parameters=(("level", args.level), ("depth", args.depth)),
-        results=tuple(results),
-        evidence_grade=rep.evidence_grade,
-        seed=args.seed,
-    )
+    return chain.label, (("level", args.level), ("depth", args.depth)), results, rep.evidence_grade
 
 
 def _certificate_lines(cert: Certificate) -> list:
@@ -227,38 +216,22 @@ def _certificate_lines(cert: Certificate) -> list:
     return lines
 
 
-def cmd_wildness(args) -> Report:
+def cmd_wildness(args) -> tuple:
     chain = resolve_chain(args)
     cert = wildness_certificate(chain, args.lmax, args.dmax)
-    return Report(
-        command="wildness",
-        chain=chain.label,
-        parameters=(("lmax", args.lmax), ("dmax", args.dmax)),
-        results=tuple(_certificate_lines(cert)),
-        evidence_grade=cert.evidence_grade,
-        seed=args.seed,
-    )
+    params = (("lmax", args.lmax), ("dmax", args.dmax))
+    return chain.label, params, _certificate_lines(cert), cert.evidence_grade
 
 
-def cmd_freeness(args) -> Report:
+def cmd_freeness(args) -> tuple:
     chain = resolve_chain(args)
     cert = freeness_certificate(chain, args.level, args.radius, args.dmax)
     kernel = trivial_action_kernel(chain, args.level, args.dmax)
     results = _certificate_lines(cert) + [
         ("kernel_at_dmax", str(kernel)),
     ]
-    return Report(
-        command="freeness",
-        chain=chain.label,
-        parameters=(
-            ("level", args.level),
-            ("radius", args.radius),
-            ("dmax", args.dmax),
-        ),
-        results=tuple(results),
-        evidence_grade=cert.evidence_grade,
-        seed=args.seed,
-    )
+    params = (("level", args.level), ("radius", args.radius), ("dmax", args.dmax))
+    return chain.label, params, results, cert.evidence_grade
 
 
 def _budget_from(args) -> OracleBudget:
@@ -281,7 +254,7 @@ def _oracle_flag(args, name: str) -> str:
     return value
 
 
-def cmd_oracle(args) -> Report:
+def cmd_oracle(args) -> tuple:
     budget = _budget_from(args)
     target = args.subtarget
     results = []
@@ -341,14 +314,7 @@ def cmd_oracle(args) -> Report:
         ]
     else:
         raise ContractError(f"unknown oracle subtarget {target!r}")
-    return Report(
-        command="oracle",
-        chain=chain_label,
-        parameters=(("subtarget", target),),
-        results=tuple(results),
-        evidence_grade="finite-depth",
-        seed=args.seed,
-    )
+    return chain_label, (("subtarget", target),), results, "finite-depth"
 
 
 # -- reproduce scenarios ---------------------------------------------------------
@@ -460,24 +426,14 @@ _SCENARIOS = {
 }
 
 
-def cmd_reproduce(args) -> Report:
+def cmd_reproduce(args) -> tuple:
     name = args.name
     if name not in _SCENARIOS:
         raise ContractError(
             f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}"
         )
-    results = _SCENARIOS[name](args)
-    params = []
-    if name == "cor16":
-        params = [("count", args.count), ("bound", args.bound)]
-    return Report(
-        command="reproduce",
-        chain=name,
-        parameters=tuple(params),
-        results=tuple(results),
-        evidence_grade="schedule-certified",
-        seed=args.seed,
-    )
+    params = (("count", args.count), ("bound", args.bound)) if name == "cor16" else ()
+    return name, params, _SCENARIOS[name](args), "schedule-certified"
 
 
 # -- entry point ------------------------------------------------------------------
@@ -560,13 +516,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        chain, parameters, results, grade = args.handler(args)
     except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
+    report = Report(args.command, chain, parameters, tuple(results), grade, seed=args.seed)
     sys.stdout.write(report.render())
     return 0
 

@@ -64,7 +64,9 @@ def trivial_action_kernel(chain: ChainSpec, cylinder: int, depth: int) -> BoxSub
 
 def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> Eventually:
     """Eventual affine form (in the depth) of the kernel's lattice exponent
-    at prime p in the given coordinate, for a fixed cylinder level.
+    at prime p in the given coordinate, for a fixed cylinder level
+    (cylinder 0 is the whole space).  This is the one home of the kernel
+    law; every schedule-level statement below reads it from here.
 
     From the relative-core closed form:
         a: max(e_a(d), e_c(d) - min(e_c(d), e_b(cylinder)))
@@ -80,53 +82,6 @@ def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> Eve
     return own.max_with(ec.relu_minus(k))
 
 
-class _PairAnalysis(Value):
-    """Schedule-level comparison of the kernels at cylinders l < l':
-    `ratio` is the kernel-order ratio when independent of the depth (else
-    None), `limit_gap` the order of the gap that survives the inverse
-    limit, and `sound` whether the structural checks held."""
-
-    __slots__ = ("ratio", "limit_gap", "sound", "notes")
-
-    def __init__(self, ratio: Optional[int], limit_gap: int, sound: bool, notes: tuple = ()):
-        set_field(self, "ratio", ratio)
-        set_field(self, "limit_gap", limit_gap)
-        set_field(self, "sound", sound)
-        set_field(self, "notes", notes)
-
-
-def _analyze_pair(chain: ChainSpec, l1: int, l2: int) -> _PairAnalysis:
-    if not 1 <= l1 < l2:
-        raise ContractError(f"need 1 <= l1 < l2, got {l1} and {l2}")
-    relevant = set(chain.explicit_primes()) | set(chain.family_primes(l2))
-    ratio, limit_gap, sound, notes = 1, 1, True, []
-    for p in sorted(relevant):
-        for coord in ("a", "b"):
-            f1 = _kernel_eventual(chain, l1, p, coord)
-            f2 = _kernel_eventual(chain, l2, p, coord)
-            if f1.slope != f2.slope:
-                # Cannot happen for schedules in this class (the cylinder
-                # level only shifts the subtracted constant); treat any
-                # occurrence as a failed analysis, never as evidence.
-                sound = False
-                ratio = None
-                notes.append(f"kernel slopes disagree at {p}/{coord}")
-                continue
-            gap = f1.base - f2.base
-            if gap < 0:
-                sound = False
-                notes.append(f"kernel antitonicity violated at {p}/{coord}")
-                continue
-            if ratio is not None:
-                ratio *= p**gap
-            if f1.slope == 0:
-                # Constant lattice exponents survive to the limit.
-                limit_gap *= p**gap
-            # else: both exponents grow without bound, so both components
-            # are eventually annihilated by the connecting maps: no gap.
-    return _PairAnalysis(ratio, limit_gap, sound, tuple(notes))
-
-
 def _kernel_tower_surjective(chain: ChainSpec, cylinder: int, depth: int) -> bool:
     """Whether the connecting map carries the depth+1 kernel *onto* the
     depth-`depth` kernel inside Q_depth (it always maps into it)."""
@@ -137,16 +92,18 @@ def _kernel_tower_surjective(chain: ChainSpec, cylinder: int, depth: int) -> boo
 
 
 def _family_activation_gap(chain: ChainSpec) -> int:
-    """Order contributed to the kernel gap by each newly activated family
-    prime q (as q^exponent); 1 when there is no family or no gap."""
-    fam = chain.family
-    if fam is None:
+    """Exponent by which each newly activated family prime q widens the
+    kernel gap: q's kernel base at cylinder i-1 minus its base at cylinder
+    i, summed over the a- and b-lattices, where q enters at level i.  The
+    family exponents are constant, so the first prime (i = 1) stands for
+    all of them; 0 when there is no family or no gap."""
+    if chain.family is None:
         return 0
-    before_a = max(fam.a_exp, fam.c_exp)
-    after_a = max(fam.a_exp, max(0, fam.c_exp - fam.b_exp))
-    before_b = max(fam.b_exp, fam.c_exp)
-    after_b = max(fam.b_exp, max(0, fam.c_exp - fam.a_exp))
-    return (before_a - after_a) + (before_b - after_b)
+    q = chain.family.prime_at(1)
+    return sum(
+        _kernel_eventual(chain, 0, q, x).base - _kernel_eventual(chain, 1, q, x).base
+        for x in ("a", "b")
+    )
 
 
 def _stable_level(chain: ChainSpec) -> int:
@@ -167,16 +124,9 @@ def _stable_level(chain: ChainSpec) -> int:
             own = chain.coord_eventual(p, coord)
             if own.slope > 0:
                 continue
-            other = {"a": "b", "b": "a"}[coord]
-            horizon = max(own.threshold, ec.threshold)
-
-            def value(l):
-                k = chain.coord_exponent(p, other, l)
-                return max(own.base, max(0, ec.base - min(ec.base, k)))
-
-            floor = value(horizon)
-            first = horizon
-            while first > 1 and value(first - 1) == floor:
+            first = max(own.threshold, ec.threshold)
+            floor = _kernel_eventual(chain, first, p, coord).base
+            while first > 1 and _kernel_eventual(chain, first - 1, p, coord).base == floor:
                 first -= 1
             level = max(level, first)
     return level
@@ -190,8 +140,8 @@ class KernelReport(Value):
     cylinder levels l = `cylinder` < l' = `refined` at depth d = `depth`.
     `kernel_box` is the kernel at the smaller cylinder (l'),
     `comparison_box` the kernel at the larger cylinder (l); `persistent`
-    means the schedule-level stabilization checks passed, i.e. the same
-    gap survives the inverse limit."""
+    means the gap survives the inverse limit, by the one rule of
+    `_evaluate_pair`."""
 
     __slots__ = (
         "cylinder",
@@ -253,38 +203,75 @@ def _pick_witness(kernel: BoxSubgroup, comparison: BoxSubgroup):
     return gens[coord]
 
 
+def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
+    """Compare the kernels at cylinder levels l1 < l2 at the depths
+    first..last with the schedule prediction read off `_kernel_eventual`.
+
+    Returns the KernelReport at depth `first`, the order of the gap that
+    survives the inverse limit (constant kernel exponents survive
+    verbatim; growing ones are eventually annihilated by the connecting
+    maps) and a note for each failed structural check.  The gap is
+    `persistent` when no check failed, the kernel order is the same at
+    every tested depth and equals both the predicted ratio and the limit
+    gap, and, when that gap is nontrivial, both kernel towers map onto
+    the shallower kernels at every tested depth.
+    """
+    if not (last >= first >= l2 > l1 >= 1):
+        raise ContractError("need depth >= refined > cylinder >= 1")
+    depths = range(first, last + 1)
+    kernels = [
+        (trivial_action_kernel(chain, l2, d), trivial_action_kernel(chain, l1, d)) for d in depths
+    ]
+    orders = [index_in(k, c) for k, c in kernels]
+    surjective = all(
+        _kernel_tower_surjective(chain, l1, d) and _kernel_tower_surjective(chain, l2, d)
+        for d in depths
+    )
+    ratio, limit_gap, notes = 1, 1, []
+    for p in sorted(set(chain.explicit_primes()) | set(chain.family_primes(l2))):
+        for coord in ("a", "b"):
+            f1 = _kernel_eventual(chain, l1, p, coord)
+            f2 = _kernel_eventual(chain, l2, p, coord)
+            if f1.slope != f2.slope:
+                # Cannot happen for schedules in this class (the cylinder
+                # level only shifts the subtracted constant); treat any
+                # occurrence as a failed analysis, never as evidence.
+                notes.append(f"kernel slopes disagree at {p}/{coord}")
+            elif f1.base < f2.base:
+                notes.append(f"kernel antitonicity violated at {p}/{coord}")
+            else:
+                gap = p ** (f1.base - f2.base)
+                ratio *= gap
+                if f1.slope == 0:
+                    limit_gap *= gap
+    persistent = (
+        not notes
+        and len(set(orders)) == 1
+        and ratio == limit_gap == orders[0]
+        and (limit_gap == 1 or surjective)
+    )
+    kernel, comparison = kernels[0]
+    report = KernelReport(
+        cylinder=l1,
+        refined=l2,
+        depth=first,
+        kernel_box=kernel,
+        comparison_box=comparison,
+        kernel_order=orders[0],
+        witness=_pick_witness(kernel, comparison),
+        persistent=persistent,
+    )
+    return report, limit_gap, tuple(notes)
+
+
 def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> KernelReport:
     """Compare the kernels at cylinder levels `cylinder` < `refined` at one
     depth.  A kernel order above 1 exhibits an element that acts trivially
     on every depth-d coset of the smaller cylinder while moving a coset of
     the larger one: the local quasi-analyticity violation pattern with the
-    identity as the second element."""
-    if not (depth >= refined > cylinder >= 1):
-        raise ContractError("need depth >= refined > cylinder >= 1")
-    kernel = trivial_action_kernel(chain, refined, depth)
-    comparison = trivial_action_kernel(chain, cylinder, depth)
-    if not kernel.contains_box(comparison):
-        raise ContractError("kernels are not nested; schedule is inconsistent")
-    order = index_in(kernel, comparison)
-    analysis = _analyze_pair(chain, cylinder, refined)
-    persistent = (
-        analysis.sound
-        and analysis.ratio is not None
-        and analysis.ratio == order
-        and analysis.limit_gap == order
-        and _kernel_tower_surjective(chain, refined, depth)
-        and _kernel_tower_surjective(chain, cylinder, depth)
-    )
-    return KernelReport(
-        cylinder=cylinder,
-        refined=refined,
-        depth=depth,
-        kernel_box=kernel,
-        comparison_box=comparison,
-        kernel_order=order,
-        witness=_pick_witness(kernel, comparison),
-        persistent=persistent,
-    )
+    identity as the second element.  `persistent` follows the wildness
+    certificate's rule, checked at this one depth."""
+    return _evaluate_pair(chain, cylinder, refined, depth, depth)[0]
 
 
 GRADE_FINITE = "finite-depth"
@@ -338,10 +325,13 @@ class Certificate(Value):
 def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) -> Certificate:
     """Classify the chain as WildEvidence / StableCertified / Inconclusive.
 
+    Each pair of cylinder levels l1 < l2 <= max_cylinder is evaluated at
+    the depths l2..max_depth by `_evaluate_pair`, which also decides
+    whether its gap is persistent.
+
     WildEvidence: every tested cylinder level has a refined level whose
-    kernel gap is persistent (constant over the tested depths, equal to
-    the schedule-level limit gap, with the kernel towers mapping onto each
-    other), and the indexed family certifies that activations never stop.
+    kernel gap is persistent and nontrivial in the limit, and the indexed
+    family certifies that activations never stop.
 
     StableCertified(l0): the schedule-level limit gaps vanish for every
     pair of levels at or above l0; finite-depth gaps below l0, or gaps
@@ -349,128 +339,64 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     """
     if not (max_depth >= max_cylinder >= 2):
         raise ContractError("need max_depth >= max_cylinder >= 2")
-    params = (("max_cylinder", max_cylinder), ("max_depth", max_depth))
-
-    reports = []
-    pair_state = {}
-    problems = []
-    for l1 in range(1, max_cylinder):
-        for l2 in range(l1 + 1, max_cylinder + 1):
-            kernels = [
-                (trivial_action_kernel(chain, l2, d), trivial_action_kernel(chain, l1, d))
-                for d in range(l2, max_depth + 1)
-            ]
-            orders = [index_in(k, c) for k, c in kernels]
-            surjective = all(
-                _kernel_tower_surjective(chain, l1, d)
-                and _kernel_tower_surjective(chain, l2, d)
-                for d in range(l2, max_depth + 1)
-            )
-            analysis = _analyze_pair(chain, l1, l2)
-            constant = len(set(orders)) == 1
-            persistent = (
-                analysis.sound
-                and constant
-                and analysis.ratio == orders[-1]
-                and analysis.limit_gap == orders[-1]
-                and (analysis.limit_gap == 1 or surjective)
-            )
-            if not analysis.sound:
-                problems.extend(analysis.notes)
-            kernel, comparison = kernels[0]  # at depth l2
-            reports.append(
-                KernelReport(
-                    cylinder=l1,
-                    refined=l2,
-                    depth=l2,
-                    kernel_box=kernel,
-                    comparison_box=comparison,
-                    kernel_order=orders[0],
-                    witness=_pick_witness(kernel, comparison),
-                    persistent=persistent,
-                )
-            )
-            pair_state[(l1, l2)] = (analysis, persistent, orders)
-
-    if problems:
-        return Certificate(
-            verdict="Inconclusive",
-            chain_label=chain.label,
-            parameters=params,
-            evidence_grade=GRADE_FINITE,
-            reports=tuple(reports),
-            reason="; ".join(sorted(set(problems))),
-        )
-
-    endless = _family_activation_gap(chain) >= 1
-    wild_everywhere = all(
-        any(
-            pair_state[(l1, l2)][1] and pair_state[(l1, l2)][0].limit_gap > 1
-            for l2 in range(l1 + 1, max_cylinder + 1)
-        )
+    pairs = {
+        (l1, l2): _evaluate_pair(chain, l1, l2, l2, max_depth)
         for l1 in range(1, max_cylinder)
-    )
-    if endless and wild_everywhere:
+        for l2 in range(l1 + 1, max_cylinder + 1)
+    }
+
+    def certificate(verdict, evidence_grade, **found):
         return Certificate(
-            verdict="WildEvidence",
+            verdict=verdict,
             chain_label=chain.label,
-            parameters=params,
-            evidence_grade=GRADE_SCHEDULE,
-            reports=tuple(reports),
+            parameters=(("max_cylinder", max_cylinder), ("max_depth", max_depth)),
+            evidence_grade=evidence_grade,
+            reports=tuple(report for report, _gap, _notes in pairs.values()),
+            **found,
         )
-    if endless and not wild_everywhere:
-        return Certificate(
-            verdict="Inconclusive",
-            chain_label=chain.label,
-            parameters=params,
-            evidence_grade=GRADE_FINITE,
-            reports=tuple(reports),
+
+    problems = sorted({note for _report, _gap, notes in pairs.values() for note in notes})
+    if problems:
+        return certificate("Inconclusive", GRADE_FINITE, reason="; ".join(problems))
+
+    if _family_activation_gap(chain) >= 1:
+        wild_everywhere = all(
+            any(
+                pairs[(l1, l2)][0].persistent and pairs[(l1, l2)][1] > 1
+                for l2 in range(l1 + 1, max_cylinder + 1)
+            )
+            for l1 in range(1, max_cylinder)
+        )
+        if wild_everywhere:
+            return certificate("WildEvidence", GRADE_SCHEDULE)
+        return certificate(
+            "Inconclusive",
+            GRADE_FINITE,
             reason="family activations certify endless gaps but a tested "
             "pair failed its persistence checks",
         )
 
     level = _stable_level(chain)
-    stray = [
-        (l1, l2)
-        for (l1, l2), (analysis, _p, _o) in pair_state.items()
-        if l1 >= level and analysis.limit_gap != 1
-    ]
+    stray = [(l1, l2) for (l1, l2), (_r, gap, _n) in pairs.items() if l1 >= level and gap != 1]
     if stray:
-        return Certificate(
-            verdict="Inconclusive",
-            chain_label=chain.label,
-            parameters=params,
-            evidence_grade=GRADE_FINITE,
-            reports=tuple(reports),
+        return certificate(
+            "Inconclusive",
+            GRADE_FINITE,
             reason=f"surviving gaps above the computed stable level: {stray}",
         )
-    return Certificate(
-        verdict="StableCertified",
-        chain_label=chain.label,
-        parameters=params,
-        evidence_grade=GRADE_SCHEDULE,
-        reports=tuple(reports),
-        stable_from_level=level,
-    )
+    return certificate("StableCertified", GRADE_SCHEDULE, stable_from_level=level)
 
 
 def _coordinate_unbounded(chain: ChainSpec, cylinder: int, coord: str) -> bool:
     """Whether the kernel's coordinate lattice grows without bound in the
-    depth: some explicit schedule forces growth, or the family keeps
-    contributing a positive exponent at every new activation."""
-    for p in chain.explicit_primes():
-        if _kernel_eventual(chain, cylinder, p, coord).slope > 0:
-            return True
-    fam = chain.family
-    if fam is not None:
-        exps = {
-            "a": max(fam.a_exp, fam.c_exp),
-            "b": max(fam.b_exp, fam.c_exp),
-            "c": fam.c_exp,
-        }
-        if exps[coord] >= 1:
-            return True
-    return False
+    depth: some explicit prime's kernel exponent grows, or the family gives
+    a positive one to every prime it activates after the cylinder."""
+    if any(_kernel_eventual(chain, cylinder, p, coord).slope > 0 for p in chain.explicit_primes()):
+        return True
+    if chain.family is None:
+        return False
+    late = chain.family.prime_at(cylinder + 1)
+    return _kernel_eventual(chain, cylinder, late, coord).base >= 1
 
 
 def freeness_certificate(

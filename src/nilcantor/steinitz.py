@@ -376,9 +376,6 @@ class SteinitzNumber(Value):
     def explicit_primes(self) -> tuple[int, ...]:
         return tuple(sorted({p for p, _ in self.finite_part} | set(self.infinite_primes)))
 
-    def is_one(self) -> bool:
-        return not self.finite_part and not self.infinite_primes and self.tail is None
-
     def as_int(self) -> int:
         """The value, when it is an ordinary integer."""
         if self.infinite_primes or self.tail is not None:

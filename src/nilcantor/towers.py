@@ -409,22 +409,21 @@ class ChainSpec(Value):
         limit = SteinitzNumber(
             tuple(sorted(limit_fp.items())), tuple(sorted(promoted)), tail
         )
-        return ChainSteinitzOrder(raw=raw, limit=limit, depth=depth,
-                                  promoted=tuple(sorted(promoted)))
+        return ChainSteinitzOrder(raw=raw, limit=limit, depth=depth)
 
 
 class ChainSteinitzOrder(Value):
     """Steinitz order of a chain: the raw finite lcm at the computed depth
-    and the schedule-certified limit (infinity promotions and lazy tail).
-    `promoted` holds the primes certified to have unbounded exponent."""
+    and the schedule-certified limit (infinity promotions and lazy tail);
+    the primes certified to have unbounded exponent are
+    `limit.infinite_primes`."""
 
-    __slots__ = ("raw", "limit", "depth", "promoted")
+    __slots__ = ("raw", "limit", "depth")
 
-    def __init__(self, raw: SteinitzNumber, limit: SteinitzNumber, depth: int, promoted: tuple):
+    def __init__(self, raw: SteinitzNumber, limit: SteinitzNumber, depth: int):
         set_field(self, "raw", raw)
         set_field(self, "limit", limit)
         set_field(self, "depth", depth)
-        set_field(self, "promoted", promoted)
 
     def __str__(self) -> str:
         return f"{self.limit} (raw at depth {self.depth}: {self.raw})"

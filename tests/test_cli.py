@@ -12,6 +12,7 @@ from nilcantor.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 def run_cli(argv, capsys):
@@ -245,6 +246,16 @@ def test_golden_reports(name, argv, capsys):
     assert code == 0
     expected = (GOLDEN / f"{name}.txt").read_text()
     assert out == expected
+
+
+def test_deep_stable_wildness_matches_benchmark_reference(capsys):
+    # The benchmark's deep_towers reference for the finite-family chain:
+    # 120 level pairs over depths up to 40, StableCertified.
+    argv = ["wildness", "stable", "--pi_f", "2,3", "--r", "1,1", "--n", "2,2",
+            "--pi_inf", "5,7", "--lmax", "16", "--dmax", "40"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (REFERENCE / "wildness_stable.txt").read_text()
 
 
 def test_reports_are_deterministic(capsys):

@@ -12,10 +12,12 @@ from nilcantor.dynamics import (
     trivial_action_kernel,
     wildness_certificate,
 )
+from nilcantor.steinitz import Primes
 from nilcantor.towers import (
     ChainSpec,
     CoordSchedule,
     CosetSpace,
+    IndexedFamily,
     PrimeSchedule,
     ex41,
     ex42,
@@ -126,6 +128,30 @@ def test_lqa_witness_acts_as_advertised():
         for c in range(0, box2.Mc, box1.Mc)
     ]
     assert any(space.canonical(g * h) != space.canonical(h) for h in reps_large)
+
+
+def test_lqa_witness_judges_persistence_at_its_one_depth():
+    # The family prime 3 opens a gap of 3 between cylinders 1 and 2 at every
+    # depth; the schedules predict it and it survives the limit.  At depth 2
+    # both kernel towers map onto the shallower kernels; from depth 3 on
+    # (where prime 5's c-schedule starts) neither does, and a nontrivial
+    # gap needs that surjectivity at every depth it is tested at.
+    chain = ChainSpec(
+        "window",
+        (
+            PrimeSchedule(
+                5, a=CoordSchedule(1, 1, 1), b=CoordSchedule(1, 2, 2), c=CoordSchedule(3, 2, 1)
+            ),
+        ),
+        IndexedFamily(Primes(exclude=(5,)), 2, 0, 1),
+        trivial_intersection=False,
+    )
+    at_2, at_3 = lqa_witness(chain, 1, 2, 2), lqa_witness(chain, 1, 2, 3)
+    assert at_2.kernel_order == at_3.kernel_order == 3
+    assert at_2.persistent and not at_3.persistent
+    over_2_to_5 = {(r.cylinder, r.refined): r for r in wildness_certificate(chain, 3, 5).reports}
+    assert over_2_to_5[(1, 2)].kernel_box == at_2.kernel_box
+    assert not over_2_to_5[(1, 2)].persistent
 
 
 def test_stable_family_kernels_are_level_independent():

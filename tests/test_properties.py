@@ -1,0 +1,91 @@
+"""Properties from the paper on generated chains, each against an
+independent route.
+
+The chain strategy draws from the same distribution as the benchmark's
+generator (`perfbench/gen_chains.py` `draw_chain`): one or two explicit
+primes from {2, 3, 5}, each coordinate with a random start, base and
+slope, and an indexed family over the remaining primes 30 % of the time.
+Draws that `ChainSpec` rejects are discarded.
+"""
+
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
+
+from nilcantor import oracle
+from nilcantor.dynamics import lqa_witness, trivial_action_kernel, wildness_certificate
+from nilcantor.errors import ContractError
+from nilcantor.steinitz import Primes
+from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule
+
+EXPLICIT_PRIMES = (2, 3, 5)
+WINDOW = (3, 5)  # wildness certificate: max cylinder, max depth
+SCAN_DEPTH = 3
+MAX_QUOTIENT = 5000  # |Q_d| a fixing scan may enumerate
+
+schedules = st.builds(
+    CoordSchedule, st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)
+)
+
+
+@st.composite
+def chains(draw, family=st.sampled_from((True,) * 3 + (False,) * 7)):
+    primes = draw(st.lists(st.sampled_from(EXPLICIT_PRIMES), min_size=1, max_size=2, unique=True))
+    entries = tuple(
+        PrimeSchedule(p, draw(schedules), draw(schedules), draw(schedules)) for p in sorted(primes)
+    )
+    fam = None
+    if draw(family):
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        fam = (Primes(exclude=tuple(primes)), a, b, draw(st.integers(0, a + b)))
+    try:
+        return ChainSpec(
+            "generated",
+            entries,
+            IndexedFamily(*fam) if fam else None,
+            trivial_intersection=False,
+        )
+    except ContractError:
+        reject()
+
+
+PROPERTY_SETTINGS = settings(
+    derandomize=True,
+    max_examples=25,
+    deadline=1000,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+@PROPERTY_SETTINGS
+@given(chains(family=st.just(False)))
+def test_finite_spectrum_is_never_wild(chain):
+    # Theorem 1.3: without a family the prime spectrum is finite, so the
+    # chain is stable: the certificate must say so, never WildEvidence.
+    assert wildness_certificate(chain, *WINDOW).verdict == "StableCertified"
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_kernel_closed_form_equals_fixing_scan(chain):
+    budget = oracle.OracleBudget(max_group_order=MAX_QUOTIENT)
+    for depth in range(1, SCAN_DEPTH + 1):
+        quotient = chain.quotient_at(depth)
+        if quotient.order > MAX_QUOTIENT:
+            continue
+        for cylinder in range(0, depth + 1):
+            scanned = oracle.fixing_scan(chain, cylinder, depth, budget)
+            closed = quotient.image(trivial_action_kernel(chain, cylinder, depth))
+            assert len(scanned) == closed.order
+            assert all(closed.contains(x) for x in scanned)
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_lqa_witness_is_the_certificate_pair_at_one_depth(chain):
+    # A certificate whose depth window ends at l2 evaluates the pair
+    # (l1, l2) at depth l2 alone, which is exactly lqa_witness.
+    for l2 in range(2, WINDOW[0] + 1):
+        reports = {r.cylinder: r for r in wildness_certificate(chain, l2, l2).reports
+                   if r.refined == l2}
+        for l1 in range(1, l2):
+            assert lqa_witness(chain, l1, l2, l2) == reports[l1]

@@ -294,7 +294,7 @@ def test_steinitz_order_ex41():
     order = ex41(2).steinitz_order(4)
     assert order.raw.as_int() == 2**16
     assert order.limit.multiplicity(2) is INF
-    assert order.promoted == (2,)
+    assert order.limit.infinite_primes == (2,)
 
 
 def test_steinitz_order_ex42():
@@ -310,7 +310,7 @@ def test_steinitz_order_stable_family():
     assert order.limit.multiplicity(2) == 5
     assert order.limit.multiplicity(3) == 5
     assert order.limit.multiplicity(5) is INF
-    assert order.promoted == (5,)
+    assert order.limit.infinite_primes == (5,)
 
 
 def test_steinitz_order_wild_family():
@@ -318,7 +318,7 @@ def test_steinitz_order_wild_family():
     assert order.raw.multiplicity(7) == 5
     assert order.raw.multiplicity(11) == 0  # not activated by depth 4
     assert order.limit.multiplicity(11) == 5  # but certified in the limit
-    assert order.promoted == ()
+    assert order.limit.infinite_primes == ()
     sp = spectra(order.limit, 7)
     assert sp.pi_f.primes == (2, 3, 5, 7)
     assert not sp.pi_f.complete
