@@ -31,8 +31,8 @@ print("  pi_inf=", sp.pi_inf)
 
 # Asymptotic equivalence ignores finitely many finite-exponent changes:
 # these two differ only at the prime 2.
-every_prime = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 0))
-odd_primes = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 1))
+every_prime = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
+odd_primes = SteinitzNumber(tail=TailSchedule(Primes(), 1, 1))
 print("\nprod of all primes      =", every_prime)
 print("prod of odd primes      =", odd_primes)
 print("asymptotically equal?    ", asymptotically_equivalent(every_prime, odd_primes, 10))

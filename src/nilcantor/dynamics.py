@@ -194,13 +194,7 @@ def _pick_witness(kernel: BoxSubgroup, comparison: BoxSubgroup):
     )
     if max(ratios) == 1:
         return None
-    coord = ratios.index(max(ratios))  # ties break a, then b, then c
-    gens = (
-        HeisenbergElement(kernel.Ma, 0, 0),
-        HeisenbergElement(0, kernel.Mb, 0),
-        HeisenbergElement(0, 0, kernel.Mc),
-    )
-    return gens[coord]
+    return kernel.generators()[ratios.index(max(ratios))]  # ties break a, then b, then c
 
 
 def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
@@ -228,7 +222,7 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
         for d in depths
     )
     ratio, limit_gap, notes = 1, 1, []
-    for p in sorted(set(chain.explicit_primes()) | set(chain.family_primes(l2))):
+    for p in chain.relevant_primes(l2):
         for coord in ("a", "b"):
             f1 = _kernel_eventual(chain, l1, p, coord)
             f2 = _kernel_eventual(chain, l2, p, coord)
@@ -412,7 +406,9 @@ def freeness_certificate(
     cylinder at every depth.
     """
     if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:
-        raise ContractError("need ball_radius >= 1 and max_depth >= cylinder")
+        raise ContractError(
+            "need ball_radius >= 1, cylinder >= 0 and max_depth >= max(cylinder, 1)"
+        )
     params = (
         ("cylinder", cylinder),
         ("ball_radius", ball_radius),
@@ -430,13 +426,7 @@ def freeness_certificate(
             for x in COORDS
         ]
         deep = max(max(starts) + 1, max_depth)
-        stabilized = trivial_action_kernel(chain, cylinder, deep)
-        value = {"a": stabilized.Ma, "b": stabilized.Mb, "c": stabilized.Mc}[coord]
-        witness = {
-            "a": HeisenbergElement(value, 0, 0),
-            "b": HeisenbergElement(0, value, 0),
-            "c": HeisenbergElement(0, 0, value),
-        }[coord]
+        witness = trivial_action_kernel(chain, cylinder, deep).generators()[COORDS.index(coord)]
         if not all(k.contains(witness) for k in kernels.values()):
             raise ContractError(f"stabilized generator {witness} leaves a tested kernel")
         return Certificate(

@@ -88,8 +88,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-Exponent = object  # int >= 0 or INF; kept loose on purpose
-
 
 def _check_prime(p) -> int:
     if not isprime(p):
@@ -245,11 +243,6 @@ class TailSchedule(Value):
         set_field(self, "exponent", exponent)
         set_field(self, "start", start)
 
-    def entry(self, i: int) -> tuple[int, int]:
-        if i < self.start:
-            raise ContractError(f"tail starts at index {self.start}, got {i}")
-        return (self.primes.prime(i), self.exponent)
-
     def member_exponent(self, p: int) -> int:
         i = self.primes.index_of(p)
         return self.exponent if i is not None and i >= self.start else 0
@@ -278,40 +271,42 @@ class TailSchedule(Value):
         return cls(_enumeration_from_key(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-# Relations between two tails, as far as they can be certified.
-_TAILS_AGREE = "agree-up-to-finite"  # same set & exponent beyond a finite set
-_TAILS_DIFFER = "differ-at-infinitely-many"
-_TAILS_UNKNOWN = "unknown"
+# What a tail enumerates: a base set minus the finite set it drops (its
+# enumeration's exclusions and its dropped prefix).  The base is every
+# prime or one binary-tree branch, named by its word with trailing zeros
+# stripped, so branch{0/1} and branch{0/2} are one set.  Distinct branches
+# share finitely many primes and a branch misses infinitely many, so the
+# bases alone decide whether one tail covers another up to finitely many
+# primes.  Any other enumeration is known to equal only itself.
 
 
-def _tail_relation(t1: TailSchedule, t2: TailSchedule):
-    """Classify how the multiplicity functions of two tails compare beyond
-    every finite horizon.  Returns (relation, finite exceptional primes)."""
-    e1, e2 = t1.primes, t2.primes
-    same_base = e1 == e2
-    if isinstance(e1, Primes) and isinstance(e2, Primes):
-        # Semantically both are "all primes minus a finite dropped set".
-        dropped1 = set(e1.exclude) | set(t1.dropped_prefix())
-        dropped2 = set(e2.exclude) | set(t2.dropped_prefix())
-        exceptional = tuple(sorted(dropped1 ^ dropped2))
-        if t1.exponent == t2.exponent:
-            return _TAILS_AGREE, exceptional
-        return _TAILS_DIFFER, exceptional
-    if isinstance(e1, TreeBranchPrimes) and isinstance(e2, TreeBranchPrimes):
-        if same_base:
-            if t1.exponent == t2.exponent:
-                lo, hi = min(t1.start, t2.start), max(t1.start, t2.start)
-                return _TAILS_AGREE, tuple(e1.prime(i) for i in range(lo, hi))
-            return _TAILS_DIFFER, ()
-        # Distinct branches: each set is infinite, the intersection is
-        # finite, so the symmetric difference is infinite.
-        return _TAILS_DIFFER, ()
-    if (isinstance(e1, Primes) and isinstance(e2, TreeBranchPrimes)) or (
-        isinstance(e1, TreeBranchPrimes) and isinstance(e2, Primes)
-    ):
-        # A branch set misses infinitely many primes (all other branches).
-        return _TAILS_DIFFER, ()
-    return _TAILS_UNKNOWN, ()
+def _covers(t1: TailSchedule, t2: TailSchedule) -> bool:
+    """Whether t1 enumerates all but finitely many primes of t2."""
+    bases = []
+    for e in (t1.primes, t2.primes):
+        if isinstance(e, Primes):
+            bases.append("primes")
+        elif isinstance(e, TreeBranchPrimes):
+            bases.append("branch " + format(e.branch, f"0{e.width}b").rstrip("0"))
+        else:
+            bases.append(e)
+    if bases[0] == bases[1]:
+        return True
+    if not all(isinstance(b, str) for b in bases):
+        raise UndecidableError(
+            f"tails {t1.key()} and {t2.key()} are unrelated; no schedule-level "
+            "proof of agreement beyond the inspected range"
+        )
+    return bases[0] == "primes"
+
+
+def _one_sided(t1: TailSchedule, t2: TailSchedule) -> set[int]:
+    """The dropped primes that exactly one of the two tails enumerates."""
+    dropped = set(t1.dropped_prefix()) | set(t2.dropped_prefix())
+    for t in (t1, t2):
+        if isinstance(t.primes, Primes):
+            dropped |= set(t.primes.exclude)
+    return {p for p in dropped if bool(t1.member_exponent(p)) != bool(t2.member_exponent(p))}
 
 
 # -- the numbers -----------------------------------------------------------
@@ -355,10 +350,6 @@ class SteinitzNumber(Value):
     @classmethod
     def from_int(cls, n: int) -> "SteinitzNumber":
         return cls(tuple(sorted(factorize(n).items())))
-
-    @classmethod
-    def of(cls, finite=None, infinite=(), tail=None) -> "SteinitzNumber":
-        return cls(tuple(sorted((finite or {}).items())), tuple(infinite), tail)
 
     # -- queries -----------------------------------------------------------
 
@@ -437,61 +428,45 @@ ONE = SteinitzNumber()
 def _combine(x1: SteinitzNumber, x2: SteinitzNumber, op) -> SteinitzNumber:
     """Pointwise exponent combination with oo absorbing.
 
-    Tails are combined only when their enumerations are identical;
-    anything looser would require deciding set equality of black boxes.
+    Two tails combine only when each enumerates all but finitely many
+    primes of the other.  Every prime that is explicit on either side, or
+    enumerated by only one tail, is explicit in the result with the
+    combined multiplicity, and the combined tail drops it: through the
+    enumeration's exclusion set where it has one, else by starting past it.
     """
-    fp: dict[int, int] = dict(x1.finite_part)
-    for p, e in x2.finite_part:
-        fp[p] = op(fp[p], e) if p in fp else e
-    infs = set(x1.infinite_primes) | set(x2.infinite_primes)
-    for p in infs:
-        fp.pop(p, None)
-
     t1, t2 = x1.tail, x2.tail
-    tail = None
+    tail = t1 if t1 is not None else t2
+    sided = set()
     if t1 is not None and t2 is not None:
-        if t1.primes != t2.primes:
+        if not (_covers(t1, t2) and _covers(t2, t1)):
             raise ContractError(
                 "cannot combine numbers with unrelated tail schedules "
                 f"({t1.primes.key()} vs {t2.primes.key()})"
             )
-        lo, hi = min(t1.start, t2.start), max(t1.start, t2.start)
-        # Indices in [lo, hi) belong to only one side; materialize them.
-        wide, _narrow = (t1, t2) if t1.start <= t2.start else (t2, t1)
-        for i in range(lo, hi):
-            p = wide.primes.prime(i)
-            e = op(wide.exponent, fp.pop(p, 0))
-            if p not in infs and e:
-                fp[p] = e
-        tail = TailSchedule(t1.primes, op(t1.exponent, t2.exponent), hi)
-    elif t1 is not None or t2 is not None:
-        tail = t1 if t1 is not None else t2
+        sided = _one_sided(t1, t2)
+        # Keep the side that enumerates fewer one-sided primes: it has the
+        # fewest to exclude, and none when one side covers the other.
+        on_t2 = [p for p in sided if t2.member_exponent(p)]
+        if 2 * len(on_t2) < len(sided):
+            tail = t2
+        tail = TailSchedule(tail.primes, op(t1.exponent, t2.exponent), tail.start)
 
-    if tail is not None:
-        # Explicit primes that the tail also enumerates would break the
-        # uniform tail exponent; push them into the exclusion set when the
-        # enumeration supports it.
-        for p in sorted(set(fp) | infs):
-            e_tail = tail.member_exponent(p)
-            if not e_tail:
-                continue
-            narrowed = tail.primes.excluding(p)
-            if narrowed is None:
-                raise ContractError(
-                    f"prime {p} collides with tail {tail.key()} and the "
-                    "enumeration cannot exclude it"
-                )
-            # Re-anchor the start: dropped-prefix primes become explicit.
-            kept_prefix = [
-                q for q in tail.dropped_prefix() if q != p
-            ]
-            tail = TailSchedule(narrowed, tail.exponent, len(kept_prefix))
-            if p not in infs:
-                fp[p] = op(fp.get(p, 0), e_tail)
-
-    return SteinitzNumber(
-        tuple(sorted((p, e) for p, e in fp.items() if e)), tuple(sorted(infs)), tail
-    )
+    infs = set(x1.infinite_primes) | set(x2.infinite_primes)
+    explicit = set(x1.explicit_primes()) | set(x2.explicit_primes()) | sided
+    for p in sorted(explicit):
+        if tail is None or not tail.member_exponent(p):
+            continue
+        narrowed = tail.primes.excluding(p)
+        if narrowed is not None:
+            # p lies past the dropped prefix, so the prefix is unchanged.
+            tail = TailSchedule(narrowed, tail.exponent, tail.start)
+        else:
+            # Start the tail past p; the primes it skips become explicit.
+            end = tail.primes.index_of(p) + 1
+            explicit |= {tail.primes.prime(i) for i in range(tail.start, end)}
+            tail = TailSchedule(tail.primes, tail.exponent, end)
+    fp = {p: op(x1.multiplicity(p), x2.multiplicity(p)) for p in explicit if p not in infs}
+    return SteinitzNumber(tuple(sorted(fp.items())), tuple(sorted(infs)), tail)
 
 
 # -- spectra ---------------------------------------------------------------
@@ -547,73 +522,44 @@ def spectra(xi: SteinitzNumber, bound: int) -> PrimeSpectra:
 # -- asymptotic equivalence and the type order ------------------------------
 
 
-def _beyond_analysis(x1: SteinitzNumber, x2: SteinitzNumber):
-    """How the two multiplicity functions compare beyond every finite set.
-
-    Returns (kind, exceptional primes), where kind is one of
-    'equal'      -- chi1 = chi2 outside the exceptional primes,
-    'left-only'  -- chi1 >= 1 = 1+chi2 at infinitely many primes,
-    'right-only' -- symmetric,
-    'differ'     -- chi1 != chi2 at infinitely many primes, certified,
-    'left-below' -- chi1 < chi2 at infinitely many primes, chi1 <= chi2 beyond
-                    the exceptional set (same-set tails, exponents e1 < e2),
-    'right-below'-- symmetric,
-    or raises UndecidableError.
-    """
+def _below_almost_everywhere(x1: SteinitzNumber, x2: SteinitzNumber) -> bool:
+    """Whether chi1 <= chi2 at all but finitely many primes.  Explicit
+    primes are finitely many, so only the tails matter."""
     t1, t2 = x1.tail, x2.tail
-    if t1 is None and t2 is None:
-        return "equal", ()
-    if t1 is not None and t2 is None:
-        return "left-only", ()
-    if t1 is None and t2 is not None:
-        return "right-only", ()
-    rel, exceptional = _tail_relation(t1, t2)
-    if rel == _TAILS_AGREE:
-        return "equal", exceptional
-    if rel == _TAILS_DIFFER:
-        # Same underlying set up to finitely many primes, but different
-        # uniform exponents: one side sits strictly below the other at
-        # infinitely many shared primes, and weakly beyond the exceptions.
-        same_set = t1.primes == t2.primes or (
-            isinstance(t1.primes, Primes) and isinstance(t2.primes, Primes)
+    if t1 is None or t2 is None:
+        return t1 is None
+    return _covers(t2, t1) and t1.exponent <= t2.exponent
+
+
+def _check_inspected(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> None:
+    """Refuse a True answer unless every prime at which the two
+    representations can differ by a finite amount lies within `bound`."""
+    needed = set(x1.explicit_primes()) | set(x2.explicit_primes())
+    if x1.tail is not None and x2.tail is not None:
+        needed |= _one_sided(x1.tail, x2.tail)
+    over = sorted(p for p in needed if p > bound)
+    if over:
+        raise UndecidableError(
+            f"undecidable with bound {bound}: primes {over} must be inspected"
         )
-        if same_set and t1.exponent != t2.exponent:
-            kind = "left-below" if t1.exponent < t2.exponent else "right-below"
-            return kind, exceptional
-        return "differ", ()
-    raise UndecidableError(
-        f"tails {t1.key()} and {t2.key()} are unrelated; no schedule-level "
-        "proof of agreement beyond the inspected range"
-    )
-
-
-def _inspection_set(x1, x2, extra=()) -> tuple[int, ...]:
-    ps = set(x1.explicit_primes()) | set(x2.explicit_primes()) | set(extra)
-    return tuple(sorted(ps))
 
 
 def asymptotically_equivalent(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> bool:
     """Exact test for m*xi1 = m'*xi2 with finite m, m'.
 
-    Characterization: equal multiplicities at all but finitely many
-    primes, and identical infinite parts.  `bound` must cover every prime
-    at which the representations can disagree by a finite amount; when a
-    certified answer needs primes beyond it, UndecidableError names them.
+    Characterization: chi1 <= chi2 and chi2 <= chi1 at all but finitely
+    many primes, and identical infinite parts.  A True answer inspects the
+    explicit primes of both numbers and the dropped primes that only one
+    tail enumerates; when one of them lies beyond `bound`,
+    UndecidableError names it.
     """
     if bound < 2:
         raise ContractError("bound must be at least 2")
     if set(x1.infinite_primes) != set(x2.infinite_primes):
         return False
-    kind, exceptional = _beyond_analysis(x1, x2)
-    if kind in ("left-only", "right-only", "differ", "left-below", "right-below"):
-        return False  # infinitely many finite-exponent disagreements, certified
-    needed = _inspection_set(x1, x2, exceptional)
-    over = [p for p in needed if p > bound]
-    if over:
-        raise UndecidableError(
-            f"undecidable with bound {bound}: primes {over} must be inspected"
-        )
-    # Finitely many candidate disagreements, all inspected: equivalent.
+    if not (_below_almost_everywhere(x1, x2) and _below_almost_everywhere(x2, x1)):
+        return False
+    _check_inspected(x1, x2, bound)
     return True
 
 
@@ -623,21 +569,16 @@ def type_leq(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> bool:
     Decidable criterion: pi_inf(xi1) a subset of pi_inf(xi2), and
     chi1(p) <= chi2(p) for all but finitely many p.  Multiplying a
     representative by an integer only raises finitely many finite
-    exponents, which absorbs any finite set of violations.
+    exponents, which absorbs any finite set of violations.  A True answer
+    inspects the same primes as `asymptotically_equivalent`.
     """
     if bound < 2:
         raise ContractError("bound must be at least 2")
     if not set(x1.infinite_primes) <= set(x2.infinite_primes):
         return False
-    kind, exceptional = _beyond_analysis(x1, x2)
-    if kind in ("left-only", "differ", "right-below"):
-        return False  # chi1 > chi2 at infinitely many primes
-    needed = _inspection_set(x1, x2, exceptional)
-    over = [p for p in needed if p > bound]
-    if over:
-        raise UndecidableError(
-            f"undecidable with bound {bound}: primes {over} must be inspected"
-        )
+    if not _below_almost_everywhere(x1, x2):
+        return False
+    _check_inspected(x1, x2, bound)
     return True
 
 

@@ -75,7 +75,7 @@ def test_criterion_1_one_prime_chain_reproduction():
         assert chain.stable_image(1, 2).order == 1
         order = chain.steinitz_order(4)
         assert order.limit.multiplicity(2) is INF
-        assert order.limit == SteinitzNumber.of(infinite=(2,))
+        assert order.limit == SteinitzNumber(infinite_primes=(2,))
         assert order.raw.as_int() == 2**16
 
 
@@ -87,7 +87,7 @@ def test_criterion_2_two_prime_chain_reproduction():
         for prev, curr in zip(images, images[1:]):
             assert prev == curr
         order = chain.steinitz_order(4)
-        assert order.limit == SteinitzNumber.of(infinite=(2, 3))
+        assert order.limit == SteinitzNumber(infinite_primes=(2, 3))
 
 
 def test_criterion_3_finite_family_is_stable():
@@ -254,7 +254,7 @@ def test_criterion_7_steinitz_property_suite():
         def rand_number():
             fp = {p: rng.randrange(1, 6) for p in primes if rng.random() < 0.4}
             infs = tuple(p for p in primes if p not in fp and rng.random() < 0.15)
-            return SteinitzNumber.of(fp, infinite=infs)
+            return SteinitzNumber(fp, infinite_primes=infs)
 
         numbers = [rand_number() for _ in range(1000)]
         for i in range(0, 1000, 2):

@@ -131,6 +131,10 @@ def test_contract_violation_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(["oracle", "fixing", "--depth", "2"], capsys)
     assert code == 2 and "needs a chain reference" in err
+    code, _, err = run_cli(
+        ["freeness", "ex41", "--p", "2", "--level", "-1", "--radius", "1", "--dmax", "2"], capsys
+    )
+    assert code == 2 and "cylinder >= 0" in err
 
 
 @pytest.mark.parametrize(
@@ -151,10 +155,13 @@ def test_contract_violation_exits_2(capsys):
         (["bogus"], {}, None),
         (["spectrum", "ex41", "--p", "2"], {}, None),
         (["oracle", "fixing", "--depth", "2"], {}, None),
+        (["freeness", "ex41", "--p", "2", "--level", "-1", "--radius", "1", "--dmax", "2"],
+         {}, None),
     ],
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
          "budget-env-text", "family-no-base", "argparse-bad-int",
-         "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain"],
+         "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain",
+         "freeness-negative-cylinder"],
 )
 def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
@@ -312,7 +319,9 @@ def test_cli_and_oracle_import_neither_sympy_nor_numpy():
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(demo):
-    assert run_python(str(DEMOS / demo)).strip()
+    # Each demo prints the same report on every run; it must not drift.
+    expected = (GOLDEN / f"demo_{pathlib.Path(demo).stem}.txt").read_text()
+    assert run_python(str(DEMOS / demo)) == expected
 
 
 def test_invariants_hold_under_python_O():

@@ -8,6 +8,8 @@ slope, and an indexed family over the remaining primes 30 % of the time.
 Draws that `ChainSpec` rejects are discarded.
 """
 
+from math import lcm
+
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ EXPLICIT_PRIMES = (2, 3, 5)
 WINDOW = (3, 5)  # wildness certificate: max cylinder, max depth
 SCAN_DEPTH = 3
 MAX_QUOTIENT = 5000  # |Q_d| a fixing scan may enumerate
+ORDER_DEPTH = 4  # raw Steinitz orders are checked at depths 1..ORDER_DEPTH
 
 schedules = st.builds(
     CoordSchedule, st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)
@@ -89,3 +92,11 @@ def test_lqa_witness_is_the_certificate_pair_at_one_depth(chain):
                    if r.refined == l2}
         for l1 in range(1, l2):
             assert lqa_witness(chain, l1, l2, l2) == reports[l1]
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_raw_steinitz_order_is_lcm_of_box_indices(chain):
+    for depth in range(1, ORDER_DEPTH + 1):
+        indices = [chain.box_at(level).index() for level in range(1, depth + 1)]
+        assert chain.steinitz_order(depth).raw.as_int() == lcm(*indices)

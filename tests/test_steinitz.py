@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcantor.errors import ContractError, UndecidableError
 from nilcantor.steinitz import (
@@ -30,14 +32,14 @@ def random_explicit(rng, allow_infinite=True):
     infs = ()
     if allow_infinite:
         infs = tuple(p for p in PRIMES if p not in fp and rng.random() < 0.2)
-    return SteinitzNumber.of(fp, infinite=infs)
+    return SteinitzNumber(fp, infinite_primes=infs)
 
 
 # -- multiplicity --------------------------------------------------------------
 
 
 def test_multiplicity_examples():
-    xi = SteinitzNumber.of({3: 1}, infinite=(2,))
+    xi = SteinitzNumber({3: 1}, infinite_primes=(2,))
     assert xi.multiplicity(3) == 1
     assert xi.multiplicity(5) == 0
     assert xi.multiplicity(2) is INF
@@ -47,7 +49,7 @@ def test_multiplicity_rejects_nonprime():
     with pytest.raises(ContractError):
         ONE.multiplicity(4)
     with pytest.raises(ContractError):
-        SteinitzNumber.of({6: 1})
+        SteinitzNumber({6: 1})
 
 
 @pytest.mark.parametrize(
@@ -56,7 +58,7 @@ def test_multiplicity_rejects_nonprime():
         lambda: PrimeSchedule(2.0),
         lambda: PrimeSchedule(True),
         lambda: Primes(exclude=(True,)),
-        lambda: SteinitzNumber.of({True: 1}),
+        lambda: SteinitzNumber({True: 1}),
     ],
     ids=["schedule-float", "schedule-bool", "exclude-bool", "number-bool"],
 )
@@ -67,28 +69,29 @@ def test_non_integer_primes_are_contract_violations(build):
 
 def test_disjointness_invariants():
     with pytest.raises(ContractError):
-        SteinitzNumber.of({2: 1}, infinite=(2,))
+        SteinitzNumber({2: 1}, infinite_primes=(2,))
     with pytest.raises(ContractError):
-        SteinitzNumber.of({3: 1}, tail=TailSchedule(Primes(), 1, 0))
+        SteinitzNumber({3: 1}, tail=TailSchedule(Primes(), 1, 0))
     # Excluding the explicit prime from the tail makes it fine.
-    SteinitzNumber.of({3: 1}, tail=TailSchedule(Primes(exclude=(3,)), 1, 0))
+    SteinitzNumber({3: 1}, tail=TailSchedule(Primes(exclude=(3,)), 1, 0))
 
 
 # -- product and lcm ------------------------------------------------------------
 
 
 def test_product_examples():
-    a = SteinitzNumber.of({2: 2, 3: 1})
-    b = SteinitzNumber.of({2: 1, 5: 1})
-    assert a.product(b) == SteinitzNumber.of({2: 3, 3: 1, 5: 1})
-    assert SteinitzNumber.of(infinite=(2,)).product(SteinitzNumber.of({2: 4})) == SteinitzNumber.of(infinite=(2,))
+    a = SteinitzNumber({2: 2, 3: 1})
+    b = SteinitzNumber({2: 1, 5: 1})
+    assert a.product(b) == SteinitzNumber({2: 3, 3: 1, 5: 1})
+    two_inf = SteinitzNumber(infinite_primes=(2,))
+    assert two_inf.product(SteinitzNumber({2: 4})) == two_inf
 
 
 def test_lcm_examples():
-    a = SteinitzNumber.of({2: 3, 3: 1})
-    b = SteinitzNumber.of({2: 1}, infinite=(5,))
-    assert a.lcm(b) == SteinitzNumber.of({2: 3, 3: 1}, infinite=(5,))
-    xi = SteinitzNumber.of({2: 2}, infinite=(7,))
+    a = SteinitzNumber({2: 3, 3: 1})
+    b = SteinitzNumber({2: 1}, infinite_primes=(5,))
+    assert a.lcm(b) == SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,))
+    xi = SteinitzNumber({2: 2}, infinite_primes=(7,))
     assert xi.lcm(xi) == xi
 
 
@@ -118,7 +121,7 @@ def test_associativity_on_seeded_numbers():
 
 
 def test_integer_embedding():
-    assert SteinitzNumber.from_int(360) == SteinitzNumber.of({2: 3, 3: 2, 5: 1})
+    assert SteinitzNumber.from_int(360) == SteinitzNumber({2: 3, 3: 2, 5: 1})
     assert SteinitzNumber.from_int(1) == ONE
     assert SteinitzNumber.from_int(360).as_int() == 360
     rng = random.Random(105)
@@ -128,25 +131,35 @@ def test_integer_embedding():
 
 
 def test_tailed_product_same_schedule():
-    t1 = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 0))
-    t2 = SteinitzNumber.of(tail=TailSchedule(Primes(), 2, 1))
+    t1 = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
+    t2 = SteinitzNumber(tail=TailSchedule(Primes(), 2, 1))
     prod = t1.product(t2)
     # index 0 (prime 2) is only in t1; beyond, exponents add.
     assert prod.multiplicity(2) == 1
     assert prod.multiplicity(3) == 3
     assert prod.multiplicity(97) == 3
+    # The combined tail keeps the later start rather than excluding 2.
+    assert str(prod) == "2 [tail:primes^3@1]"
 
 
 def test_tailed_product_unrelated_schedules_rejected():
-    t1 = SteinitzNumber.of(tail=TailSchedule(TreeBranchPrimes(0, 1), 1))
-    t2 = SteinitzNumber.of(tail=TailSchedule(TreeBranchPrimes(1, 1), 1))
+    t1 = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(0, 1), 1))
+    t2 = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(1, 1), 1))
     with pytest.raises(ContractError):
         t1.product(t2)
 
 
+def test_tailed_product_over_one_set_up_to_finitely_many_primes():
+    # Only the left tail enumerates 3: it keeps that side's exponent 1.
+    every = SteinitzNumber(tail=TailSchedule(Primes(), 1))
+    but_three = SteinitzNumber(tail=TailSchedule(Primes(exclude=(3,)), 2))
+    assert str(every.product(but_three)) == "3 [tail:primes{excl=3}^3@0]"
+    assert str(every.lcm(but_three)) == "3 [tail:primes{excl=3}^2@0]"
+
+
 def test_tailed_times_explicit_collision_is_absorbed():
-    tail = SteinitzNumber.of(tail=TailSchedule(Primes(), 2, 0))
-    expl = SteinitzNumber.of({5: 3})
+    tail = SteinitzNumber(tail=TailSchedule(Primes(), 2, 0))
+    expl = SteinitzNumber({5: 3})
     prod = tail.product(expl)
     assert prod.multiplicity(5) == 5
     assert prod.multiplicity(7) == 2
@@ -159,7 +172,7 @@ def test_tailed_times_explicit_collision_is_absorbed():
 
 
 def test_spectra_examples():
-    sp = spectra(SteinitzNumber.of(infinite=(2, 3)), 10)
+    sp = spectra(SteinitzNumber(infinite_primes=(2, 3)), 10)
     assert sp.pi_inf.primes == (2, 3) and sp.pi_inf.complete
     assert sp.pi_f.primes == () and sp.pi_f.complete
     sp1 = spectra(ONE, 100)
@@ -168,12 +181,12 @@ def test_spectra_examples():
 
 
 def test_spectra_truncation_flags():
-    tailed = SteinitzNumber.of(tail=TailSchedule(Primes(), 5, 0))
+    tailed = SteinitzNumber(tail=TailSchedule(Primes(), 5, 0))
     sp = spectra(tailed, 7)
     assert sp.pi_f.primes == (2, 3, 5, 7)
     assert not sp.pi_f.complete
     assert sp.pi_inf.complete
-    big = SteinitzNumber.of({101: 1})
+    big = SteinitzNumber({101: 1})
     assert not spectra(big, 10).pi_f.complete
 
 
@@ -181,17 +194,17 @@ def test_spectra_truncation_flags():
 
 
 def test_equivalence_examples():
-    a = SteinitzNumber.of({3: 1}, infinite=(2,))
-    b = SteinitzNumber.of({3: 2}, infinite=(2,))
+    a = SteinitzNumber({3: 1}, infinite_primes=(2,))
+    b = SteinitzNumber({3: 2}, infinite_primes=(2,))
     assert asymptotically_equivalent(a, b, 10)
-    c = SteinitzNumber.of(infinite=(2,))
-    d = SteinitzNumber.of(infinite=(2, 3))
+    c = SteinitzNumber(infinite_primes=(2,))
+    d = SteinitzNumber(infinite_primes=(2, 3))
     assert not asymptotically_equivalent(c, d, 10)
 
 
 def test_equivalence_all_primes_versus_odd_primes():
-    every = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 0))
-    odd = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 1))
+    every = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
+    odd = SteinitzNumber(tail=TailSchedule(Primes(), 1, 1))
     assert asymptotically_equivalent(every, odd, 10)
 
 
@@ -236,14 +249,14 @@ def test_equivalence_against_multiplier_oracle():
         fp1 = {p: rng.randrange(1, 3) for p in (2, 3) if rng.random() < 0.7}
         fp2 = {p: rng.randrange(1, 3) for p in (2, 3) if rng.random() < 0.7}
         infs = (5,) if rng.random() < 0.5 else ()
-        x = SteinitzNumber.of(fp1, infinite=infs)
-        y = SteinitzNumber.of(fp2, infinite=infs)
+        x = SteinitzNumber(fp1, infinite_primes=infs)
+        y = SteinitzNumber(fp2, infinite_primes=infs)
         assert asymptotically_equivalent(x, y, 101) == oracle(x, y)
 
 
 def test_undecidable_when_bound_too_small():
-    x = SteinitzNumber.of({101: 2})
-    y = SteinitzNumber.of({101: 3})
+    x = SteinitzNumber({101: 2})
+    y = SteinitzNumber({101: 3})
     with pytest.raises(UndecidableError):
         asymptotically_equivalent(x, y, 10)
     assert asymptotically_equivalent(x, y, 101)
@@ -253,19 +266,19 @@ def test_undecidable_when_bound_too_small():
 
 
 def test_type_leq_examples():
-    a = SteinitzNumber.of(infinite=(2,))
-    b = SteinitzNumber.of(infinite=(2, 3))
+    a = SteinitzNumber(infinite_primes=(2,))
+    b = SteinitzNumber(infinite_primes=(2, 3))
     assert type_leq(a, b, 10)
     assert not type_leq(b, a, 10)
-    x = SteinitzNumber.of({2: 5, 3: 1})
-    y = SteinitzNumber.of({2: 1, 3: 1})
+    x = SteinitzNumber({2: 5, 3: 1})
+    y = SteinitzNumber({2: 1, 3: 1})
     assert type_leq(x, y, 10)
 
 
 def test_type_leq_brute_force_multiplier_search():
     # multiply the right side by 2^4 <= 2^6: pointwise domination appears
-    x = SteinitzNumber.of({2: 5, 3: 1})
-    y = SteinitzNumber.of({2: 1, 3: 1})
+    x = SteinitzNumber({2: 5, 3: 1})
+    y = SteinitzNumber({2: 1, 3: 1})
 
     def leq(e1, e2):
         return e2 is INF or (e1 is not INF and e1 <= e2)
@@ -295,12 +308,101 @@ def test_type_leq_reflexive_transitive_and_divisibility():
 
 
 def test_type_leq_with_tails():
-    small = SteinitzNumber.of(tail=TailSchedule(Primes(), 1, 0))
-    large = SteinitzNumber.of(tail=TailSchedule(Primes(), 3, 0))
+    small = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
+    large = SteinitzNumber(tail=TailSchedule(Primes(), 3, 0))
     assert type_leq(small, large, 10)
     assert not type_leq(large, small, 10)
     assert not type_leq(small, ONE, 10)
     assert type_leq(ONE, small, 10)
+
+
+def test_branch_below_all_primes():
+    branch = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(0, 1), 1))
+    every = SteinitzNumber(tail=TailSchedule(Primes(), 1))
+    assert type_leq(branch, every, 10)
+    assert not type_leq(every, branch, 10)
+    assert not asymptotically_equivalent(branch, every, 10)
+
+
+def test_branches_with_one_stripped_word_are_one_set():
+    # 1, 10 and 100 followed by zeros are the same infinite branch.
+    numbers = [
+        SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(b, w), 1, start))
+        for b, w, start in ((1, 1, 0), (2, 2, 1), (4, 3, 2))
+    ]
+    for x in numbers:
+        for y in numbers:
+            assert asymptotically_equivalent(x, y, 100)
+
+
+# -- tails against multiplicities ----------------------------------------------
+
+SAMPLE_FROM, SAMPLE_SIZE = 6, 4  # tail indices past every drop and shared prefix
+
+
+@st.composite
+def tailed_numbers(draw):
+    tail = None
+    kind = draw(st.sampled_from(("primes", "branch", None)))
+    if kind == "primes":
+        enumeration = Primes(tuple(draw(st.lists(st.sampled_from((2, 3, 5, 7)), unique=True))))
+    elif kind == "branch":
+        width = draw(st.integers(1, 3))
+        enumeration = TreeBranchPrimes(draw(st.integers(0, 2**width - 1)), width)
+    if kind is not None:
+        tail = TailSchedule(enumeration, draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+    fp, infs = {}, []
+    for p in PRIMES:
+        if tail is None or not tail.member_exponent(p):
+            e = draw(st.sampled_from((0, 0, 0, 1, 2, INF)))
+            if e is INF:
+                infs.append(p)
+            elif e:
+                fp[p] = e
+    return SteinitzNumber(fp, infs, tail)
+
+
+def sampled_primes(*numbers):
+    """Each tail's own primes past its drops, where the finitely many
+    exceptions of either number cannot be."""
+    return {
+        x.tail.primes.prime(i)
+        for x in numbers
+        if x.tail is not None
+        for i in range(SAMPLE_FROM, SAMPLE_FROM + SAMPLE_SIZE)
+    }
+
+
+def below(x, y, primes):
+    return all(
+        y.multiplicity(p) is INF
+        or (x.multiplicity(p) is not INF and x.multiplicity(p) <= y.multiplicity(p))
+        for p in primes
+    )
+
+
+@settings(derandomize=True, max_examples=150, deadline=1000)
+@given(tailed_numbers(), tailed_numbers())
+def test_tails_agree_with_multiplicities(x, y):
+    far = sampled_primes(x, y)
+    inf_x, inf_y = set(x.infinite_primes), set(y.infinite_primes)
+    assert type_leq(x, y, 100) == (inf_x <= inf_y and below(x, y, far))
+    assert asymptotically_equivalent(x, y, 100) == (
+        inf_x == inf_y and below(x, y, far) and below(y, x, far)
+    )
+    covering = x.tail is None or y.tail is None or all(
+        bool(x.tail.member_exponent(p)) == bool(y.tail.member_exponent(p)) for p in far
+    )
+    near = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
+    for op, combine in ((lambda a, b: a + b, x.product), (max, x.lcm)):
+        if not covering:
+            with pytest.raises(ContractError):
+                combine(y)
+            continue
+        z = combine(y)
+        for p in sorted(far | set(near)):
+            ex, ey = x.multiplicity(p), y.multiplicity(p)
+            assert z.multiplicity(p) == (INF if INF in (ex, ey) else op(ex, ey))
 
 
 # -- almost-disjoint spectra ----------------------------------------------------------
@@ -328,7 +430,7 @@ def test_almost_disjoint_single_set():
 
 def test_almost_disjoint_pairwise_inequivalent():
     sets = almost_disjoint_spectra(3, 10)
-    numbers = [SteinitzNumber.of(tail=TailSchedule(s, 1)) for s in sets]
+    numbers = [SteinitzNumber(tail=TailSchedule(s, 1)) for s in sets]
     for i in range(3):
         for j in range(i + 1, 3):
             assert not asymptotically_equivalent(numbers[i], numbers[j], 200)
@@ -358,16 +460,16 @@ def test_almost_disjoint_depth_contract():
 def test_round_trip_text_form():
     cases = [
         ONE,
-        SteinitzNumber.of({2: 3, 3: 1}, infinite=(5,)),
-        SteinitzNumber.of({3: 2}, tail=TailSchedule(Primes(exclude=(3,)), 5, 2)),
-        SteinitzNumber.of(tail=TailSchedule(TreeBranchPrimes(2, 3), 1, 0)),
+        SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,)),
+        SteinitzNumber({3: 2}, tail=TailSchedule(Primes(exclude=(3,)), 5, 2)),
+        SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(2, 3), 1, 0)),
     ]
     for xi in cases:
         assert SteinitzNumber.parse(str(xi)) == xi
 
 
 def test_text_form_examples():
-    xi = SteinitzNumber.of({2: 3, 3: 1}, infinite=(5,))
+    xi = SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,))
     assert str(xi) == "2^3 * 3 * 5^inf"
     assert str(ONE) == "1"
     with pytest.raises(ContractError):
