@@ -119,8 +119,12 @@ def resolve_chain(args) -> ChainSpec:
             params["pi_inf"] = _int_list(args.pi_inf or "", "pi_inf")
         return builtin_chain(ref, **params)
     if os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return parse_chain_config(fh.read())
+        try:
+            with open(ref, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContractError(f"cannot read chain config {ref!r}: {exc}") from None
+        return parse_chain_config(text)
     raise ContractError(
         f"unknown chain reference {ref!r}: not a built-in name "
         "(ex41, ex42, stable, wild) and not a config file"
@@ -237,7 +241,9 @@ def cmd_freeness(args) -> tuple:
 def _budget_from(args) -> OracleBudget:
     env_order = os.environ.get(BUDGET_ENV)
     try:
-        max_order = args.max_group_order or (int(env_order) if env_order else 10**6)
+        max_order = args.max_group_order
+        if max_order is None:
+            max_order = int(env_order) if env_order else 10**6
     except ValueError:
         raise ContractError(f"{BUDGET_ENV} must be an integer, got {env_order!r}") from None
     return OracleBudget(

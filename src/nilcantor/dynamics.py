@@ -34,7 +34,7 @@ from typing import Optional
 from ._value import Value, set_field
 from .errors import ContractError
 from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
-from .towers import COORDS, ChainSpec, Eventually
+from .towers import COORDS, ChainSpec
 
 __all__ = [
     "trivial_action_kernel",
@@ -62,24 +62,30 @@ def trivial_action_kernel(chain: ChainSpec, cylinder: int, depth: int) -> BoxSub
 # -- symbolic kernel analysis -------------------------------------------------
 
 
-def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> Eventually:
-    """Eventual affine form (in the depth) of the kernel's lattice exponent
+def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> tuple[int, int]:
+    """Eventual (base, slope) in the depth of the kernel's lattice exponent
     at prime p in the given coordinate, for a fixed cylinder level
     (cylinder 0 is the whole space).  This is the one home of the kernel
     law; every schedule-level statement below reads it from here.
 
-    From the relative-core closed form:
+    From the relative-core closed form, with k the other coordinate's
+    exponent at the cylinder:
         a: max(e_a(d), e_c(d) - min(e_c(d), e_b(cylinder)))
         b: max(e_b(d), e_c(d) - min(e_c(d), e_a(cylinder)))
         c: e_c(d)
+    so for a and b it is eventually the largest of three lines, compared
+    by (slope, base): the own schedule, the c-schedule shifted down by k,
+    and zero.
     """
-    ec = chain.coord_eventual(p, "c")
+    s = chain.schedule(p)
+    ec = s.c
     if coord == "c":
-        return ec
-    other = {"a": "b", "b": "a"}[coord]
-    own = chain.coord_eventual(p, coord)
-    k = chain.coord_exponent(p, other, cylinder) if cylinder >= 1 else 0
-    return own.max_with(ec.relu_minus(k))
+        return ec.base, ec.slope
+    own, other = (s.a, s.b) if coord == "a" else (s.b, s.a)
+    k = other.exponent(cylinder) if cylinder >= 1 else 0
+    lines = ((own.slope, own.base), (ec.slope, ec.base - k), (0, 0))
+    slope, base = max(lines)
+    return base, slope
 
 
 def _kernel_tower_surjective(chain: ChainSpec, cylinder: int, depth: int) -> bool:
@@ -101,7 +107,7 @@ def _family_activation_gap(chain: ChainSpec) -> int:
         return 0
     q = chain.family.prime_at(1)
     return sum(
-        _kernel_eventual(chain, 0, q, x).base - _kernel_eventual(chain, 1, q, x).base
+        _kernel_eventual(chain, 0, q, x)[0] - _kernel_eventual(chain, 1, q, x)[0]
         for x in ("a", "b")
     )
 
@@ -116,17 +122,16 @@ def _stable_level(chain: ChainSpec) -> int:
     starts; below that the exact values decide.
     """
     level = 1
-    for p in chain.explicit_primes():
-        ec = chain.coord_eventual(p, "c")
-        if ec.slope > 0:
+    for s in chain.explicit:
+        if s.c.slope > 0:
             continue
         for coord in ("a", "b"):
-            own = chain.coord_eventual(p, coord)
+            own = s.coord(coord)
             if own.slope > 0:
                 continue
-            first = max(own.threshold, ec.threshold)
-            floor = _kernel_eventual(chain, first, p, coord).base
-            while first > 1 and _kernel_eventual(chain, first - 1, p, coord).base == floor:
+            first = max(1, own.start, s.c.start)
+            floor = _kernel_eventual(chain, first, s.prime, coord)[0]
+            while first > 1 and _kernel_eventual(chain, first - 1, s.prime, coord)[0] == floor:
                 first -= 1
             level = max(level, first)
     return level
@@ -224,19 +229,19 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
     ratio, limit_gap, notes = 1, 1, []
     for p in chain.relevant_primes(l2):
         for coord in ("a", "b"):
-            f1 = _kernel_eventual(chain, l1, p, coord)
-            f2 = _kernel_eventual(chain, l2, p, coord)
-            if f1.slope != f2.slope:
+            base1, slope1 = _kernel_eventual(chain, l1, p, coord)
+            base2, slope2 = _kernel_eventual(chain, l2, p, coord)
+            if slope1 != slope2:
                 # Cannot happen for schedules in this class (the cylinder
                 # level only shifts the subtracted constant); treat any
                 # occurrence as a failed analysis, never as evidence.
                 notes.append(f"kernel slopes disagree at {p}/{coord}")
-            elif f1.base < f2.base:
+            elif base1 < base2:
                 notes.append(f"kernel antitonicity violated at {p}/{coord}")
             else:
-                gap = p ** (f1.base - f2.base)
+                gap = p ** (base1 - base2)
                 ratio *= gap
-                if f1.slope == 0:
+                if slope1 == 0:
                     limit_gap *= gap
     persistent = (
         not notes
@@ -385,12 +390,12 @@ def _coordinate_unbounded(chain: ChainSpec, cylinder: int, coord: str) -> bool:
     """Whether the kernel's coordinate lattice grows without bound in the
     depth: some explicit prime's kernel exponent grows, or the family gives
     a positive one to every prime it activates after the cylinder."""
-    if any(_kernel_eventual(chain, cylinder, p, coord).slope > 0 for p in chain.explicit_primes()):
+    if any(_kernel_eventual(chain, cylinder, p, coord)[1] > 0 for p in chain.explicit_primes()):
         return True
     if chain.family is None:
         return False
     late = chain.family.prime_at(cylinder + 1)
-    return _kernel_eventual(chain, cylinder, late, coord).base >= 1
+    return _kernel_eventual(chain, cylinder, late, coord)[0] >= 1
 
 
 def freeness_certificate(
@@ -420,12 +425,7 @@ def freeness_certificate(
     bounded = [x for x in COORDS if not _coordinate_unbounded(chain, cylinder, x)]
     if bounded:
         coord = "c" if "c" in bounded else bounded[0]
-        starts = [1] + [
-            chain.coord_eventual(p, x).threshold
-            for p in chain.explicit_primes()
-            for x in COORDS
-        ]
-        deep = max(max(starts) + 1, max_depth)
+        deep = max(chain.last_start() + 1, max_depth)
         witness = trivial_action_kernel(chain, cylinder, deep).generators()[COORDS.index(coord)]
         if not all(k.contains(witness) for k in kernels.values()):
             raise ContractError(f"stabilized generator {witness} leaves a tested kernel")
@@ -509,17 +509,18 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
     images = [chain.stable_image(level, d) for d in depths]
     orders = tuple(img.order for img in images)
 
-    core = chain.core_at(level)
+    # The core's exponent at p is e_c in c and max(e_x, e_c) in x = a, b;
+    # a growing box exponent leaves it, a constant one caps it.
     floor = []
-    for modulus, coord in ((core.Ma, "a"), (core.Mb, "b"), (core.Mc, "c")):
+    for coord in COORDS:
         lat = 1
         for p in chain.relevant_primes(level):
-            box_exp = chain.coord_eventual(p, coord)
-            core_exp = _prime_exponent(modulus, p)
-            if box_exp.slope > 0:
-                lat *= p**core_exp
-            else:
-                lat *= p ** min(box_exp.base, core_exp)
+            s = chain.schedule(p)
+            own = s.coord(coord)
+            core_exp = s.c.exponent(level)
+            if coord != "c":
+                core_exp = max(own.exponent(level), core_exp)
+            lat *= p ** (core_exp if own.slope > 0 else min(own.base, core_exp))
         floor.append(lat)
     symbolic = tuple(floor) == images[-1].lattice
     numeric = len(images) >= 2 and images[-1] == images[-2]
@@ -532,11 +533,3 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
         limit_order=orders[-1] if stabilized else None,
         evidence_grade=GRADE_SCHEDULE if stabilized else GRADE_FINITE,
     )
-
-
-def _prime_exponent(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e

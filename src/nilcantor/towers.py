@@ -50,7 +50,6 @@ from .steinitz import (
 )
 
 __all__ = [
-    "Eventually",
     "CoordSchedule",
     "PrimeSchedule",
     "IndexedFamily",
@@ -74,52 +73,6 @@ COORDS = ("a", "b", "c")
 _VALIDATE_MARGIN = 2
 
 
-# -- eventually affine integer functions ------------------------------------
-
-
-class Eventually(Value):
-    """An integer function of the level that equals base + slope*level for
-    all levels >= threshold.  Only the eventual behaviour is represented;
-    exact small-level values come from the schedules directly."""
-
-    __slots__ = ("threshold", "base", "slope")
-
-    def __init__(self, threshold: int, base: int, slope: int):
-        set_field(self, "threshold", threshold)
-        set_field(self, "base", base)
-        set_field(self, "slope", slope)
-
-    def value(self, level: int) -> int:
-        if level < self.threshold:
-            raise ContractError(f"level {level} below threshold {self.threshold}")
-        return self.base + self.slope * level
-
-    @staticmethod
-    def constant(k: int, threshold: int = 1) -> "Eventually":
-        return Eventually(threshold, k, 0)
-
-    def shift(self, k: int) -> "Eventually":
-        return Eventually(self.threshold, self.base + k, self.slope)
-
-    def max_with(self, other: "Eventually") -> "Eventually":
-        """Pointwise max, valid beyond the last crossing of the two lines."""
-        t = max(self.threshold, other.threshold)
-        f, g = self, other
-        if f.slope == g.slope:
-            w = f if f.base >= g.base else g
-            return Eventually(t, w.base, w.slope)
-        lo, hi = (f, g) if f.slope < g.slope else (g, f)
-        # hi wins once hi(x) >= lo(x): x >= (lo.base - hi.base)/(hi.slope - lo.slope)
-        num, den = lo.base - hi.base, hi.slope - lo.slope
-        cross = -(-num // den)  # ceiling
-        t = max(t, cross)
-        return Eventually(t, hi.base, hi.slope)
-
-    def relu_minus(self, k: int) -> "Eventually":
-        """Pointwise max(0, value - k)."""
-        return self.shift(-k).max_with(Eventually.constant(0, self.threshold))
-
-
 # -- schedules ----------------------------------------------------------------
 
 
@@ -140,9 +93,6 @@ class CoordSchedule(Value):
         if level < self.start:
             return 0
         return self.base + self.slope * level
-
-    def eventual(self) -> Eventually:
-        return Eventually(max(1, self.start), self.base, self.slope)
 
     def is_zero(self) -> bool:
         return self.base == 0 and self.slope == 0
@@ -193,9 +143,6 @@ class IndexedFamily(Value):
         set_field(self, "a_exp", a_exp)
         set_field(self, "b_exp", b_exp)
         set_field(self, "c_exp", c_exp)
-
-    def exp(self, coord: str) -> int:
-        return {"a": self.a_exp, "b": self.b_exp, "c": self.c_exp}[coord]
 
     def prime_at(self, i: int) -> int:
         """The prime activated at level i (1-indexed)."""
@@ -254,44 +201,42 @@ class ChainSpec(Value):
 
     # -- structural validation -------------------------------------------
 
-    def _horizon(self) -> int:
-        starts = [s.coord(x).start for s in self.explicit for x in COORDS]
-        return max([1] + starts) + _VALIDATE_MARGIN
+    def last_start(self) -> int:
+        """The level from which every explicit schedule is affine (at
+        least 1): past it each exponent is base + slope*level."""
+        return max([1] + [s.coord(x).start for s in self.explicit for x in COORDS])
 
     def _validate_box_condition(self):
-        # Per prime: e_c(l) <= e_a(l) + e_b(l), numerically on the prefix
-        # and symbolically beyond it (all schedules affine there).
+        # Per prime: e_c(l) <= e_a(l) + e_b(l), numerically up to the
+        # horizon and, past it, from the slopes (all schedules affine there).
+        horizon = self.last_start() + _VALIDATE_MARGIN
         for s in self.explicit:
-            for level in range(1, self._horizon() + 1):
+            for level in range(1, horizon + 1):
                 ea, eb, ec = (s.coord(x).exponent(level) for x in COORDS)
                 if ec > ea + eb:
                     raise ContractError(
                         f"prime {s.prime}: box condition fails at level {level} "
                         f"(c exponent {ec} > {ea}+{eb})"
                     )
-            fa, fb, fc = (s.coord(x).eventual() for x in COORDS)
-            t = self._horizon()
-            if fc.slope > fa.slope + fb.slope or (
-                fc.slope == fa.slope + fb.slope
-                and fc.value(t) > fa.value(t) + fb.value(t)
-            ):
+            if s.c.slope > s.a.slope + s.b.slope:
                 raise ContractError(
                     f"prime {s.prime}: box condition fails for all large levels"
                 )
         # The family was checked in IndexedFamily.__init__.
 
     def _validate_proper_descent(self):
+        # Exponents are monotone, so by unique factorisation box_at(l+1)
+        # differs from box_at(l) exactly when some exponent grows there.
         if self.family is not None:
             return  # a new prime enters at every level
-        for level in range(1, self._horizon() + 1):
-            if self.box_at(level + 1) == self.box_at(level):
+        scheds = [s.coord(x) for s in self.explicit for x in COORDS]
+        for level in range(1, self.last_start() + _VALIDATE_MARGIN + 1):
+            if all(f.exponent(level + 1) == f.exponent(level) for f in scheds):
                 raise ContractError(
                     f"chain is not properly descending at level {level} -> "
                     f"{level + 1}; it is eventually constant"
                 )
-        if not any(
-            s.coord(x).slope > 0 for s in self.explicit for x in COORDS
-        ):
+        if not any(f.slope > 0 for f in scheds):
             raise ContractError(
                 "chain is eventually constant: no growing schedule and no family"
             )
@@ -299,7 +244,7 @@ class ChainSpec(Value):
     def _validate_trivial_intersection(self):
         for coord in COORDS:
             grows = any(s.coord(coord).slope > 0 for s in self.explicit)
-            if self.family is not None and self.family.exp(coord) > 0:
+            if self.family is not None and getattr(self.family, f"{coord}_exp") > 0:
                 grows = True
             if not grows:
                 raise ContractError(
@@ -322,36 +267,30 @@ class ChainSpec(Value):
         """Primes with any support in boxes up to `level`."""
         return tuple(sorted(set(self.explicit_primes()) | set(self.family_primes(level))))
 
-    def coord_exponent(self, p: int, coord: str, level: int) -> int:
+    def schedule(self, p: int) -> PrimeSchedule:
+        """Prime p's exponent schedules: its explicit entry, the family's
+        constant exponents from p's activation level on, or zero.  Every
+        exponent of the chain is read from here."""
         for s in self.explicit:
             if s.prime == p:
-                return s.coord(coord).exponent(level)
-        if self.family is not None:
-            i = self.family.activation_of(p)
-            if i is not None:
-                return self.family.exp(coord) if level >= i else 0
-        return 0
-
-    def coord_eventual(self, p: int, coord: str) -> Eventually:
-        """The eventual affine form of e_p^coord; family primes are constant
-        from their activation level on."""
-        for s in self.explicit:
-            if s.prime == p:
-                return s.coord(coord).eventual()
-        if self.family is not None:
-            i = self.family.activation_of(p)
-            if i is not None:
-                return Eventually(i, self.family.exp(coord), 0)
-        return Eventually.constant(0)
+                return s
+        f = self.family
+        i = None if f is None else f.activation_of(p)
+        if i is not None:
+            return PrimeSchedule(
+                p, CoordSchedule(i, f.a_exp), CoordSchedule(i, f.b_exp), CoordSchedule(i, f.c_exp)
+            )
+        return PrimeSchedule(p)
 
     def box_at(self, level: int) -> BoxSubgroup:
         if level < 1:
             raise ContractError("level must be >= 1")
         ma = mb = mc = 1
         for p in self.relevant_primes(level):
-            ma *= p ** self.coord_exponent(p, "a", level)
-            mb *= p ** self.coord_exponent(p, "b", level)
-            mc *= p ** self.coord_exponent(p, "c", level)
+            s = self.schedule(p)
+            ma *= p ** s.a.exponent(level)
+            mb *= p ** s.b.exponent(level)
+            mc *= p ** s.c.exponent(level)
         return BoxSubgroup(ma, mb, mc)
 
     def core_at(self, level: int) -> BoxSubgroup:
@@ -387,7 +326,8 @@ class ChainSpec(Value):
         raw_fp: dict[int, int] = {}
         # Schedules are monotone, so the lcm exponent is the depth value.
         for p in self.relevant_primes(depth):
-            e = sum(self.coord_exponent(p, x, depth) for x in COORDS)
+            s = self.schedule(p)
+            e = s.a.exponent(depth) + s.b.exponent(depth) + s.c.exponent(depth)
             if e:
                 raw_fp[p] = e
         raw = SteinitzNumber(tuple(sorted(raw_fp.items())))
@@ -398,8 +338,7 @@ class ChainSpec(Value):
             if total > 0:
                 promoted.append(s.prime)
             else:
-                at = max(1, max(s.coord(x).start for x in COORDS))
-                e = sum(s.coord(x).exponent(at) for x in COORDS)
+                e = sum(s.coord(x).base for x in COORDS)  # the constant limit
                 if e:
                     limit_fp[s.prime] = e
         tail = None

@@ -1,13 +1,16 @@
 """CLI behaviour: exit codes, report shape, golden reproduce scenarios."""
 
+import importlib
 import io
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import nilcantor
 from nilcantor.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -157,19 +160,30 @@ def test_contract_violation_exits_2(capsys):
         (["oracle", "fixing", "--depth", "2"], {}, None),
         (["freeness", "ex41", "--p", "2", "--level", "-1", "--radius", "1", "--dmax", "2"],
          {}, None),
+        (["spectrum", "{dir}", "--depth", "2"], {}, None),
+        (["spectrum", "{config}", "--depth", "2"], {}, b"\xff\n"),
+        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "0"], {}, None),
+        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "-5"], {}, None),
+        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-modulus", "0"], {}, None),
+        (["oracle", "partition", "--box", "Box(2,2,4)"], {"NILCANTOR_MAX_GROUP_ORDER": "0"}, None),
     ],
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
          "budget-env-text", "family-no-base", "argparse-bad-int",
          "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain",
-         "freeness-negative-cylinder"],
+         "freeness-negative-cylinder", "config-is-directory", "config-not-utf8",
+         "budget-flag-zero", "budget-flag-negative", "budget-modulus-zero", "budget-env-zero"],
 )
 def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if config is not None:
         cfg = tmp_path / "chain.cfg"
-        cfg.write_text(config)
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config)
         argv = [str(cfg) if a == "{config}" else a for a in argv]
+    argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -315,6 +329,22 @@ def test_cli_and_oracle_import_neither_sympy_nor_numpy():
         "if m in sys.modules))"
     )
     assert run_python("-c", probe).strip() == ""
+
+
+def test_every_export_resolves():
+    # A name left in __all__ after its definition is deleted breaks
+    # `from module import *` only when someone runs it; check them all.
+    modules = [nilcantor] + [
+        importlib.import_module(f"nilcantor.{info.name}")
+        for info in pkgutil.iter_modules(nilcantor.__path__)
+    ]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exporting) >= 6
+    for module in exporting:
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        assert set(module.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

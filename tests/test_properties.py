@@ -14,16 +14,25 @@ from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
 from nilcantor import oracle
-from nilcantor.dynamics import lqa_witness, trivial_action_kernel, wildness_certificate
+from nilcantor.dynamics import (
+    _kernel_eventual,
+    lqa_witness,
+    trivial_action_kernel,
+    wildness_certificate,
+)
 from nilcantor.errors import ContractError
 from nilcantor.steinitz import Primes
 from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule
 
 EXPLICIT_PRIMES = (2, 3, 5)
 WINDOW = (3, 5)  # wildness certificate: max cylinder, max depth
+WIDE_WINDOW = (4, 9)
 SCAN_DEPTH = 3
 MAX_QUOTIENT = 5000  # |Q_d| a fixing scan may enumerate
 ORDER_DEPTH = 4  # raw Steinitz orders are checked at depths 1..ORDER_DEPTH
+LAW_CYLINDERS = range(0, 4)
+LAW_DEPTHS = (40, 41)  # past every start and line crossing the strategy can draw
+LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
 
 schedules = st.builds(
     CoordSchedule, st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)
@@ -100,3 +109,53 @@ def test_raw_steinitz_order_is_lcm_of_box_indices(chain):
     for depth in range(1, ORDER_DEPTH + 1):
         indices = [chain.box_at(level).index() for level in range(1, depth + 1)]
         assert chain.steinitz_order(depth).raw.as_int() == lcm(*indices)
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_stable_image_is_the_oracle_closure(chain):
+    for level in range(1, SCAN_DEPTH + 1):
+        quotient = chain.quotient_at(level)
+        if quotient.order > MAX_QUOTIENT:
+            continue
+        for depth in range(level, SCAN_DEPTH + 1):
+            la, lb, lc = chain.stable_image(level, depth).lattice
+            lattice = {
+                (a, b, c)
+                for a in range(0, quotient.A, la)
+                for b in range(0, quotient.B, lb)
+                for c in range(0, quotient.C, lc)
+            }
+            closure = oracle.subgroup_closure(quotient, chain.box_at(depth).generators())
+            assert closure == lattice
+
+
+def _valuation(n: int, p: int) -> int:
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_kernel_law_is_the_closed_form_at_depth(chain):
+    primes = chain.explicit_primes()
+    if chain.family is not None:
+        primes += chain.family_primes(LAW_FAMILY_PRIMES)
+    for cylinder in LAW_CYLINDERS:
+        for depth in LAW_DEPTHS:
+            kernel = trivial_action_kernel(chain, cylinder, depth)
+            moduli = dict(zip("abc", (kernel.Ma, kernel.Mb, kernel.Mc)))
+            for p in primes:
+                for coord, modulus in moduli.items():
+                    base, slope = _kernel_eventual(chain, cylinder, p, coord)
+                    assert _valuation(modulus, p) == base + slope * depth
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_wildness_verdict_is_window_independent(chain):
+    narrow = wildness_certificate(chain, *WINDOW).verdict
+    assert wildness_certificate(chain, *WIDE_WINDOW).verdict == narrow

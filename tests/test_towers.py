@@ -12,7 +12,6 @@ from nilcantor.towers import (
     ChainSpec,
     CoordSchedule,
     CosetSpace,
-    Eventually,
     FiniteQuotient,
     IndexedFamily,
     PrimeSchedule,
@@ -23,26 +22,6 @@ from nilcantor.towers import (
     stable_chain,
     wild_chain,
 )
-
-
-# -- eventually affine helper ----------------------------------------------------
-
-
-def test_eventually_max_crossing():
-    f = Eventually(1, 0, 1)  # d
-    g = Eventually(1, -3, 2)  # 2d - 3
-    m = f.max_with(g)
-    for d in range(m.threshold, m.threshold + 10):
-        assert m.value(d) == max(d, 2 * d - 3)
-
-
-def test_eventually_relu():
-    f = Eventually(1, 0, 2)
-    r = f.relu_minus(5)
-    for d in range(r.threshold, r.threshold + 6):
-        assert r.value(d) == max(0, 2 * d - 5)
-    const = Eventually.constant(3).relu_minus(7)
-    assert const.base == 0 and const.slope == 0
 
 
 # -- schedules and boxes ------------------------------------------------------------
