@@ -20,7 +20,7 @@ print("example: (0,0,4) escapes at depth", element_escape_depth(chain, 1, g, 6))
 
 # Almost-disjoint infinite prime sets, one per branch of a binary tree:
 # each pair shares only the primes of the common label prefix.
-sets = almost_disjoint_spectra(5, depth=8)
+sets = almost_disjoint_spectra(5)
 for s in sets:
     print(f"branch {s.branch}: first primes", [s.prime(i) for i in range(5)])
 
@@ -32,7 +32,7 @@ chains = [wild_chain(2, 1, enumeration=s) for s in sets]
 limits = [c.steinitz_order(3).limit for c in chains]
 pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
 inequivalent = sum(
-    not asymptotically_equivalent(limits[i], limits[j], 200) for i, j in pairs
+    not asymptotically_equivalent(limits[i], limits[j]) for i, j in pairs
 )
 print(f"\npairwise inequivalent spectra: {inequivalent} of {len(pairs)} pairs")
 print("wild verdicts:", [wildness_certificate(c, 2, 3).verdict for c in chains])

@@ -2,7 +2,7 @@
 
 Every command writes exactly one report to stdout, with all quantities as
 exact integers (never floating point), and is byte-identical across runs
-with the same inputs and seed.  Exit codes: 0 success, 2 contract
+with the same inputs.  Exit codes: 0 success, 2 contract
 violation (bad flags, parse errors, broken invariants, undecidable
 questions), 3 resource exhaustion (oracle budgets, prime-layer caps).
 """
@@ -249,7 +249,6 @@ def _budget_from(args) -> OracleBudget:
     return OracleBudget(
         max_modulus=args.max_modulus,
         max_group_order=max_order,
-        seed=args.seed,
     )
 
 
@@ -395,8 +394,7 @@ def _reproduce_thm15(args) -> list:
 
 def _reproduce_cor16(args) -> list:
     count = args.count
-    bound = args.bound
-    sets = almost_disjoint_spectra(count, depth=8)
+    sets = almost_disjoint_spectra(count)
     chains = [wild_chain(2, 1, enumeration=s) for s in sets]
     lines = []
     limits = []
@@ -408,7 +406,7 @@ def _reproduce_cor16(args) -> list:
     inequivalent = 0
     for i in range(count):
         for j in range(i + 1, count):
-            eq = asymptotically_equivalent(limits[i], limits[j], bound)
+            eq = asymptotically_equivalent(limits[i], limits[j])
             if not eq:
                 inequivalent += 1
             lines.append((f"equivalent_{i}_{j}", "yes" if eq else "no"))
@@ -459,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Heisenberg chain towers, Steinitz orders, and "
         "dynamics certificates",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="echoed in the report; decides nothing")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="Steinitz order and prime spectra")
@@ -512,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--p", type=int)
     rp.add_argument("--q", type=int)
     rp.add_argument("--count", type=int, default=5)
-    rp.add_argument("--bound", type=int, default=200)
+    rp.add_argument("--bound", type=int, default=200, help="cor16: echoed; decides nothing")
     rp.set_defaults(handler=cmd_reproduce)
 
     return parser

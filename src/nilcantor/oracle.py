@@ -17,8 +17,6 @@ explicit checks that raise ContractError, so they hold under
 
 from __future__ import annotations
 
-import random
-
 from ._value import Value, set_field
 from .errors import ContractError, ResourceError
 from .heisenberg import BoxSubgroup, HeisenbergElement
@@ -45,17 +43,13 @@ FIXING_PAIRS_FACTOR = 4
 
 
 class OracleBudget(Value):
-    __slots__ = ("max_modulus", "max_group_order", "seed")
+    __slots__ = ("max_modulus", "max_group_order")
 
-    def __init__(self, max_modulus: int = 12, max_group_order: int = 10**6, seed: int = 0):
+    def __init__(self, max_modulus: int = 12, max_group_order: int = 10**6):
         if min(max_modulus, max_group_order) < 1:
             raise ContractError("budget fields must be positive")
         set_field(self, "max_modulus", max_modulus)
         set_field(self, "max_group_order", max_group_order)
-        set_field(self, "seed", seed)
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
 
 
 DEFAULT_BUDGET = OracleBudget()

@@ -112,14 +112,6 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-def next_prime(n: int) -> int:
-    """The least prime > n."""
-    m = max(_check_int(n, "n") + 1, 2)
-    while not isprime(m):
-        m += 1
-    return m
-
-
 @functools.lru_cache(maxsize=256)
 def _lucy(x: int) -> int:
     """pi(x) by the Lucy_Hedgehog recursion: after sieving by p, small[v]

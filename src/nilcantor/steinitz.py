@@ -531,76 +531,48 @@ def _below_almost_everywhere(x1: SteinitzNumber, x2: SteinitzNumber) -> bool:
     return _covers(t2, t1) and t1.exponent <= t2.exponent
 
 
-def _check_inspected(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> None:
-    """Refuse a True answer unless every prime at which the two
-    representations can differ by a finite amount lies within `bound`."""
-    needed = set(x1.explicit_primes()) | set(x2.explicit_primes())
-    if x1.tail is not None and x2.tail is not None:
-        needed |= _one_sided(x1.tail, x2.tail)
-    over = sorted(p for p in needed if p > bound)
-    if over:
-        raise UndecidableError(
-            f"undecidable with bound {bound}: primes {over} must be inspected"
-        )
-
-
-def asymptotically_equivalent(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> bool:
+def asymptotically_equivalent(x1: SteinitzNumber, x2: SteinitzNumber) -> bool:
     """Exact test for m*xi1 = m'*xi2 with finite m, m'.
 
     Characterization: chi1 <= chi2 and chi2 <= chi1 at all but finitely
-    many primes, and identical infinite parts.  A True answer inspects the
-    explicit primes of both numbers and the dropped primes that only one
-    tail enumerates; when one of them lies beyond `bound`,
-    UndecidableError names it.
+    many primes, and identical infinite parts.  Explicit primes and the
+    dropped primes that only one tail enumerates are finitely many, so
+    they never change the answer and are not inspected.  Raises
+    UndecidableError only for two tails whose enumerations cannot be
+    related (see `_covers`).
     """
-    if bound < 2:
-        raise ContractError("bound must be at least 2")
     if set(x1.infinite_primes) != set(x2.infinite_primes):
         return False
-    if not (_below_almost_everywhere(x1, x2) and _below_almost_everywhere(x2, x1)):
-        return False
-    _check_inspected(x1, x2, bound)
-    return True
+    return _below_almost_everywhere(x1, x2) and _below_almost_everywhere(x2, x1)
 
 
-def type_leq(x1: SteinitzNumber, x2: SteinitzNumber, bound: int) -> bool:
+def type_leq(x1: SteinitzNumber, x2: SteinitzNumber) -> bool:
     """The type order: some representatives satisfy chi1 <= chi2 pointwise.
 
     Decidable criterion: pi_inf(xi1) a subset of pi_inf(xi2), and
     chi1(p) <= chi2(p) for all but finitely many p.  Multiplying a
     representative by an integer only raises finitely many finite
-    exponents, which absorbs any finite set of violations.  A True answer
-    inspects the same primes as `asymptotically_equivalent`.
+    exponents, which absorbs any finite set of violations.  Raises
+    UndecidableError only where `asymptotically_equivalent` does.
     """
-    if bound < 2:
-        raise ContractError("bound must be at least 2")
     if not set(x1.infinite_primes) <= set(x2.infinite_primes):
         return False
-    if not _below_almost_everywhere(x1, x2):
-        return False
-    _check_inspected(x1, x2, bound)
-    return True
+    return _below_almost_everywhere(x1, x2)
 
 
 # -- almost-disjoint infinite prime sets -------------------------------------
 
 
-def almost_disjoint_spectra(count: int, depth: int) -> list[TreeBranchPrimes]:
+def almost_disjoint_spectra(count: int) -> list[TreeBranchPrimes]:
     """`count` infinite prime sets, pairwise sharing fewer than `width`
     elements (width = bits needed to label the branches).
 
     Deterministic: set k follows the binary-tree branch whose first bits
-    spell k.  Each result is a decidable membership predicate on primes
-    (and on prime indices via the heap codes of branch prefixes).
+    spell k, so any count >= 1 is served.  Each result is a decidable
+    membership predicate on primes (and on prime indices via the heap
+    codes of branch prefixes).
     """
     if count < 1:
         raise ContractError("count must be >= 1")
-    if depth < 1:
-        raise ContractError("depth must be >= 1")
     width = max(1, (count - 1).bit_length())
-    if width - 1 > depth:
-        raise ContractError(
-            f"{count} branches can share up to {width - 1} elements; "
-            f"raise depth to at least {width - 1}"
-        )
     return [TreeBranchPrimes(branch=k, width=width) for k in range(count)]

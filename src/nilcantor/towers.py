@@ -41,13 +41,7 @@ from ._value import Value, set_field
 from .errors import ContractError
 from .heisenberg import BoxSubgroup, HeisenbergElement
 from .primes import isprime
-from .steinitz import (
-    INF,
-    PrimeEnumeration,
-    Primes,
-    SteinitzNumber,
-    TailSchedule,
-)
+from .steinitz import PrimeEnumeration, Primes, SteinitzNumber, TailSchedule
 
 __all__ = [
     "CoordSchedule",

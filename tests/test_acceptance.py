@@ -164,7 +164,7 @@ def _all_boxes(limit):
 
 def test_criterion_6_oracle_equivalence_suite():
     with _Budget("ACCEPTANCE-6 oracle equivalence", 60.0):
-        budget = OracleBudget(max_modulus=12, seed=20260810)
+        budget = OracleBudget(max_modulus=12)
         boxes = list(_all_boxes(8))
         # core and the trivial-action kernel of the whole space
         for box in boxes:
@@ -178,7 +178,7 @@ def test_criterion_6_oracle_equivalence_suite():
             for g, rep in table.items():
                 assert space.canonical(HeisenbergElement(*g)) == rep
         # 200 seeded random nested pairs with moduli <= 12
-        rng = budget.rng()
+        rng = random.Random(20260810)
         pairs = []
         while len(pairs) < 200:
             ma, mb = rng.randrange(1, 13), rng.randrange(1, 13)
@@ -278,28 +278,28 @@ def test_criterion_7_steinitz_property_suite():
         # equivalence: reflexive, symmetric, transitive, preserves pi_inf
         sample = numbers[:25]
         for x in sample:
-            assert asymptotically_equivalent(x, x, 101)
+            assert asymptotically_equivalent(x, x)
         for x in sample:
             for y in sample:
-                exy = asymptotically_equivalent(x, y, 101)
-                assert exy == asymptotically_equivalent(y, x, 101)
+                exy = asymptotically_equivalent(x, y)
+                assert exy == asymptotically_equivalent(y, x)
                 if exy:
                     assert set(x.infinite_primes) == set(y.infinite_primes)
                 for z in sample[:12]:
-                    if exy and asymptotically_equivalent(y, z, 101):
-                        assert asymptotically_equivalent(x, z, 101)
+                    if exy and asymptotically_equivalent(y, z):
+                        assert asymptotically_equivalent(x, z)
 
 
 def test_criterion_8_almost_disjoint_wild_chains():
     with _Budget("ACCEPTANCE-8 almost-disjoint spectra", 5.0):
-        count, bound = 5, 200
-        sets = almost_disjoint_spectra(count, depth=8)
+        count = 5
+        sets = almost_disjoint_spectra(count)
         chains = [wild_chain(2, 1, enumeration=s) for s in sets]
         limits = [c.steinitz_order(3).limit for c in chains]
         inequivalent = 0
         for i in range(count):
             for j in range(i + 1, count):
-                if not asymptotically_equivalent(limits[i], limits[j], bound):
+                if not asymptotically_equivalent(limits[i], limits[j]):
                     inequivalent += 1
         assert inequivalent == 10
         for chain in chains:

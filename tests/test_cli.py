@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, report shape, golden reproduce scenarios."""
 
+import ast
 import importlib
 import io
 import os
@@ -345,6 +346,31 @@ def test_every_export_resolves():
         namespace = {}
         exec(f"from {module.__name__} import *", namespace)
         assert set(module.__all__) <= set(namespace)
+
+
+def unused_imports(source: str, exported=()) -> list:
+    """Names the top-level imports of `source` bind and its code never
+    reads, except `__future__` features and the `exported` names."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read - set(exported))
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = {}
+    for path in sorted(pathlib.Path(nilcantor.__file__).parent.glob("*.py")):
+        name = "nilcantor" if path.stem == "__init__" else f"nilcantor.{path.stem}"
+        module = importlib.import_module(name)
+        names = unused_imports(path.read_text(), getattr(module, "__all__", ()))
+        if names:
+            unused[path.stem] = names
+    assert unused == {}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))

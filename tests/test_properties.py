@@ -1,14 +1,16 @@
 """Properties from the paper on generated chains, each against an
 independent route.
 
-The chain strategy draws from the same distribution as the benchmark's
-generator (`perfbench/gen_chains.py` `draw_chain`): one or two explicit
-primes from {2, 3, 5}, each coordinate with a random start, base and
-slope, and an indexed family over the remaining primes 30 % of the time.
-Draws that `ChainSpec` rejects are discarded.
+Chains come from the benchmark's generator (`perfbench/gen_chains.py`
+`draw_chain`) fed by a Hypothesis-controlled random stream: one or two
+explicit primes from {2, 3, 5}, each coordinate with a random start, base
+and slope, and an indexed family over the remaining primes 30 % of the
+time.  Draws that `ChainSpec` rejects are discarded.
 """
 
+import sys
 from math import lcm
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
@@ -21,43 +23,32 @@ from nilcantor.dynamics import (
     wildness_certificate,
 )
 from nilcantor.errors import ContractError
-from nilcantor.steinitz import Primes
-from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule
 
-EXPLICIT_PRIMES = (2, 3, 5)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from gen_chains import draw_chain  # noqa: E402
+
 WINDOW = (3, 5)  # wildness certificate: max cylinder, max depth
 WIDE_WINDOW = (4, 9)
 SCAN_DEPTH = 3
 MAX_QUOTIENT = 5000  # |Q_d| a fixing scan may enumerate
 ORDER_DEPTH = 4  # raw Steinitz orders are checked at depths 1..ORDER_DEPTH
 LAW_CYLINDERS = range(0, 4)
-LAW_DEPTHS = (40, 41)  # past every start and line crossing the strategy can draw
+LAW_DEPTHS = (40, 41)  # past every start and line crossing the generator can draw
 LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
-
-schedules = st.builds(
-    CoordSchedule, st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)
-)
 
 
 @st.composite
-def chains(draw, family=st.sampled_from((True,) * 3 + (False,) * 7)):
-    primes = draw(st.lists(st.sampled_from(EXPLICIT_PRIMES), min_size=1, max_size=2, unique=True))
-    entries = tuple(
-        PrimeSchedule(p, draw(schedules), draw(schedules), draw(schedules)) for p in sorted(primes)
-    )
-    fam = None
-    if draw(family):
-        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-        fam = (Primes(exclude=tuple(primes)), a, b, draw(st.integers(0, a + b)))
+def chains(draw, family=st.none()):
+    """A `draw_chain` chain; when `family` draws a bool, only chains that
+    have (True) or lack (False) an indexed family are kept."""
     try:
-        return ChainSpec(
-            "generated",
-            entries,
-            IndexedFamily(*fam) if fam else None,
-            trivial_intersection=False,
-        )
+        chain = draw_chain(draw(st.randoms(use_true_random=False)))
     except ContractError:
         reject()
+    wanted = draw(family)
+    if wanted is not None and wanted != (chain.family is not None):
+        reject()
+    return chain
 
 
 PROPERTY_SETTINGS = settings(

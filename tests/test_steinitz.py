@@ -10,6 +10,7 @@ from nilcantor.errors import ContractError, UndecidableError
 from nilcantor.steinitz import (
     INF,
     ONE,
+    PrimeEnumeration,
     Primes,
     SteinitzNumber,
     TailSchedule,
@@ -19,6 +20,7 @@ from nilcantor.steinitz import (
     spectra,
     type_leq,
 )
+from nilcantor.primes import isprime, nth_prime, primepi
 from nilcantor.towers import PrimeSchedule
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -196,39 +198,39 @@ def test_spectra_truncation_flags():
 def test_equivalence_examples():
     a = SteinitzNumber({3: 1}, infinite_primes=(2,))
     b = SteinitzNumber({3: 2}, infinite_primes=(2,))
-    assert asymptotically_equivalent(a, b, 10)
+    assert asymptotically_equivalent(a, b)
     c = SteinitzNumber(infinite_primes=(2,))
     d = SteinitzNumber(infinite_primes=(2, 3))
-    assert not asymptotically_equivalent(c, d, 10)
+    assert not asymptotically_equivalent(c, d)
 
 
 def test_equivalence_all_primes_versus_odd_primes():
     every = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
     odd = SteinitzNumber(tail=TailSchedule(Primes(), 1, 1))
-    assert asymptotically_equivalent(every, odd, 10)
+    assert asymptotically_equivalent(every, odd)
 
 
 def test_equivalence_is_equivalence_relation():
     rng = random.Random(107)
     numbers = [random_explicit(rng) for _ in range(60)]
     for x in numbers[:20]:
-        assert asymptotically_equivalent(x, x, 101)
+        assert asymptotically_equivalent(x, x)
     for x in numbers:
         for y in numbers[:10]:
-            assert asymptotically_equivalent(x, y, 101) == asymptotically_equivalent(y, x, 101)
+            assert asymptotically_equivalent(x, y) == asymptotically_equivalent(y, x)
     # transitivity on a seeded sample
     for x in numbers[:15]:
         for y in numbers[:15]:
             for z in numbers[:15]:
-                if asymptotically_equivalent(x, y, 101) and asymptotically_equivalent(y, z, 101):
-                    assert asymptotically_equivalent(x, z, 101)
+                if asymptotically_equivalent(x, y) and asymptotically_equivalent(y, z):
+                    assert asymptotically_equivalent(x, z)
 
 
 def test_equivalence_preserves_infinite_spectrum():
     rng = random.Random(109)
     for _ in range(200):
         x, y = random_explicit(rng), random_explicit(rng)
-        if asymptotically_equivalent(x, y, 101):
+        if asymptotically_equivalent(x, y):
             assert set(x.infinite_primes) == set(y.infinite_primes)
 
 
@@ -251,15 +253,48 @@ def test_equivalence_against_multiplier_oracle():
         infs = (5,) if rng.random() < 0.5 else ()
         x = SteinitzNumber(fp1, infinite_primes=infs)
         y = SteinitzNumber(fp2, infinite_primes=infs)
-        assert asymptotically_equivalent(x, y, 101) == oracle(x, y)
+        assert asymptotically_equivalent(x, y) == oracle(x, y)
 
 
-def test_undecidable_when_bound_too_small():
-    x = SteinitzNumber({101: 2})
-    y = SteinitzNumber({101: 3})
-    with pytest.raises(UndecidableError):
-        asymptotically_equivalent(x, y, 10)
-    assert asymptotically_equivalent(x, y, 101)
+class EveryOtherPrime(PrimeEnumeration):
+    """2, 5, 11, 17, ...: an enumeration the comparisons cannot relate to
+    any other."""
+
+    def prime(self, i):
+        return nth_prime(2 * i + 1)
+
+    def index_of(self, p):
+        if not isprime(p) or primepi(p) % 2 == 0:
+            return None
+        return primepi(p) // 2
+
+    def key(self):
+        return "every-other-prime"
+
+
+def test_undecidable_only_for_unrelated_enumerations():
+    # Explicit primes and one-sided dropped primes are finitely many, so
+    # no prime bound is needed, however large they are.
+    assert asymptotically_equivalent(SteinitzNumber({101: 2}), SteinitzNumber({101: 3}))
+    pairs = (
+        ("branch{0/1}^1@0", "branch{0/1}^2@4"),  # one-sided primes 19 and 53
+        ("primes{excl=101}^1@1", "primes^2@0"),  # one-sided prime 101
+    )
+    for low, high in pairs:
+        x = SteinitzNumber(tail=TailSchedule.parse(low))
+        y = SteinitzNumber(tail=TailSchedule.parse(high))
+        assert type_leq(x, y)
+        assert not type_leq(y, x)
+        assert not asymptotically_equivalent(x, y)
+    # The one refusal left: a tail over an enumeration that is neither all
+    # primes nor a tree branch.
+    other = SteinitzNumber(tail=TailSchedule(EveryOtherPrime(), 1))
+    every = SteinitzNumber(tail=TailSchedule(Primes(), 1))
+    for compare in (asymptotically_equivalent, type_leq):
+        with pytest.raises(UndecidableError, match="every-other-prime"):
+            compare(other, every)
+        with pytest.raises(UndecidableError):
+            compare(every, other)
 
 
 # -- the type order -----------------------------------------------------------------
@@ -268,11 +303,11 @@ def test_undecidable_when_bound_too_small():
 def test_type_leq_examples():
     a = SteinitzNumber(infinite_primes=(2,))
     b = SteinitzNumber(infinite_primes=(2, 3))
-    assert type_leq(a, b, 10)
-    assert not type_leq(b, a, 10)
+    assert type_leq(a, b)
+    assert not type_leq(b, a)
     x = SteinitzNumber({2: 5, 3: 1})
     y = SteinitzNumber({2: 1, 3: 1})
-    assert type_leq(x, y, 10)
+    assert type_leq(x, y)
 
 
 def test_type_leq_brute_force_multiplier_search():
@@ -289,39 +324,39 @@ def test_type_leq_brute_force_multiplier_search():
     found = any(
         dominated(x, SteinitzNumber.from_int(m).product(y)) for m in range(1, 2**6)
     )
-    assert found and type_leq(x, y, 10)
+    assert found and type_leq(x, y)
 
 
 def test_type_leq_reflexive_transitive_and_divisibility():
     rng = random.Random(113)
     numbers = [random_explicit(rng) for _ in range(30)]
     for x in numbers:
-        assert type_leq(x, x, 101)
+        assert type_leq(x, x)
     for x in numbers[:10]:
         for y in numbers[:10]:
             for z in numbers[:10]:
-                if type_leq(x, y, 101) and type_leq(y, z, 101):
-                    assert type_leq(x, z, 101)
+                if type_leq(x, y) and type_leq(y, z):
+                    assert type_leq(x, z)
     for x in numbers[:10]:
         bigger = x.product(SteinitzNumber.from_int(360))
-        assert type_leq(x, bigger, 101)
+        assert type_leq(x, bigger)
 
 
 def test_type_leq_with_tails():
     small = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
     large = SteinitzNumber(tail=TailSchedule(Primes(), 3, 0))
-    assert type_leq(small, large, 10)
-    assert not type_leq(large, small, 10)
-    assert not type_leq(small, ONE, 10)
-    assert type_leq(ONE, small, 10)
+    assert type_leq(small, large)
+    assert not type_leq(large, small)
+    assert not type_leq(small, ONE)
+    assert type_leq(ONE, small)
 
 
 def test_branch_below_all_primes():
     branch = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(0, 1), 1))
     every = SteinitzNumber(tail=TailSchedule(Primes(), 1))
-    assert type_leq(branch, every, 10)
-    assert not type_leq(every, branch, 10)
-    assert not asymptotically_equivalent(branch, every, 10)
+    assert type_leq(branch, every)
+    assert not type_leq(every, branch)
+    assert not asymptotically_equivalent(branch, every)
 
 
 def test_branches_with_one_stripped_word_are_one_set():
@@ -332,7 +367,7 @@ def test_branches_with_one_stripped_word_are_one_set():
     ]
     for x in numbers:
         for y in numbers:
-            assert asymptotically_equivalent(x, y, 100)
+            assert asymptotically_equivalent(x, y)
 
 
 # -- tails against multiplicities ----------------------------------------------
@@ -386,8 +421,8 @@ def below(x, y, primes):
 def test_tails_agree_with_multiplicities(x, y):
     far = sampled_primes(x, y)
     inf_x, inf_y = set(x.infinite_primes), set(y.infinite_primes)
-    assert type_leq(x, y, 100) == (inf_x <= inf_y and below(x, y, far))
-    assert asymptotically_equivalent(x, y, 100) == (
+    assert type_leq(x, y) == (inf_x <= inf_y and below(x, y, far))
+    assert asymptotically_equivalent(x, y) == (
         inf_x == inf_y and below(x, y, far) and below(y, x, far)
     )
     covering = x.tail is None or y.tail is None or all(
@@ -409,7 +444,7 @@ def test_tails_agree_with_multiplicities(x, y):
 
 
 def test_almost_disjoint_counts_and_intersections():
-    sets = almost_disjoint_spectra(2, 10)
+    sets = almost_disjoint_spectra(2)
     a = {sets[0].prime(i) for i in range(10)}
     b = {sets[1].prime(i) for i in range(10)}
     inter = a & b
@@ -421,7 +456,7 @@ def test_almost_disjoint_counts_and_intersections():
 
 
 def test_almost_disjoint_single_set():
-    (s,) = almost_disjoint_spectra(1, 5)
+    (s,) = almost_disjoint_spectra(1)
     ps = [s.prime(i) for i in range(8)]
     assert len(set(ps)) == 8
     assert ps == sorted(ps)
@@ -429,15 +464,15 @@ def test_almost_disjoint_single_set():
 
 
 def test_almost_disjoint_pairwise_inequivalent():
-    sets = almost_disjoint_spectra(3, 10)
+    sets = almost_disjoint_spectra(3)
     numbers = [SteinitzNumber(tail=TailSchedule(s, 1)) for s in sets]
     for i in range(3):
         for j in range(i + 1, 3):
-            assert not asymptotically_equivalent(numbers[i], numbers[j], 200)
+            assert not asymptotically_equivalent(numbers[i], numbers[j])
 
 
 def test_almost_disjoint_membership_is_decidable():
-    sets = almost_disjoint_spectra(4, 10)
+    sets = almost_disjoint_spectra(4)
     for s in sets:
         for i in range(6):
             p = s.prime(i)
@@ -449,9 +484,9 @@ def test_almost_disjoint_membership_is_decidable():
             assert len(shared) < 2  # width-2 labels share at most the root prefix
 
 
-def test_almost_disjoint_depth_contract():
+def test_almost_disjoint_count_contract():
     with pytest.raises(ContractError):
-        almost_disjoint_spectra(0, 5)
+        almost_disjoint_spectra(0)
 
 
 # -- serialization ----------------------------------------------------------------------
