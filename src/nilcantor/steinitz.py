@@ -34,8 +34,8 @@ import re
 from typing import Iterator, Optional
 
 from ._value import Value, set_field
-from .errors import ContractError, UndecidableError
-from .primes import factorize, isprime, nth_prime, primepi
+from .errors import ContractError, ResourceError, UndecidableError
+from .primes import SIEVE_CAP, factorize, isprime, nth_prime, primepi
 
 __all__ = [
     "INF",
@@ -505,6 +505,8 @@ class PrimeSpectra(Value):
 def spectra(xi: SteinitzNumber, bound: int) -> PrimeSpectra:
     if bound < 2:
         raise ContractError("bound must be at least 2")
+    if xi.tail is not None and bound > SIEVE_CAP:
+        raise ResourceError(f"listing tail primes up to {bound} exceeds the sieve cap {SIEVE_CAP}")
     finite = sorted(p for p, _ in xi.finite_part if p <= bound)
     if xi.tail is not None:
         finite = sorted(set(finite) | set(xi.tail.iter_upto(bound)))

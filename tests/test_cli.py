@@ -199,6 +199,10 @@ def test_resource_exhaustion_exits_3(capsys):
         capsys,
     )
     assert code == 3 and "exceeds budget" in err
+    huge = ["spectrum", "wild", "--n", "2", "--r", "1", "--depth", "3", "--bound", str(10**17)]
+    code, out, err = run_cli(huge, capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert str(10**17) in err and "sieve cap 4194304" in err
 
 
 def test_config_file_chain(tmp_path, capsys):

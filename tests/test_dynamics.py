@@ -130,13 +130,8 @@ def test_lqa_witness_acts_as_advertised():
     assert any(space.canonical(g * h) != space.canonical(h) for h in reps_large)
 
 
-def test_lqa_witness_judges_persistence_at_its_one_depth():
-    # The family prime 3 opens a gap of 3 between cylinders 1 and 2 at every
-    # depth; the schedules predict it and it survives the limit.  At depth 2
-    # both kernel towers map onto the shallower kernels; from depth 3 on
-    # (where prime 5's c-schedule starts) neither does, and a nontrivial
-    # gap needs that surjectivity at every depth it is tested at.
-    chain = ChainSpec(
+def _window_chain():
+    return ChainSpec(
         "window",
         (
             PrimeSchedule(
@@ -146,6 +141,15 @@ def test_lqa_witness_judges_persistence_at_its_one_depth():
         IndexedFamily(Primes(exclude=(5,)), 2, 0, 1),
         trivial_intersection=False,
     )
+
+
+def test_lqa_witness_judges_persistence_at_its_one_depth():
+    # The family prime 3 opens a gap of 3 between cylinders 1 and 2 at every
+    # depth; the schedules predict it and it survives the limit.  At depth 2
+    # both kernel towers map onto the shallower kernels; from depth 3 on
+    # (where prime 5's c-schedule starts) neither does, and a nontrivial
+    # gap needs that surjectivity at every depth it is tested at.
+    chain = _window_chain()
     at_2, at_3 = lqa_witness(chain, 1, 2, 2), lqa_witness(chain, 1, 2, 3)
     assert at_2.kernel_order == at_3.kernel_order == 3
     assert at_2.persistent and not at_3.persistent
@@ -177,6 +181,19 @@ def test_wild_family_certificate():
     assert orders == {(1, 2): 3, (1, 3): 15, (2, 3): 5}
     assert all(r.persistent for r in cert.reports)
     assert cert.evidence_grade == "schedule-certified"
+
+
+def test_failed_persistence_flags_do_not_hide_wildness():
+    # `_window_chain`'s pairs fail the printed persistence flag from
+    # depth 3 on, in prime 5's growing parts, which die in the limit.  The
+    # family gap g = 1 survives at every cylinder, so every window reads
+    # the same wild verdict off the schedules.
+    chain = _window_chain()
+    for window in ((2, 2), (2, 3), (3, 5), (4, 9)):
+        cert = wildness_certificate(chain, *window)
+        assert cert.verdict == "WildEvidence" and cert.reason is None
+        assert cert.evidence_grade == "schedule-certified"
+    assert not all(r.persistent for r in wildness_certificate(chain, 2, 3).reports)
 
 
 def test_wild_kernel_orders_match_activation_product():

@@ -12,29 +12,50 @@ import sys
 from math import lcm
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from nilcantor import oracle
 from nilcantor.dynamics import (
+    _family_activation_gap,
     _kernel_eventual,
     lqa_witness,
     trivial_action_kernel,
     wildness_certificate,
 )
 from nilcantor.errors import ContractError
+from nilcantor.heisenberg import index_in
+from nilcantor.steinitz import Primes
+from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from gen_chains import draw_chain  # noqa: E402
 
 WINDOW = (3, 5)  # wildness certificate: max cylinder, max depth
 WIDE_WINDOW = (4, 9)
+VERDICT_WINDOWS = ((2, 2), (2, 3), WINDOW, WIDE_WINDOW)
 SCAN_DEPTH = 3
 MAX_QUOTIENT = 5000  # |Q_d| a fixing scan may enumerate
 ORDER_DEPTH = 4  # raw Steinitz orders are checked at depths 1..ORDER_DEPTH
 LAW_CYLINDERS = range(0, 4)
 LAW_DEPTHS = (40, 41)  # past every start and line crossing the generator can draw
 LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
+SYLOW_CYLINDERS = 4  # gaps (l1, l2) with l1 < l2 <= SYLOW_CYLINDERS ...
+SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
+
+# From depth 3 on, prime 5's growing parts break the kernel towers'
+# surjectivity, so the printed persistence flags fail in windows past
+# (2,2); those parts die in the limit and must not move the verdict.
+PERSISTENCE_BREAKER = ChainSpec(
+    "persistence-breaker",
+    (
+        PrimeSchedule(
+            5, a=CoordSchedule(1, 1, 1), b=CoordSchedule(1, 2, 2), c=CoordSchedule(3, 2, 1)
+        ),
+    ),
+    IndexedFamily(Primes(exclude=(5,)), 2, 0, 1),
+    trivial_intersection=False,
+)
 
 
 @st.composite
@@ -146,7 +167,38 @@ def test_kernel_law_is_the_closed_form_at_depth(chain):
 
 
 @PROPERTY_SETTINGS
+@given(chains(family=st.just(True)))
+def test_family_gap_decides_wildness(chain):
+    # Theorem 1.5: a family that opens a kernel gap g >= 1 at each of its
+    # endless activations makes the chain wild; with g = 0 it opens none
+    # and the finitely many explicit primes leave it stable.
+    expected = "WildEvidence" if _family_activation_gap(chain) >= 1 else "StableCertified"
+    for window in (WINDOW, WIDE_WINDOW):
+        assert wildness_certificate(chain, *window).verdict == expected
+
+
+@PROPERTY_SETTINGS
+@given(chains(family=st.just(True)))
+def test_family_part_of_a_gap_is_q_to_the_g(chain):
+    # The Sylow argument, by the numeric route: family primes are disjoint
+    # from the explicit ones, so in the gap of cylinders l1 < l2 at depth d
+    # the family prime entering at level i has valuation g when
+    # l1 < i <= l2 and 0 otherwise, whatever the explicit primes do.
+    g = _family_activation_gap(chain)
+    for d in range(2, SYLOW_DEPTH + 1):
+        top = min(d, SYLOW_CYLINDERS)
+        kernels = {l: trivial_action_kernel(chain, l, d) for l in range(1, top + 1)}
+        for l2 in range(2, top + 1):
+            for l1 in range(1, l2):
+                gap = index_in(kernels[l2], kernels[l1])
+                for i in range(1, d + 1):
+                    expected = g if l1 < i <= l2 else 0
+                    assert _valuation(gap, chain.family.prime_at(i)) == expected
+
+
+@PROPERTY_SETTINGS
 @given(chains())
+@example(PERSISTENCE_BREAKER)
 def test_wildness_verdict_is_window_independent(chain):
-    narrow = wildness_certificate(chain, *WINDOW).verdict
-    assert wildness_certificate(chain, *WIDE_WINDOW).verdict == narrow
+    verdicts = {wildness_certificate(chain, *window).verdict for window in VERDICT_WINDOWS}
+    assert len(verdicts) == 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcantor.errors import ContractError, UndecidableError
+from nilcantor.errors import ContractError, ResourceError, UndecidableError
 from nilcantor.steinitz import (
     INF,
     ONE,
@@ -20,7 +20,7 @@ from nilcantor.steinitz import (
     spectra,
     type_leq,
 )
-from nilcantor.primes import isprime, nth_prime, primepi
+from nilcantor.primes import SIEVE_CAP, isprime, nth_prime, primepi
 from nilcantor.towers import PrimeSchedule
 
 PRIMES = (2, 3, 5, 7, 11, 13)
@@ -190,6 +190,15 @@ def test_spectra_truncation_flags():
     assert sp.pi_inf.complete
     big = SteinitzNumber({101: 1})
     assert not spectra(big, 10).pi_f.complete
+
+
+def test_spectra_refuses_a_tail_past_the_sieve_cap():
+    tailed = SteinitzNumber(tail=TailSchedule(Primes(), 1, 295_944))  # the last 3 sieved primes
+    assert spectra(tailed, SIEVE_CAP).pi_f.primes == (4194277, 4194287, 4194301)
+    with pytest.raises(ResourceError, match=f"{SIEVE_CAP + 1} exceeds the sieve cap {SIEVE_CAP}"):
+        spectra(tailed, SIEVE_CAP + 1)
+    # without a tail nothing is enumerated, so any bound is fine
+    assert spectra(SteinitzNumber({101: 1}), 10**17).pi_f.complete
 
 
 # -- asymptotic equivalence --------------------------------------------------------
