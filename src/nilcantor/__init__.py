@@ -19,7 +19,7 @@ reports (:mod:`nilcantor.cli`).
 
 __version__ = "0.1.0"
 
-from .errors import ContractError, ResourceError, UndecidableError
+from .errors import ContractError, ResourceError
 from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement
 from .steinitz import INF, PrimeSpectra, SteinitzNumber
 from .towers import ChainSpec, CosetSpace, FiniteQuotient, builtin_chain
@@ -35,7 +35,6 @@ __all__ = [
     "__version__",
     "ContractError",
     "ResourceError",
-    "UndecidableError",
     "BoxSubgroup",
     "HeisenbergElement",
     "GAMMA",

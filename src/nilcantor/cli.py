@@ -3,8 +3,8 @@
 Every command writes exactly one report to stdout, with all quantities as
 exact integers (never floating point), and is byte-identical across runs
 with the same inputs.  Exit codes: 0 success, 2 contract
-violation (bad flags, parse errors, broken invariants, undecidable
-questions), 3 resource exhaustion (oracle budgets, prime-layer caps).
+violation (bad flags, parse errors, broken invariants), 3 resource
+exhaustion (oracle budgets, prime-layer caps).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import sys
 
 from . import __version__
-from ._value import Value, set_field
 from .dynamics import (
     Certificate,
     discriminant_limit_report,
@@ -38,45 +37,24 @@ from .towers import ChainSpec, CosetSpace, builtin_chain, parse_chain_config, wi
 BUDGET_ENV = "NILCANTOR_MAX_GROUP_ORDER"
 
 
-class Report(Value):
+def render(command: str, chain: str, parameters, results, evidence_grade: str, seed: int) -> str:
     """One command's report; `results` holds lines, each a (key, value)
     pair or a plain string."""
-
-    __slots__ = ("command", "chain", "parameters", "results", "evidence_grade", "seed")
-
-    def __init__(
-        self,
-        command: str,
-        chain: str,
-        parameters: tuple,
-        results: tuple,
-        evidence_grade: str,
-        seed: int = 0,
-    ):
-        set_field(self, "command", command)
-        set_field(self, "chain", chain)
-        set_field(self, "parameters", parameters)
-        set_field(self, "results", results)
-        set_field(self, "evidence_grade", evidence_grade)
-        set_field(self, "seed", seed)
-
-    def render(self) -> str:
-        lines = [
-            f"command: {self.command}",
-            f"chain: {self.chain}",
-            "parameters: "
-            + (" ".join(f"{k}={v}" for k, v in self.parameters) or "(none)"),
-            f"evidence_grade: {self.evidence_grade}",
-            "results:",
-        ]
-        for item in self.results:
-            if isinstance(item, tuple):
-                lines.append(f"  {item[0]}: {item[1]}")
-            else:
-                lines.append(f"  {item}")
-        lines.append(f"tool_version: {__version__}")
-        lines.append(f"seed: {self.seed}")
-        return "\n".join(lines) + "\n"
+    lines = [
+        f"command: {command}",
+        f"chain: {chain}",
+        "parameters: " + (" ".join(f"{k}={v}" for k, v in parameters) or "(none)"),
+        f"evidence_grade: {evidence_grade}",
+        "results:",
+    ]
+    for item in results:
+        if isinstance(item, tuple):
+            lines.append(f"  {item[0]}: {item[1]}")
+        else:
+            lines.append(f"  {item}")
+    lines.append(f"tool_version: {__version__}")
+    lines.append(f"seed: {seed}")
+    return "\n".join(lines) + "\n"
 
 
 # -- chain references ----------------------------------------------------------
@@ -153,7 +131,7 @@ def _add_chain_arguments(sub):
 # -- commands -------------------------------------------------------------------
 #
 # Each cmd_* handler returns (chain label, parameters, result lines,
-# evidence grade); `main` renders them as the command's one Report.
+# evidence grade); `main` renders them as the command's one report.
 
 
 def _spectra_lines(sp) -> list:
@@ -527,8 +505,7 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
-    report = Report(args.command, chain, parameters, tuple(results), grade, seed=args.seed)
-    sys.stdout.write(report.render())
+    sys.stdout.write(render(args.command, chain, parameters, results, grade, args.seed))
     return 0
 
 

@@ -6,17 +6,17 @@ with multiplicities chi(p) in {0, 1, ..., oo}.  Values here are stored as
   * ``finite_part``      -- finitely many explicit primes with finite
                             exponent >= 1,
   * ``infinite_primes``  -- finitely many explicit primes with exponent oo,
-  * ``tail``             -- optionally, a deterministic enumeration of
-                            infinitely many further primes, all carrying
-                            the same finite exponent.  Orders of chains
-                            whose finite spectrum is infinite need this.
+  * ``tail``             -- optionally, infinitely many further primes,
+                            all carrying the same finite exponent,
+                            enumerated from every prime or from one branch
+                            of the binary tree.  Orders of chains whose
+                            finite spectrum is infinite need this.
 
-The three parts are pairwise disjoint.  All operations are exact: when a
-question cannot be settled from the representation (e.g. comparing two
-unrelated black-box tails) the functions raise
-:class:`~nilcantor.errors.UndecidableError` instead of guessing, and an
-exponent is reported as oo only when the caller supplies schedule-level
-certification (see the towers module), never by extrapolating finite data.
+The three parts are pairwise disjoint.  All operations are exact: the two
+prime sets decide every comparison, so equivalence and the type order
+answer for every pair of numbers, and an exponent is reported as oo only
+when the caller supplies schedule-level certification (see the towers
+module), never by extrapolating finite data.
 
 Two Steinitz numbers are *asymptotically equivalent* when m*xi = m'*xi'
 for some positive integers m, m'; concretely, when their multiplicities
@@ -34,7 +34,7 @@ import re
 from typing import Iterator, Optional
 
 from ._value import Value, set_field
-from .errors import ContractError, ResourceError, UndecidableError
+from .errors import ContractError, ResourceError
 from .primes import SIEVE_CAP, factorize, isprime, nth_prime, primepi
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "SteinitzNumber",
     "PrimeSet",
     "PrimeSpectra",
-    "PrimeEnumeration",
     "Primes",
     "TreeBranchPrimes",
     "TailSchedule",
@@ -95,34 +94,19 @@ def _check_prime(p) -> int:
     return p
 
 
-# -- prime enumerations for tails -----------------------------------------
+# -- the two prime sets a tail enumerates ---------------------------------
+#
+# Every prime (Theorem 1.5's family) and one branch of the binary tree
+# (Corollary 1.6).  Each enumerates strictly increasingly with decidable
+# membership: `prime(i)` (0-indexed), its inverse `index_of(p)` or None,
+# the identity string `key()` of serialized tails, and `excluding(p)`,
+# the same set without p or None when that is not expressible.
 
 
-class PrimeEnumeration:
-    """A deterministic, strictly increasing enumeration of infinitely many
-    primes with decidable membership.  Subclasses are value objects."""
-
-    def prime(self, i: int) -> int:
-        """The i-th enumerated prime (0-indexed)."""
-        raise NotImplementedError
-
-    def index_of(self, p: int) -> Optional[int]:
-        """Index of p in the enumeration, or None if p is not enumerated."""
-        raise NotImplementedError
-
-    def key(self) -> str:
-        """Canonical identity string (used in serialized tails)."""
-        raise NotImplementedError
-
-    def excluding(self, p: int) -> Optional["PrimeEnumeration"]:
-        """Same enumeration with p removed, when expressible; else None."""
-        return None
-
-
-class Primes(PrimeEnumeration, Value):
+class Primes(Value):
     """All primes in increasing order, minus a finite excluded set."""
 
-    __slots__ = ("exclude",)  # PrimeEnumeration gives the cache a __dict__
+    __slots__ = ("exclude", "__dict__")  # the __dict__ holds the cached indices
 
     def __init__(self, exclude: tuple = ()):
         set_field(self, "exclude", tuple(sorted({_check_prime(p) for p in exclude})))
@@ -167,7 +151,7 @@ def _branch_bits(branch: int, width: int, n: int) -> int:
     return bits
 
 
-class TreeBranchPrimes(PrimeEnumeration, Value):
+class TreeBranchPrimes(Value):
     """Primes indexed by the prefixes of one branch of the binary tree.
 
     A finite 0/1 word w of length n has heap code 2^n + int(w); the set of
@@ -206,8 +190,16 @@ class TreeBranchPrimes(PrimeEnumeration, Value):
     def key(self) -> str:
         return f"branch{{{self.branch}/{self.width}}}"
 
+    def excluding(self, p: int) -> None:
+        return None  # a branch has no exclusion set; a tail starts past p instead
 
-def _enumeration_from_key(key: str) -> PrimeEnumeration:
+
+def _check_enumeration(primes) -> None:
+    if not isinstance(primes, (Primes, TreeBranchPrimes)):
+        raise ContractError(f"not a prime set (Primes or TreeBranchPrimes): {primes!r}")
+
+
+def _enumeration_from_key(key: str) -> Primes | TreeBranchPrimes:
     if key == "primes":
         return Primes()
     m = re.fullmatch(r"primes\{excl=([\d,]+)\}", key)
@@ -234,7 +226,8 @@ class TailSchedule(Value):
 
     __slots__ = ("primes", "exponent", "start")
 
-    def __init__(self, primes: PrimeEnumeration, exponent: int, start: int = 0):
+    def __init__(self, primes: Primes | TreeBranchPrimes, exponent: int, start: int = 0):
+        _check_enumeration(primes)
         if not (isinstance(exponent, int) and exponent >= 1):
             raise ContractError("tail exponent must be a positive integer")
         if not (isinstance(start, int) and start >= 0):
@@ -273,31 +266,22 @@ class TailSchedule(Value):
 
 # What a tail enumerates: a base set minus the finite set it drops (its
 # enumeration's exclusions and its dropped prefix).  The base is every
-# prime or one binary-tree branch, named by its word with trailing zeros
-# stripped, so branch{0/1} and branch{0/2} are one set.  Distinct branches
-# share finitely many primes and a branch misses infinitely many, so the
-# bases alone decide whether one tail covers another up to finitely many
-# primes.  Any other enumeration is known to equal only itself.
+# prime or one binary-tree branch, named by its stripped word, so
+# branch{0/1} and branch{0/2} are one set.  Distinct branches share
+# finitely many primes and a branch misses infinitely many, so the bases
+# alone decide whether one tail covers another up to finitely many primes.
+
+
+def _base(primes: Primes | TreeBranchPrimes) -> str:
+    if isinstance(primes, Primes):
+        return "primes"
+    return "branch " + format(primes.branch, f"0{primes.width}b").rstrip("0")
 
 
 def _covers(t1: TailSchedule, t2: TailSchedule) -> bool:
     """Whether t1 enumerates all but finitely many primes of t2."""
-    bases = []
-    for e in (t1.primes, t2.primes):
-        if isinstance(e, Primes):
-            bases.append("primes")
-        elif isinstance(e, TreeBranchPrimes):
-            bases.append("branch " + format(e.branch, f"0{e.width}b").rstrip("0"))
-        else:
-            bases.append(e)
-    if bases[0] == bases[1]:
-        return True
-    if not all(isinstance(b, str) for b in bases):
-        raise UndecidableError(
-            f"tails {t1.key()} and {t2.key()} are unrelated; no schedule-level "
-            "proof of agreement beyond the inspected range"
-        )
-    return bases[0] == "primes"
+    base = _base(t1.primes)
+    return base == "primes" or base == _base(t2.primes)
 
 
 def _one_sided(t1: TailSchedule, t2: TailSchedule) -> set[int]:
@@ -539,9 +523,7 @@ def asymptotically_equivalent(x1: SteinitzNumber, x2: SteinitzNumber) -> bool:
     Characterization: chi1 <= chi2 and chi2 <= chi1 at all but finitely
     many primes, and identical infinite parts.  Explicit primes and the
     dropped primes that only one tail enumerates are finitely many, so
-    they never change the answer and are not inspected.  Raises
-    UndecidableError only for two tails whose enumerations cannot be
-    related (see `_covers`).
+    they never change the answer and are not inspected.
     """
     if set(x1.infinite_primes) != set(x2.infinite_primes):
         return False
@@ -554,8 +536,7 @@ def type_leq(x1: SteinitzNumber, x2: SteinitzNumber) -> bool:
     Decidable criterion: pi_inf(xi1) a subset of pi_inf(xi2), and
     chi1(p) <= chi2(p) for all but finitely many p.  Multiplying a
     representative by an integer only raises finitely many finite
-    exponents, which absorbs any finite set of violations.  Raises
-    UndecidableError only where `asymptotically_equivalent` does.
+    exponents, which absorbs any finite set of violations.
     """
     if not set(x1.infinite_primes) <= set(x2.infinite_primes):
         return False

@@ -38,10 +38,10 @@ from math import gcd
 from typing import Optional
 
 from ._value import Value, set_field
-from .errors import ContractError
+from .errors import ContractError, ResourceError
 from .heisenberg import BoxSubgroup, HeisenbergElement
-from .primes import isprime
-from .steinitz import PrimeEnumeration, Primes, SteinitzNumber, TailSchedule
+from .primes import SIEVE_CAP, isprime
+from .steinitz import Primes, SteinitzNumber, TailSchedule, TreeBranchPrimes, _check_enumeration
 
 __all__ = [
     "CoordSchedule",
@@ -124,7 +124,8 @@ class IndexedFamily(Value):
 
     __slots__ = ("primes", "a_exp", "b_exp", "c_exp")
 
-    def __init__(self, primes: PrimeEnumeration, a_exp: int, b_exp: int, c_exp: int):
+    def __init__(self, primes: Primes | TreeBranchPrimes, a_exp: int, b_exp: int, c_exp: int):
+        _check_enumeration(primes)
         if min(a_exp, b_exp, c_exp) < 0:
             raise ContractError("family exponents must be non-negative")
         if c_exp > a_exp + b_exp:
@@ -317,6 +318,12 @@ class ChainSpec(Value):
         """
         if depth < 1:
             raise ContractError("depth must be >= 1")
+        if self.family is not None and self.family.prime_at(depth) > SIEVE_CAP:
+            # Past the sieve every family prime would pay a prime count.
+            raise ResourceError(
+                f"a Steinitz order at depth {depth} reaches family primes "
+                f"past the sieve cap {SIEVE_CAP}"
+            )
         raw_fp: dict[int, int] = {}
         # Schedules are monotone, so the lcm exponent is the depth value.
         for p in self.relevant_primes(depth):
@@ -572,7 +579,9 @@ def stable_chain(pi_f, r, n, pi_inf) -> ChainSpec:
     return ChainSpec(label=label, explicit=tuple(entries))
 
 
-def wild_chain(n: int, r: int, pi_inf=(), enumeration: PrimeEnumeration | None = None) -> ChainSpec:
+def wild_chain(
+    n: int, r: int, pi_inf=(), enumeration: Primes | TreeBranchPrimes | None = None
+) -> ChainSpec:
     """Indexed family with one new prime per level, q_i^(r | n | n), plus
     optional growing primes as in the finite-family construction.  Needs
     1 <= r < n so each activation leaves a genuine kernel gap."""
@@ -582,6 +591,7 @@ def wild_chain(n: int, r: int, pi_inf=(), enumeration: PrimeEnumeration | None =
     if enumeration is None:
         enumeration = Primes(exclude=pi_inf)
     else:
+        _check_enumeration(enumeration)
         for p in pi_inf:
             if enumeration.index_of(p) is not None:
                 raise ContractError(f"family enumeration must exclude {p}")
@@ -725,6 +735,10 @@ def parse_chain_config(text: str) -> ChainSpec:
         )
         for p, coords in sorted(explicit.items())
     )
+    if "exclude" in first_line and not family_coords:
+        raise ContractError(
+            f"line {first_line['exclude']}: family exclude= without a family qi line"
+        )
     family = None
     if family_coords:
         family = IndexedFamily(

@@ -167,12 +167,16 @@ def test_contract_violation_exits_2(capsys):
         (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "-5"], {}, None),
         (["oracle", "partition", "--box", "Box(2,2,4)", "--max-modulus", "0"], {}, None),
         (["oracle", "partition", "--box", "Box(2,2,4)"], {"NILCANTOR_MAX_GROUP_ORDER": "0"}, None),
+        (["spectrum", "{config}", "--depth", "2"], {},
+         "prime=2 coord=a start=1 base=0 slope=1\nprime=2 coord=b start=1 base=0 slope=1\n"
+         "prime=2 coord=c start=1 base=0 slope=2\nfamily exclude=3,5\n"),
     ],
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
          "budget-env-text", "family-no-base", "argparse-bad-int",
          "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain",
          "freeness-negative-cylinder", "config-is-directory", "config-not-utf8",
-         "budget-flag-zero", "budget-flag-negative", "budget-modulus-zero", "budget-env-zero"],
+         "budget-flag-zero", "budget-flag-negative", "budget-modulus-zero", "budget-env-zero",
+         "family-exclude-without-family"],
 )
 def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
     for name, value in env.items():
@@ -203,6 +207,11 @@ def test_resource_exhaustion_exits_3(capsys):
     code, out, err = run_cli(huge, capsys)
     assert code == 3 and out == "" and err.count("\n") == 1
     assert str(10**17) in err and "sieve cap 4194304" in err
+    for depth in (400000, 10**6):
+        deep = ["spectrum", "wild", "--n", "2", "--r", "1", "--depth", str(depth), "--bound", "7"]
+        code, out, err = run_cli(deep, capsys)
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert f"depth {depth}" in err and "sieve cap 4194304" in err
 
 
 def test_config_file_chain(tmp_path, capsys):
@@ -390,18 +399,19 @@ def test_invariants_hold_under_python_O():
         "from nilcantor.dynamics import KernelReport\n"
         "from nilcantor.errors import ContractError\n"
         "from nilcantor.heisenberg import BoxSubgroup\n"
-        "from nilcantor.steinitz import PrimeSet, PrimeSpectra\n"
+        "from nilcantor.steinitz import PrimeSet, PrimeSpectra, TailSchedule\n"
         "print('optimize', sys.flags.optimize)\n"
         "box = BoxSubgroup(1, 1, 1)\n"
         "for make in (lambda: KernelReport(1, 2, 2, box, box, 0, None),\n"
         "             lambda: PrimeSpectra(PrimeSet((2,), True), PrimeSet((), True),\n"
-        "                                  PrimeSet((), True), 7)):\n"
+        "                                  PrimeSet((), True), 7),\n"
+        "             lambda: TailSchedule((2, 5, 11), 1)):\n"
         "    try:\n"
         "        make()\n"
         "    except ContractError:\n"
         "        print('refused')\n"
     )
-    assert run_python("-O", "-c", probe).split("\n") == ["optimize 1", "refused", "refused", ""]
+    assert run_python("-O", "-c", probe).split("\n") == ["optimize 1"] + ["refused"] * 3 + [""]
 
 
 def test_console_entry_point():

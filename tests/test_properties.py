@@ -5,7 +5,9 @@ Chains come from the benchmark's generator (`perfbench/gen_chains.py`
 `draw_chain`) fed by a Hypothesis-controlled random stream: one or two
 explicit primes from {2, 3, 5}, each coordinate with a random start, base
 and slope, and an indexed family over the remaining primes 30 % of the
-time.  Draws that `ChainSpec` rejects are discarded.
+time.  Draws that `ChainSpec` rejects are discarded.  Corollary 1.6's
+chains, a family over one branch of the binary tree, have a strategy of
+their own.
 """
 
 import sys
@@ -25,8 +27,8 @@ from nilcantor.dynamics import (
 )
 from nilcantor.errors import ContractError
 from nilcantor.heisenberg import index_in
-from nilcantor.steinitz import Primes
-from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule
+from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivalent, type_leq
+from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule, wild_chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from gen_chains import draw_chain  # noqa: E402
@@ -42,6 +44,8 @@ LAW_DEPTHS = (40, 41)  # past every start and line crossing the generator can dr
 LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
 SYLOW_CYLINDERS = 4  # gaps (l1, l2) with l1 < l2 <= SYLOW_CYLINDERS ...
 SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
+BRANCH_WIDTH = 3  # branch labels have 1..BRANCH_WIDTH bits
+BRANCH_PRIMES = BRANCH_WIDTH + 1  # a tail's first primes, past where two branches part
 
 # From depth 3 on, prime 5's growing parts break the kernel towers'
 # surjectivity, so the printed persistence flags fail in windows past
@@ -202,3 +206,43 @@ def test_family_part_of_a_gap_is_q_to_the_g(chain):
 def test_wildness_verdict_is_window_independent(chain):
     verdicts = {wildness_certificate(chain, *window).verdict for window in VERDICT_WINDOWS}
     assert len(verdicts) == 1
+
+
+@st.composite
+def branch_chains(draw):
+    """Corollary 1.6's chains: q_i^(r | n | n), 1 <= r < n, with the family
+    over one branch of the binary tree."""
+    width = draw(st.integers(1, BRANCH_WIDTH))
+    branch = draw(st.integers(0, 2**width - 1))
+    n = draw(st.integers(2, 5))  # so r + 2n repeats: (n, r) = (4, 3) and (5, 1) give 11
+    r = draw(st.integers(1, n - 1))
+    return wild_chain(n, r, enumeration=TreeBranchPrimes(branch, width))
+
+
+def _stripped_word(chain) -> str:
+    branch = chain.family.primes
+    return format(branch.branch, f"0{branch.width}b").rstrip("0")
+
+
+@PROPERTY_SETTINGS
+@given(branch_chains(), branch_chains())
+@example(
+    wild_chain(4, 3, enumeration=TreeBranchPrimes(1, 1)),
+    wild_chain(5, 1, enumeration=TreeBranchPrimes(4, 3)),
+)
+@example(
+    wild_chain(2, 1, enumeration=TreeBranchPrimes(1, 2)),
+    wild_chain(3, 2, enumeration=TreeBranchPrimes(2, 3)),
+)
+def test_branch_limits_are_equivalent_exactly_when_words_and_sums_agree(x, y):
+    # Corollary 1.6: distinct branches give pairwise inequivalent limits,
+    # so uncountably many wild actions are told apart by their orders.
+    lx, ly = x.steinitz_order(1).limit, y.steinitz_order(1).limit
+    same = _stripped_word(x) == _stripped_word(y) and lx.tail.exponent == ly.tail.exponent
+    assert lx.tail.exponent == x.family.a_exp + 2 * x.family.b_exp
+    assert asymptotically_equivalent(lx, ly) == same
+    # The independent route: multiplicities at each tail's first primes.
+    primes = {z.tail.primes.prime(i) for z in (lx, ly) for i in range(BRANCH_PRIMES)}
+    for a, b in ((lx, ly), (ly, lx)):
+        assert type_leq(a, b) == all(a.multiplicity(p) <= b.multiplicity(p) for p in primes)
+    assert wildness_certificate(x, *WINDOW).verdict == "WildEvidence"

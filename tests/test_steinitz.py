@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcantor.errors import ContractError, ResourceError, UndecidableError
+from nilcantor.errors import ContractError, ResourceError
 from nilcantor.steinitz import (
     INF,
     ONE,
-    PrimeEnumeration,
     Primes,
     SteinitzNumber,
     TailSchedule,
@@ -20,8 +19,8 @@ from nilcantor.steinitz import (
     spectra,
     type_leq,
 )
-from nilcantor.primes import SIEVE_CAP, isprime, nth_prime, primepi
-from nilcantor.towers import PrimeSchedule
+from nilcantor.primes import SIEVE_CAP
+from nilcantor.towers import IndexedFamily, PrimeSchedule, wild_chain
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -265,23 +264,7 @@ def test_equivalence_against_multiplier_oracle():
         assert asymptotically_equivalent(x, y) == oracle(x, y)
 
 
-class EveryOtherPrime(PrimeEnumeration):
-    """2, 5, 11, 17, ...: an enumeration the comparisons cannot relate to
-    any other."""
-
-    def prime(self, i):
-        return nth_prime(2 * i + 1)
-
-    def index_of(self, p):
-        if not isprime(p) or primepi(p) % 2 == 0:
-            return None
-        return primepi(p) // 2
-
-    def key(self):
-        return "every-other-prime"
-
-
-def test_undecidable_only_for_unrelated_enumerations():
+def test_comparisons_answer_and_foreign_prime_sets_are_refused():
     # Explicit primes and one-sided dropped primes are finitely many, so
     # no prime bound is needed, however large they are.
     assert asymptotically_equivalent(SteinitzNumber({101: 2}), SteinitzNumber({101: 3}))
@@ -295,15 +278,16 @@ def test_undecidable_only_for_unrelated_enumerations():
         assert type_leq(x, y)
         assert not type_leq(y, x)
         assert not asymptotically_equivalent(x, y)
-    # The one refusal left: a tail over an enumeration that is neither all
-    # primes nor a tree branch.
-    other = SteinitzNumber(tail=TailSchedule(EveryOtherPrime(), 1))
-    every = SteinitzNumber(tail=TailSchedule(Primes(), 1))
-    for compare in (asymptotically_equivalent, type_leq):
-        with pytest.raises(UndecidableError, match="every-other-prime"):
-            compare(other, every)
-        with pytest.raises(UndecidableError):
-            compare(every, other)
+    # Every prime and the tree branches are the only prime sets, so every
+    # comparison answers; any other set is refused where it would enter.
+    foreign = (2, 5, 11, 17)
+    for enter in (
+        lambda: TailSchedule(foreign, 1),
+        lambda: IndexedFamily(foreign, 1, 2, 2),
+        lambda: wild_chain(2, 1, pi_inf=(3,), enumeration=foreign),
+    ):
+        with pytest.raises(ContractError, match="not a prime set"):
+            enter()
 
 
 # -- the type order -----------------------------------------------------------------

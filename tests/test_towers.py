@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from nilcantor.errors import ContractError
+from nilcantor.errors import ContractError, ResourceError
 from nilcantor.heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in
 from nilcantor.oracle import coset_orbit, subgroup_closure
-from nilcantor.steinitz import INF, Primes, SteinitzNumber, spectra
+from nilcantor.primes import SIEVE_CAP
+from nilcantor.steinitz import INF, Primes, SteinitzNumber, TreeBranchPrimes, spectra
 from nilcantor.towers import (
     ChainSpec,
     CoordSchedule,
@@ -302,6 +303,18 @@ def test_steinitz_order_wild_family():
     assert sp.pi_f.primes == (2, 3, 5, 7)
     assert not sp.pi_f.complete
     assert sp.pi_inf.primes == ()
+
+
+def test_steinitz_order_refuses_family_primes_past_the_sieve():
+    # Past the sieve cap every family prime would pay a prime count, so the
+    # order refuses before it walks the levels.  Branch 1 activates the
+    # prime 2,699,453 at level 17 and 5,694,137 at level 18.
+    branch = wild_chain(2, 1, enumeration=TreeBranchPrimes(1, 1))
+    assert branch.family.prime_at(17) <= SIEVE_CAP < branch.family.prime_at(18)
+    assert branch.steinitz_order(17).raw.multiplicity(branch.family.prime_at(17)) == 5
+    for chain, depth in ((branch, 18), (wild_chain(2, 1), 400_000)):
+        with pytest.raises(ResourceError, match=f"depth {depth} .* sieve cap {SIEVE_CAP}"):
+            chain.steinitz_order(depth)
 
 
 def test_steinitz_order_growth_is_monotone():
