@@ -274,6 +274,13 @@ def test_config_repeated_schedule_exits_2_naming_both_lines(repeated, first, tmp
         ("reproduce_thm15", ["reproduce", "thm15"]),
         ("reproduce_cor16", ["reproduce", "cor16", "--count", "5", "--bound", "200"]),
         ("spectrum_wild", ["spectrum", "wild", "--n", "2", "--r", "1", "--depth", "4", "--bound", "7"]),
+        # Kernel columns of up to 19 depths per pair, at both verdicts.
+        ("wildness_wild", ["wildness", "wild", "--n", "2", "--r", "1", "--lmax", "8", "--dmax", "20"]),
+        (
+            "wildness_stable",
+            ["wildness", "stable", "--pi_f", "2,3", "--r", "1,1", "--n", "2,2",
+             "--pi_inf", "5,7", "--lmax", "8", "--dmax", "20"],
+        ),
     ],
 )
 def test_golden_reports(name, argv, capsys):
