@@ -88,16 +88,6 @@ def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> tup
     return base, slope
 
 
-def _kernel_tower_surjective(chain: ChainSpec, cylinder: int, depth: int) -> bool:
-    """Whether the connecting map carries the depth+1 kernel *onto* the
-    depth-`depth` kernel inside Q_depth (it always maps into it), parts
-    that die in the limit included.  Only the printed `persistent` reads it."""
-    q = chain.quotient_at(depth)
-    return q.image(trivial_action_kernel(chain, cylinder, depth)) == q.image(
-        trivial_action_kernel(chain, cylinder, depth + 1)
-    )
-
-
 def _family_activation_gap(chain: ChainSpec) -> int:
     """Exponent by which each newly activated family prime q widens the
     kernel gap: q's kernel base at cylinder i-1 minus its base at cylinder
@@ -147,7 +137,10 @@ class KernelReport(Value):
     `kernel_box` is the kernel at the smaller cylinder (l'),
     `comparison_box` the kernel at the larger cylinder (l); `persistent`
     is printed evidence that the gap survives the inverse limit, by the
-    one rule of `_evaluate_pair`; verdicts read the schedules instead."""
+    one rule of `_evaluate_pair`; verdicts read the schedules instead.
+    Its surjectivity check reads the pair's own kernel columns at the
+    tested depths and one depth past them, and it still covers the parts
+    of the kernel towers that die in the limit."""
 
     __slots__ = (
         "cylinder",
@@ -214,19 +207,28 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
     `persistent` when no check failed, the kernel order is the same at
     every tested depth and equals both the predicted ratio and the limit
     gap, and, when that gap is nontrivial, both kernel towers map onto
-    the shallower kernels at every tested depth.  The flag is printed
-    evidence only: the wildness verdict reads the limit gap and notes.
+    the shallower kernels at every tested depth.  Each cylinder's kernels
+    are built once, as one column over the depths first..last+1, and the
+    orders, the report and the surjectivity check all read that column.
+    The flag is printed evidence only: the wildness verdict reads the
+    limit gap and notes.
     """
     if not (last >= first >= l2 > l1 >= 1):
         raise ContractError("need depth >= refined > cylinder >= 1")
     depths = range(first, last + 1)
-    kernels = [
-        (trivial_action_kernel(chain, l2, d), trivial_action_kernel(chain, l1, d)) for d in depths
+    # Depth last+1 serves only the surjectivity check at depth `last`.
+    columns = [
+        [trivial_action_kernel(chain, l, d) for d in range(first, last + 2)] for l in (l1, l2)
     ]
-    orders = [index_in(k, c) for k, c in kernels]
+    outer, inner = columns
+    orders = [index_in(k, c) for k, c in zip(inner[:-1], outer)]
+    # The connecting map always carries the depth d+1 kernel into the
+    # depth-d kernel inside Q_d; the check asks for *onto*, parts that die
+    # in the limit included.
     surjective = all(
-        _kernel_tower_surjective(chain, l1, d) and _kernel_tower_surjective(chain, l2, d)
-        for d in depths
+        q.image(column[i]) == q.image(column[i + 1])
+        for i, q in enumerate(map(chain.quotient_at, depths))
+        for column in columns
     )
     ratio, limit_gap, notes = 1, 1, []
     for p in chain.relevant_primes(l2):
@@ -251,7 +253,7 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
         and ratio == limit_gap == orders[0]
         and (limit_gap == 1 or surjective)
     )
-    kernel, comparison = kernels[0]
+    kernel, comparison = inner[0], outer[0]
     report = KernelReport(
         cylinder=l1,
         refined=l2,
@@ -271,7 +273,9 @@ def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> Ke
     on every depth-d coset of the smaller cylinder while moving a coset of
     the larger one: the local quasi-analyticity violation pattern with the
     identity as the second element.  `persistent` is the printed flag of
-    `_evaluate_pair`, checked at this one depth."""
+    `_evaluate_pair`, checked at this one depth: its surjectivity check
+    reads the pair's own kernels at `depth` and `depth`+1, and it still
+    covers the parts of the kernel towers that die in the limit."""
     return _evaluate_pair(chain, cylinder, refined, depth, depth)[0]
 
 
@@ -349,6 +353,8 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     """
     if not (max_depth >= max_cylinder >= 2):
         raise ContractError("need max_depth >= max_cylinder >= 2")
+    # The persistence check reads the kernels one depth past max_depth.
+    chain.check_depth_budget(max_depth + 1, f"a wildness certificate to depth {max_depth}")
     pairs = {
         (l1, l2): _evaluate_pair(chain, l1, l2, l2, max_depth)
         for l1 in range(1, max_cylinder)
@@ -411,6 +417,8 @@ def freeness_certificate(
         raise ContractError(
             "need ball_radius >= 1, cylinder >= 0 and max_depth >= max(cylinder, 1)"
         )
+    deep = max(chain.last_start() + 1, max_depth)  # where a NotFree witness is read
+    chain.check_depth_budget(deep, f"a freeness certificate to depth {max_depth}")
     params = (
         ("cylinder", cylinder),
         ("ball_radius", ball_radius),
@@ -422,7 +430,6 @@ def freeness_certificate(
     bounded = [x for x in COORDS if not _coordinate_unbounded(chain, cylinder, x)]
     if bounded:
         coord = "c" if "c" in bounded else bounded[0]
-        deep = max(chain.last_start() + 1, max_depth)
         witness = trivial_action_kernel(chain, cylinder, deep).generators()[COORDS.index(coord)]
         if not all(k.contains(witness) for k in kernels.values()):
             raise ContractError(f"stabilized generator {witness} leaves a tested kernel")
@@ -502,6 +509,7 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
     """
     if not 1 <= level <= max_depth:
         raise ContractError("need 1 <= level <= max_depth")
+    chain.check_depth_budget(max_depth, f"a discriminant report to depth {max_depth}")
     depths = tuple(range(level, max_depth + 1))
     images = [chain.stable_image(level, d) for d in depths]
     orders = tuple(img.order for img in images)

@@ -277,6 +277,15 @@ class ChainSpec(Value):
             )
         return PrimeSchedule(p)
 
+    def check_depth_budget(self, level: int, what: str) -> None:
+        """Refuse `what`, whose deepest level read is `level`, when the
+        family prime activated there lies past the sieve cap: past the
+        sieve every family prime would pay a prime count, so such a level
+        walk runs without end in practice.  It costs one prime lookup, so
+        callers make it once, before any level walk."""
+        if self.family is not None and self.family.prime_at(level) > SIEVE_CAP:
+            raise ResourceError(f"{what} reaches family primes past the sieve cap {SIEVE_CAP}")
+
     def box_at(self, level: int) -> BoxSubgroup:
         if level < 1:
             raise ContractError("level must be >= 1")
@@ -318,12 +327,7 @@ class ChainSpec(Value):
         """
         if depth < 1:
             raise ContractError("depth must be >= 1")
-        if self.family is not None and self.family.prime_at(depth) > SIEVE_CAP:
-            # Past the sieve every family prime would pay a prime count.
-            raise ResourceError(
-                f"a Steinitz order at depth {depth} reaches family primes "
-                f"past the sieve cap {SIEVE_CAP}"
-            )
+        self.check_depth_budget(depth, f"a Steinitz order at depth {depth}")
         raw_fp: dict[int, int] = {}
         # Schedules are monotone, so the lcm exponent is the depth value.
         for p in self.relevant_primes(depth):

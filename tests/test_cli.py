@@ -214,6 +214,24 @@ def test_resource_exhaustion_exits_3(capsys):
         assert f"depth {depth}" in err and "sieve cap 4194304" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["discriminant", "wild", "--n", "2", "--r", "1", "--level", "1", "--depth", "400000"],
+        ["freeness", "wild", "--n", "2", "--r", "1", "--level", "1", "--radius", "10",
+         "--dmax", "400000"],
+        ["wildness", "wild", "--n", "2", "--r", "1", "--lmax", "2", "--dmax", "400000"],
+    ],
+    ids=["discriminant", "freeness", "wildness"],
+)
+def test_depth_past_the_sieve_exits_3_before_walking(argv, capsys):
+    # The family prime at level 400,000 lies past the sieve cap, so each
+    # command refuses with one line instead of walking the levels.
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "depth 400000" in err and "sieve cap 4194304" in err
+
+
 def test_config_file_chain(tmp_path, capsys):
     cfg = tmp_path / "chain.cfg"
     cfg.write_text(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from nilcantor.errors import ContractError
+from nilcantor import dynamics
+from nilcantor.errors import ContractError, ResourceError
 from nilcantor.heisenberg import BoxSubgroup, HeisenbergElement, index_in
 from nilcantor.dynamics import (
     discriminant_limit_report,
@@ -12,7 +13,7 @@ from nilcantor.dynamics import (
     trivial_action_kernel,
     wildness_certificate,
 )
-from nilcantor.steinitz import Primes
+from nilcantor.steinitz import Primes, TreeBranchPrimes
 from nilcantor.towers import (
     ChainSpec,
     CoordSchedule,
@@ -181,6 +182,27 @@ def test_wild_family_certificate():
     assert orders == {(1, 2): 3, (1, 3): 15, (2, 3): 5}
     assert all(r.persistent for r in cert.reports)
     assert cert.evidence_grade == "schedule-certified"
+
+
+@pytest.mark.parametrize("window,calls", [((2, 2), 4), ((4, 9), 92), ((5, 12), 200)])
+def test_each_pair_builds_one_kernel_column_per_cylinder(window, calls, monkeypatch):
+    # Pair (l1, l2) builds each cylinder's kernels once, at the depths
+    # l2..D+1 (the last for the persistence check only): the window (L, D)
+    # makes sum over l2 = 2..L of (l2 - 1) * 2 * (D - l2 + 2) kernel
+    # calls, 7,360 at (16, 40).
+    built = []
+
+    def counting(chain, cylinder, depth):
+        built.append((cylinder, depth))
+        return trivial_action_kernel(chain, cylinder, depth)
+
+    monkeypatch.setattr(dynamics, "trivial_action_kernel", counting)
+    max_cylinder, max_depth = window
+    wildness_certificate(wild_chain(2, 1), max_cylinder, max_depth)
+    expected = sum(
+        (l2 - 1) * 2 * (max_depth - l2 + 2) for l2 in range(2, max_cylinder + 1)
+    )
+    assert len(built) == expected == calls
 
 
 def test_failed_persistence_flags_do_not_hide_wildness():
@@ -390,3 +412,22 @@ def test_wild_family_discriminant_grows():
     assert [chain.discriminant_level(l).order for l in (1, 2, 3)] == [2, 6, 30]
     rep = discriminant_limit_report(chain, 1, 4)
     assert rep.stabilized  # image inside the fixed level stabilizes
+
+
+# -- depth budget -----------------------------------------------------------------------
+
+
+def test_certificates_refuse_family_primes_past_the_sieve():
+    # Branch 1 activates the prime 2,699,453 at level 17 and 5,694,137 at
+    # level 18, past the sieve cap.  Each certificate refuses once its
+    # deepest level reaches 18: the wildness persistence check reads one
+    # depth past max_depth, freeness and the discriminant read max_depth.
+    branch = wild_chain(2, 1, enumeration=TreeBranchPrimes(1, 1))
+    for certify, deepest_ok in (
+        (lambda d: wildness_certificate(branch, 2, d), 16),
+        (lambda d: freeness_certificate(branch, 1, 10, d), 17),
+        (lambda d: discriminant_limit_report(branch, 1, d), 17),
+    ):
+        certify(deepest_ok)
+        with pytest.raises(ResourceError, match=f"depth {deepest_ok + 1} .* sieve cap"):
+            certify(deepest_ok + 1)
