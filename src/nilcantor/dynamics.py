@@ -276,6 +276,7 @@ def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> Ke
     `_evaluate_pair`, checked at this one depth: its surjectivity check
     reads the pair's own kernels at `depth` and `depth`+1, and it still
     covers the parts of the kernel towers that die in the limit."""
+    chain.check_depth_budget(depth + 1, f"an LQA witness at depth {depth}")
     return _evaluate_pair(chain, cylinder, refined, depth, depth)[0]
 
 
@@ -406,12 +407,16 @@ def freeness_certificate(
 ) -> Certificate:
     """Certify that no non-identity element fixes the cylinder pointwise.
 
-    FreeCertified: every non-identity element with coordinates bounded by
-    `ball_radius` fails some kernel membership by `max_depth`, and all
-    three kernel lattices are certifiably unbounded, so the full
-    intersection of the kernels is trivial.  NotFree: some coordinate
-    lattice is certifiably bounded, and its stabilized generator fixes the
-    cylinder at every depth.
+    NotFree: some coordinate lattice is certifiably bounded, and its
+    stabilized generator fixes the cylinder at every tested depth.
+    FreeCertified: all three kernel lattices are certifiably unbounded, so
+    the full intersection of the kernels is trivial, and `escape_depth` is
+    the first depth by `max_depth` whose kernel's smallest modulus exceeds
+    `ball_radius`, so that every non-identity element with coordinates
+    bounded by `ball_radius` leaves it.  The kernels are walked once, from
+    the shallowest depth up, and the walk stops there: each kernel modulus
+    divides the one a depth deeper, so the first escape is final.  A walk
+    that finds none is Inconclusive.
     """
     if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:
         raise ContractError(
@@ -419,48 +424,38 @@ def freeness_certificate(
         )
     deep = max(chain.last_start() + 1, max_depth)  # where a NotFree witness is read
     chain.check_depth_budget(deep, f"a freeness certificate to depth {max_depth}")
-    params = (
-        ("cylinder", cylinder),
-        ("ball_radius", ball_radius),
-        ("max_depth", max_depth),
-    )
-    first = max(cylinder, 1)
-    kernels = {d: trivial_action_kernel(chain, cylinder, d) for d in range(first, max_depth + 1)}
+
+    def certificate(verdict, evidence_grade, **found):
+        return Certificate(
+            verdict=verdict,
+            chain_label=chain.label,
+            parameters=(
+                ("cylinder", cylinder), ("ball_radius", ball_radius), ("max_depth", max_depth)
+            ),
+            evidence_grade=evidence_grade,
+            **found,
+        )
 
     bounded = [x for x in COORDS if not _coordinate_unbounded(chain, cylinder, x)]
     if bounded:
         coord = "c" if "c" in bounded else bounded[0]
         witness = trivial_action_kernel(chain, cylinder, deep).generators()[COORDS.index(coord)]
-        if not all(k.contains(witness) for k in kernels.values()):
+        if element_escape_depth(chain, cylinder, witness, max_depth) is not None:
             raise ContractError(f"stabilized generator {witness} leaves a tested kernel")
-        return Certificate(
-            verdict="NotFree",
-            chain_label=chain.label,
-            parameters=params,
-            evidence_grade=GRADE_SCHEDULE,
+        return certificate(
+            "NotFree",
+            GRADE_SCHEDULE,
             witness=witness,
             reason=f"the {coord}-lattice of the kernel is bounded",
         )
 
-    last = kernels[max_depth]
-    if min(last.Ma, last.Mb, last.Mc) > ball_radius:
-        escape = next(
-            d
-            for d in range(first, max_depth + 1)
-            if min(kernels[d].Ma, kernels[d].Mb, kernels[d].Mc) > ball_radius
-        )
-        return Certificate(
-            verdict="FreeCertified",
-            chain_label=chain.label,
-            parameters=params,
-            evidence_grade=GRADE_SCHEDULE,
-            escape_depth=escape,
-        )
-    return Certificate(
-        verdict="Inconclusive",
-        chain_label=chain.label,
-        parameters=params,
-        evidence_grade=GRADE_FINITE,
+    for d in range(max(cylinder, 1), max_depth + 1):
+        kernel = trivial_action_kernel(chain, cylinder, d)
+        if min(kernel.Ma, kernel.Mb, kernel.Mc) > ball_radius:
+            return certificate("FreeCertified", GRADE_SCHEDULE, escape_depth=d)
+    return certificate(
+        "Inconclusive",
+        GRADE_FINITE,
         reason="kernel lattices are unbounded but a ball element still "
         f"survives depth {max_depth}; raise max_depth",
     )
@@ -471,7 +466,10 @@ def element_escape_depth(
 ) -> Optional[int]:
     """First depth at which g stops fixing the cylinder pointwise, or None
     if it survives every tested depth."""
-    for d in range(max(cylinder, 1), max_depth + 1):
+    depths = range(max(cylinder, 1), max_depth + 1)
+    if depths:
+        chain.check_depth_budget(max_depth, f"an escape-depth walk to depth {max_depth}")
+    for d in depths:
         if not trivial_action_kernel(chain, cylinder, d).contains(g):
             return d
     return None

@@ -318,6 +318,17 @@ def test_deep_stable_wildness_matches_benchmark_reference(capsys):
     assert out == (REFERENCE / "wildness_stable.txt").read_text()
 
 
+def test_deep_freeness_matches_benchmark_reference(capsys):
+    # The benchmark's deep_towers freeness reference: the certificate's
+    # walk stops at the escape depth 7, and the report adds the kernel at
+    # depth 400.
+    argv = ["freeness", "wild", "--n", "2", "--r", "1", "--level", "3",
+            "--radius", "1000000000", "--dmax", "400"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (REFERENCE / "freeness_wild.txt").read_text()
+
+
 def test_reports_are_deterministic(capsys):
     argv = ["reproduce", "cor16", "--count", "3", "--bound", "100"]
     _, first, _ = run_cli(argv, capsys)

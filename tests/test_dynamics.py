@@ -350,8 +350,26 @@ def test_every_small_element_escapes():
         assert element_escape_depth(chain, 1, g, 6) <= 3
 
 
-def test_degenerate_chain_is_not_free():
-    pinched = ChainSpec(
+@pytest.mark.parametrize("call,kernels", [((3, 10**9, 400), 5), ((1, 100, 6), 3)])
+def test_freeness_walk_stops_at_the_escape_depth(call, kernels, monkeypatch):
+    # Each kernel modulus divides the one a depth deeper, so the walk
+    # stops at the first escape: depths 3..7 for the deep benchmark call
+    # (escape 7), and 1..3 for the golden one (escape 3).
+    built = []
+
+    def counting(chain, cylinder, depth):
+        built.append(depth)
+        return trivial_action_kernel(chain, cylinder, depth)
+
+    monkeypatch.setattr(dynamics, "trivial_action_kernel", counting)
+    cert = freeness_certificate(wild_chain(2, 1), *call)
+    assert cert.verdict == "FreeCertified"
+    assert built == list(range(call[0], cert.escape_depth + 1))
+    assert len(built) == kernels
+
+
+def _pinched_chain():
+    return ChainSpec(
         "pinched",
         (
             PrimeSchedule(
@@ -363,11 +381,29 @@ def test_degenerate_chain_is_not_free():
         ),
         trivial_intersection=False,
     )
+
+
+def test_degenerate_chain_is_not_free():
+    pinched = _pinched_chain()
     cert = freeness_certificate(pinched, 1, 10, 5)
     assert cert.verdict == "NotFree"
     assert cert.witness == HeisenbergElement(0, 0, 4)
     for d in range(1, 6):
         assert trivial_action_kernel(pinched, 1, d).contains(cert.witness)
+
+
+def test_not_free_checks_its_witness_at_every_tested_depth(monkeypatch):
+    # A depth-3 kernel that doubles the a- and c-moduli misses the
+    # stabilized generator (0,0,4), which the certificate must notice.
+    def broken(chain, cylinder, depth):
+        kernel = trivial_action_kernel(chain, cylinder, depth)
+        if depth != 3:
+            return kernel
+        return BoxSubgroup(2 * kernel.Ma, kernel.Mb, 2 * kernel.Mc)
+
+    monkeypatch.setattr(dynamics, "trivial_action_kernel", broken)
+    with pytest.raises(ContractError, match=r"\(0,0,4\) leaves a tested kernel"):
+        freeness_certificate(_pinched_chain(), 1, 10, 5)
 
 
 def test_freeness_inconclusive_when_depth_too_small():
@@ -420,12 +456,15 @@ def test_wild_family_discriminant_grows():
 def test_certificates_refuse_family_primes_past_the_sieve():
     # Branch 1 activates the prime 2,699,453 at level 17 and 5,694,137 at
     # level 18, past the sieve cap.  Each certificate refuses once its
-    # deepest level reaches 18: the wildness persistence check reads one
-    # depth past max_depth, freeness and the discriminant read max_depth.
+    # deepest level reaches 18: the wildness and LQA-witness persistence
+    # checks read one depth past the depth given, freeness, the escape
+    # depth and the discriminant read max_depth.
     branch = wild_chain(2, 1, enumeration=TreeBranchPrimes(1, 1))
     for certify, deepest_ok in (
         (lambda d: wildness_certificate(branch, 2, d), 16),
+        (lambda d: lqa_witness(branch, 1, 2, d), 16),
         (lambda d: freeness_certificate(branch, 1, 10, d), 17),
+        (lambda d: element_escape_depth(branch, 1, HeisenbergElement(0, 0, 0), d), 17),
         (lambda d: discriminant_limit_report(branch, 1, d), 17),
     ):
         certify(deepest_ok)

@@ -42,6 +42,7 @@ ORDER_DEPTH = 4  # raw Steinitz orders are checked at depths 1..ORDER_DEPTH
 LAW_CYLINDERS = range(0, 4)
 LAW_DEPTHS = (40, 41)  # past every start and line crossing the generator can draw
 LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
+MONOTONE_DEPTH = 8  # kernel moduli divide the next depth's at depths 1..MONOTONE_DEPTH
 SYLOW_CYLINDERS = 4  # gaps (l1, l2) with l1 < l2 <= SYLOW_CYLINDERS ...
 SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
 BRANCH_WIDTH = 3  # branch labels have 1..BRANCH_WIDTH bits
@@ -168,6 +169,19 @@ def test_kernel_law_is_the_closed_form_at_depth(chain):
                 for coord, modulus in moduli.items():
                     base, slope = _kernel_eventual(chain, cylinder, p, coord)
                     assert _valuation(modulus, p) == base + slope * depth
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_kernel_moduli_divide_the_next_depths(chain):
+    # Kernels only shrink with the depth, so once a kernel's smallest
+    # modulus passes a freeness ball radius every deeper one does too:
+    # the freeness walk's first escape is final.
+    for cylinder in LAW_CYLINDERS:
+        for depth in range(max(cylinder, 1), MONOTONE_DEPTH + 1):
+            kernel = trivial_action_kernel(chain, cylinder, depth)
+            deeper = trivial_action_kernel(chain, cylinder, depth + 1)
+            assert deeper.Ma % kernel.Ma == deeper.Mb % kernel.Mb == deeper.Mc % kernel.Mc == 0
 
 
 @PROPERTY_SETTINGS
