@@ -137,10 +137,10 @@ class KernelReport(Value):
     `kernel_box` is the kernel at the smaller cylinder (l'),
     `comparison_box` the kernel at the larger cylinder (l); `persistent`
     is printed evidence that the gap survives the inverse limit, by the
-    one rule of `_evaluate_pair`; verdicts read the schedules instead.
-    Its surjectivity check reads the pair's own kernel columns at the
-    tested depths and one depth past them, and it still covers the parts
-    of the kernel towers that die in the limit."""
+    one rule of `_evaluate_pair`: a constant kernel order that equals the
+    predicted ratio and the limit gap, read off the pair's own kernel
+    columns at the tested depths and no deeper.  Verdicts read the
+    schedules instead."""
 
     __slots__ = (
         "cylinder",
@@ -205,31 +205,20 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
     verbatim; growing ones are eventually annihilated by the connecting
     maps) and a note for each failed structural check.  The gap is
     `persistent` when no check failed, the kernel order is the same at
-    every tested depth and equals both the predicted ratio and the limit
-    gap, and, when that gap is nontrivial, both kernel towers map onto
-    the shallower kernels at every tested depth.  Each cylinder's kernels
-    are built once, as one column over the depths first..last+1, and the
-    orders, the report and the surjectivity check all read that column.
-    The flag is printed evidence only: the wildness verdict reads the
-    limit gap and notes.
+    every tested depth, and it equals both the predicted ratio and the
+    limit gap: then the whole gap lies in slope-0 prime parts, which by
+    the Sylow decomposition (see `wildness_certificate`) survive
+    verbatim.  Each cylinder's kernels are built once, as one column over
+    the depths first..last, and nothing past `last` is read.  The flag is
+    printed evidence only: the wildness verdict reads the limit gap and
+    notes.
     """
     if not (last >= first >= l2 > l1 >= 1):
         raise ContractError("need depth >= refined > cylinder >= 1")
-    depths = range(first, last + 1)
-    # Depth last+1 serves only the surjectivity check at depth `last`.
-    columns = [
-        [trivial_action_kernel(chain, l, d) for d in range(first, last + 2)] for l in (l1, l2)
-    ]
-    outer, inner = columns
-    orders = [index_in(k, c) for k, c in zip(inner[:-1], outer)]
-    # The connecting map always carries the depth d+1 kernel into the
-    # depth-d kernel inside Q_d; the check asks for *onto*, parts that die
-    # in the limit included.
-    surjective = all(
-        q.image(column[i]) == q.image(column[i + 1])
-        for i, q in enumerate(map(chain.quotient_at, depths))
-        for column in columns
+    outer, inner = (
+        [trivial_action_kernel(chain, l, d) for d in range(first, last + 1)] for l in (l1, l2)
     )
+    orders = [index_in(k, c) for k, c in zip(inner, outer)]
     ratio, limit_gap, notes = 1, 1, []
     for p in chain.relevant_primes(l2):
         for coord in ("a", "b"):
@@ -247,12 +236,7 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
                 ratio *= gap
                 if slope1 == 0:
                     limit_gap *= gap
-    persistent = (
-        not notes
-        and len(set(orders)) == 1
-        and ratio == limit_gap == orders[0]
-        and (limit_gap == 1 or surjective)
-    )
+    persistent = not notes and len(set(orders)) == 1 and ratio == limit_gap == orders[0]
     kernel, comparison = inner[0], outer[0]
     report = KernelReport(
         cylinder=l1,
@@ -273,10 +257,10 @@ def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> Ke
     on every depth-d coset of the smaller cylinder while moving a coset of
     the larger one: the local quasi-analyticity violation pattern with the
     identity as the second element.  `persistent` is the printed flag of
-    `_evaluate_pair`, checked at this one depth: its surjectivity check
-    reads the pair's own kernels at `depth` and `depth`+1, and it still
-    covers the parts of the kernel towers that die in the limit."""
-    chain.check_depth_budget(depth + 1, f"an LQA witness at depth {depth}")
+    `_evaluate_pair` at this one depth: the kernel order equals the
+    predicted ratio and the limit gap.  Only the kernels at `depth` are
+    built."""
+    chain.check_depth_budget(depth, f"an LQA witness at depth {depth}")
     return _evaluate_pair(chain, cylinder, refined, depth, depth)[0]
 
 
@@ -332,8 +316,11 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     """Classify the chain as WildEvidence / StableCertified / Inconclusive.
 
     Each pair of cylinder levels l1 < l2 <= max_cylinder is evaluated at
-    the depths l2..max_depth by `_evaluate_pair`.  Its report is printed
-    evidence; the verdict reads the schedules alone:
+    the depths l2..max_depth by `_evaluate_pair`, whose kernel columns
+    stop at max_depth.  Its report is printed evidence, marked
+    `persistent` when the kernel order is constant over those depths and
+    equals the predicted ratio and the limit gap; the verdict reads the
+    schedules alone:
 
       1. a failed structural note (kernel slopes disagree, or
          antitonicity fails) is a defect of the analysis: Inconclusive;
@@ -354,8 +341,7 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     """
     if not (max_depth >= max_cylinder >= 2):
         raise ContractError("need max_depth >= max_cylinder >= 2")
-    # The persistence check reads the kernels one depth past max_depth.
-    chain.check_depth_budget(max_depth + 1, f"a wildness certificate to depth {max_depth}")
+    chain.check_depth_budget(max_depth, f"a wildness certificate to depth {max_depth}")
     pairs = {
         (l1, l2): _evaluate_pair(chain, l1, l2, l2, max_depth)
         for l1 in range(1, max_cylinder)

@@ -146,17 +146,16 @@ def _window_chain():
 
 def test_lqa_witness_judges_persistence_at_its_one_depth():
     # The family prime 3 opens a gap of 3 between cylinders 1 and 2 at every
-    # depth; the schedules predict it and it survives the limit.  At depth 2
-    # both kernel towers map onto the shallower kernels; from depth 3 on
-    # (where prime 5's c-schedule starts) neither does, and a nontrivial
-    # gap needs that surjectivity at every depth it is tested at.
+    # depth; the schedules predict it and it survives the limit.  From
+    # depth 3 on, prime 5's c-schedule starts and its growing parts change
+    # both kernels but not the gap, so the gap is marked at each depth
+    # alone and over the certificate's depths 2..5.
     chain = _window_chain()
-    at_2, at_3 = lqa_witness(chain, 1, 2, 2), lqa_witness(chain, 1, 2, 3)
-    assert at_2.kernel_order == at_3.kernel_order == 3
-    assert at_2.persistent and not at_3.persistent
+    at = {d: lqa_witness(chain, 1, 2, d) for d in range(2, 6)}
+    assert all(r.kernel_order == 3 and r.persistent for r in at.values())
+    assert at[2].kernel_box != at[3].kernel_box
     over_2_to_5 = {(r.cylinder, r.refined): r for r in wildness_certificate(chain, 3, 5).reports}
-    assert over_2_to_5[(1, 2)].kernel_box == at_2.kernel_box
-    assert not over_2_to_5[(1, 2)].persistent
+    assert over_2_to_5[(1, 2)] == at[2]
 
 
 def test_stable_family_kernels_are_level_independent():
@@ -184,12 +183,11 @@ def test_wild_family_certificate():
     assert cert.evidence_grade == "schedule-certified"
 
 
-@pytest.mark.parametrize("window,calls", [((2, 2), 4), ((4, 9), 92), ((5, 12), 200)])
+@pytest.mark.parametrize("window,calls", [((2, 2), 2), ((4, 9), 80), ((5, 12), 180)])
 def test_each_pair_builds_one_kernel_column_per_cylinder(window, calls, monkeypatch):
     # Pair (l1, l2) builds each cylinder's kernels once, at the depths
-    # l2..D+1 (the last for the persistence check only): the window (L, D)
-    # makes sum over l2 = 2..L of (l2 - 1) * 2 * (D - l2 + 2) kernel
-    # calls, 7,360 at (16, 40).
+    # l2..D and no deeper: the window (L, D) makes sum over l2 = 2..L of
+    # (l2 - 1) * 2 * (D - l2 + 1) kernel calls, 7,120 at (16, 40).
     built = []
 
     def counting(chain, cylinder, depth):
@@ -200,22 +198,34 @@ def test_each_pair_builds_one_kernel_column_per_cylinder(window, calls, monkeypa
     max_cylinder, max_depth = window
     wildness_certificate(wild_chain(2, 1), max_cylinder, max_depth)
     expected = sum(
-        (l2 - 1) * 2 * (max_depth - l2 + 2) for l2 in range(2, max_cylinder + 1)
+        (l2 - 1) * 2 * (max_depth - l2 + 1) for l2 in range(2, max_cylinder + 1)
     )
     assert len(built) == expected == calls
 
 
 def test_failed_persistence_flags_do_not_hide_wildness():
-    # `_window_chain`'s pairs fail the printed persistence flag from
-    # depth 3 on, in prime 5's growing parts, which die in the limit.  The
-    # family gap g = 1 survives at every cylinder, so every window reads
-    # the same wild verdict off the schedules.
-    chain = _window_chain()
+    # Line 0003 of the seed-7 census: each predicted ratio holds a part of
+    # prime 3, whose kernel exponents grow (from depth 3 on the gap at
+    # (1, 2) is 75 against a limit gap of 25), so no ratio is its limit gap
+    # and no gap is marked.  The family gap g = 2 survives at every
+    # cylinder, so every window reads the same wild verdict off the
+    # schedules.
+    chain = ChainSpec(
+        "census-0003",
+        (
+            PrimeSchedule(
+                3, a=CoordSchedule(0, 0, 1), b=CoordSchedule(1, 2, 0), c=CoordSchedule(3, 1, 1)
+            ),
+        ),
+        IndexedFamily(Primes(exclude=(3,)), 1, 1, 2),
+        trivial_intersection=False,
+    )
     for window in ((2, 2), (2, 3), (3, 5), (4, 9)):
         cert = wildness_certificate(chain, *window)
         assert cert.verdict == "WildEvidence" and cert.reason is None
         assert cert.evidence_grade == "schedule-certified"
-    assert not all(r.persistent for r in wildness_certificate(chain, 2, 3).reports)
+        assert not any(r.persistent for r in cert.reports)
+        assert all(r.kernel_order > 1 for r in cert.reports)
 
 
 def test_wild_kernel_orders_match_activation_product():
@@ -250,7 +260,7 @@ def test_wild_family_with_infinite_part_still_wild():
 
 def test_kernel_towers_map_into_shallower_kernels():
     # image of the deeper kernel in Q_d always lands inside the depth-d
-    # kernel image (surjectivity is extra, and is what persistence needs)
+    # kernel image: the connecting maps carry kernels into kernels
     from math import gcd
 
     for chain in (ex41(2), ex42(2, 3), wild_chain(2, 1)):
@@ -456,13 +466,12 @@ def test_wild_family_discriminant_grows():
 def test_certificates_refuse_family_primes_past_the_sieve():
     # Branch 1 activates the prime 2,699,453 at level 17 and 5,694,137 at
     # level 18, past the sieve cap.  Each certificate refuses once its
-    # deepest level reaches 18: the wildness and LQA-witness persistence
-    # checks read one depth past the depth given, freeness, the escape
-    # depth and the discriminant read max_depth.
+    # deepest level reaches 18; on this chain each reads no deeper than
+    # the depth given.
     branch = wild_chain(2, 1, enumeration=TreeBranchPrimes(1, 1))
     for certify, deepest_ok in (
-        (lambda d: wildness_certificate(branch, 2, d), 16),
-        (lambda d: lqa_witness(branch, 1, 2, d), 16),
+        (lambda d: wildness_certificate(branch, 2, d), 17),
+        (lambda d: lqa_witness(branch, 1, 2, d), 17),
         (lambda d: freeness_certificate(branch, 1, 10, d), 17),
         (lambda d: element_escape_depth(branch, 1, HeisenbergElement(0, 0, 0), d), 17),
         (lambda d: discriminant_limit_report(branch, 1, d), 17),

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from nilcantor import oracle
 from nilcantor.dynamics import (
+    _evaluate_pair,
     _family_activation_gap,
     _kernel_eventual,
     lqa_witness,
@@ -47,12 +48,13 @@ SYLOW_CYLINDERS = 4  # gaps (l1, l2) with l1 < l2 <= SYLOW_CYLINDERS ...
 SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
 BRANCH_WIDTH = 3  # branch labels have 1..BRANCH_WIDTH bits
 BRANCH_PRIMES = BRANCH_WIDTH + 1  # a tail's first primes, past where two branches part
+LIMIT_LOOKAHEAD = 20  # kernels this far past the quotient's depth stand for the limit
 
-# From depth 3 on, prime 5's growing parts break the kernel towers'
-# surjectivity, so the printed persistence flags fail in windows past
-# (2,2); those parts die in the limit and must not move the verdict.
-PERSISTENCE_BREAKER = ChainSpec(
-    "persistence-breaker",
+# Prime 5's c-schedule starts at depth 3, so from there on its growing
+# parts change the kernels of every pair; those parts die in the limit
+# and must not move the verdict.
+LATE_GROWTH = ChainSpec(
+    "late-growth",
     (
         PrimeSchedule(
             5, a=CoordSchedule(1, 1, 1), b=CoordSchedule(1, 2, 2), c=CoordSchedule(3, 2, 1)
@@ -184,6 +186,29 @@ def test_kernel_moduli_divide_the_next_depths(chain):
             assert deeper.Ma % kernel.Ma == deeper.Mb % kernel.Mb == deeper.Mc % kernel.Mc == 0
 
 
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(chains())
+def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
+    # The independent route to the limit: past every schedule start, map
+    # both cylinders' kernels from far deeper into Q_d.  Growing kernel
+    # parts have left Q_d by then and constant ones stay, so the index of
+    # the two images is the gap that survives the inverse limit, and a
+    # marked gap must be exactly that.
+    for l2 in range(2, WINDOW[0] + 1):
+        d = max(l2, chain.last_start())
+        quotient = chain.quotient_at(d)
+        for l1 in range(1, l2):
+            report, limit_gap, _notes = _evaluate_pair(chain, l1, l2, l2, WINDOW[1])
+            outer, inner = (
+                quotient.image(trivial_action_kernel(chain, l, d + LIMIT_LOOKAHEAD))
+                for l in (l1, l2)
+            )
+            surviving = inner.order // outer.order
+            assert surviving == limit_gap
+            if report.persistent:
+                assert report.kernel_order == surviving
+
+
 @PROPERTY_SETTINGS
 @given(chains(family=st.just(True)))
 def test_family_gap_decides_wildness(chain):
@@ -216,7 +241,7 @@ def test_family_part_of_a_gap_is_q_to_the_g(chain):
 
 @PROPERTY_SETTINGS
 @given(chains())
-@example(PERSISTENCE_BREAKER)
+@example(LATE_GROWTH)
 def test_wildness_verdict_is_window_independent(chain):
     verdicts = {wildness_certificate(chain, *window).verdict for window in VERDICT_WINDOWS}
     assert len(verdicts) == 1
