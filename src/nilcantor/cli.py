@@ -70,7 +70,6 @@ def _int_list(text: str, name: str) -> tuple[int, ...]:
 
 
 def _one_int(text: str, name: str) -> int:
-    # wild's --n/--r arrive as the comma-list strings shared with stable
     try:
         return int(text)
     except ValueError:
@@ -79,22 +78,35 @@ def _one_int(text: str, name: str) -> int:
         ) from None
 
 
+def _integer(value: int, name: str) -> int:
+    return value  # argparse has read it
+
+
+def _optional_int_list(text, name: str) -> tuple[int, ...]:
+    return _int_list(text or "", name)
+
+
+# Each built-in chain's flags and how each is read.  --p and --q reach the
+# table as integers; the others as text, since stable's comma lists and
+# wild's single integers share --n and --r.  Only an optional reader may
+# meet a flag that was left out.
+_CHAIN_FLAGS = {
+    "ex41": {"p": _integer},
+    "ex42": {"p": _integer, "q": _integer},
+    "stable": dict.fromkeys(("pi_f", "r", "n", "pi_inf"), _int_list),
+    "wild": {"n": _one_int, "r": _one_int, "pi_inf": _optional_int_list},
+}
+
+
 def resolve_chain(args) -> ChainSpec:
     ref = args.chain_ref
-    if ref in ("ex41", "ex42", "stable", "wild"):
+    if ref in _CHAIN_FLAGS:
         params = {}
-        if ref == "ex41":
-            params["p"] = _require(args, "p")
-        elif ref == "ex42":
-            params["p"] = _require(args, "p")
-            params["q"] = _require(args, "q")
-        elif ref == "stable":
-            for name in ("pi_f", "r", "n", "pi_inf"):
-                params[name] = _int_list(_require(args, name), name)
-        elif ref == "wild":
-            params["n"] = _one_int(_require(args, "n"), "n")
-            params["r"] = _one_int(_require(args, "r"), "r")
-            params["pi_inf"] = _int_list(args.pi_inf or "", "pi_inf")
+        for name, read in _CHAIN_FLAGS[ref].items():
+            value = getattr(args, name)
+            if value is None and read is not _optional_int_list:
+                raise ContractError(f"chain {ref!r} requires --{name}")
+            params[name] = read(value, name)
         return builtin_chain(ref, **params)
     if os.path.exists(ref):
         try:
@@ -105,27 +117,17 @@ def resolve_chain(args) -> ChainSpec:
         return parse_chain_config(text)
     raise ContractError(
         f"unknown chain reference {ref!r}: not a built-in name "
-        "(ex41, ex42, stable, wild) and not a config file"
+        f"({', '.join(_CHAIN_FLAGS)}) and not a config file"
     )
-
-
-def _require(args, name):
-    value = getattr(args, name, None)
-    if value is None:
-        raise ContractError(f"chain {args.chain_ref!r} requires --{name}")
-    return value
 
 
 _CHAIN_REF_HELP = "built-in chain name or config file path"
 
 
 def _add_chain_arguments(sub):
-    sub.add_argument("--p", type=int)
-    sub.add_argument("--q", type=int)
-    sub.add_argument("--pi_f", type=str)
-    sub.add_argument("--r", type=str)
-    sub.add_argument("--n", type=str)
-    sub.add_argument("--pi_inf", type=str)
+    readers = {name: read for flags in _CHAIN_FLAGS.values() for name, read in flags.items()}
+    for name, read in readers.items():
+        sub.add_argument(f"--{name}", type=int if read is _integer else str)
 
 
 # -- commands -------------------------------------------------------------------
@@ -237,75 +239,83 @@ def _oracle_flag(args, name: str) -> str:
     return value
 
 
+def _agreement(found, closed) -> tuple:
+    """An oracle target's chain label and lines: an enumeration beside
+    its closed form."""
+    return "(none)", [
+        ("enumerated", str(found).replace(" ", "")),
+        ("closed_form", str(closed).replace(" ", "")),
+        ("agree", "yes" if found == closed else "NO"),
+    ]
+
+
+def _oracle_core(args, budget) -> tuple:
+    box = BoxSubgroup.parse(_oracle_flag(args, "box"))
+    return _agreement(core_by_enumeration(box, budget), box.core())
+
+
+def _oracle_relative_core(args, budget) -> tuple:
+    outer = BoxSubgroup.parse(_oracle_flag(args, "outer"))
+    inner = BoxSubgroup.parse(_oracle_flag(args, "box"))
+    return _agreement(
+        relative_core_by_enumeration(outer, inner, budget), relative_core(outer, inner)
+    )
+
+
+def _oracle_canonical(args, budget) -> tuple:
+    box = BoxSubgroup.parse(_oracle_flag(args, "box"))
+    g = HeisenbergElement.parse(_oracle_flag(args, "element"))
+    return _agreement(canonical_by_enumeration(box, g, budget), CosetSpace(box).canonical(g))
+
+
+def _oracle_partition(args, budget) -> tuple:
+    box = BoxSubgroup.parse(_oracle_flag(args, "box"))
+    classes = coset_partition(box, budget)
+    return "(none)", [
+        ("classes", len(classes)),
+        ("expected_index", box.index()),
+        ("agree", "yes" if len(classes) == box.index() else "NO"),
+    ]
+
+
+def _oracle_fixing(args, budget) -> tuple:
+    if args.chain_ref is None:
+        raise ContractError(
+            "oracle fixing needs a chain reference: a built-in name or a config file"
+        )
+    chain = resolve_chain(args)
+    found = fixing_scan(chain, args.cylinder, args.depth, budget)
+    kernel = trivial_action_kernel(chain, args.cylinder, args.depth)
+    closed = chain.quotient_at(args.depth).image(kernel)
+    agree = len(found) == closed.order and all(closed.contains(x) for x in found)
+    return chain.label, [
+        ("scanned_size", len(found)),
+        ("closed_form_size", closed.order),
+        ("agree", "yes" if agree else "NO"),
+    ]
+
+
+# Each oracle target maps the parsed flags and a budget to its chain label
+# and result lines.
+_ORACLE_TARGETS = {
+    "core": _oracle_core,
+    "relative-core": _oracle_relative_core,
+    "canonical": _oracle_canonical,
+    "partition": _oracle_partition,
+    "fixing": _oracle_fixing,
+}
+
+
 def cmd_oracle(args) -> tuple:
-    budget = _budget_from(args)
-    target = args.subtarget
-    results = []
-    chain_label = "(none)"
-    if target == "core":
-        box = BoxSubgroup.parse(_oracle_flag(args, "box"))
-        found = core_by_enumeration(box, budget)
-        closed = box.core()
-        results = [
-            ("enumerated", str(found)),
-            ("closed_form", str(closed)),
-            ("agree", "yes" if found == closed else "NO"),
-        ]
-    elif target == "relative-core":
-        outer = BoxSubgroup.parse(_oracle_flag(args, "outer"))
-        inner = BoxSubgroup.parse(_oracle_flag(args, "box"))
-        found = relative_core_by_enumeration(outer, inner, budget)
-        closed = relative_core(outer, inner)
-        results = [
-            ("enumerated", str(found)),
-            ("closed_form", str(closed)),
-            ("agree", "yes" if found == closed else "NO"),
-        ]
-    elif target == "canonical":
-        box = BoxSubgroup.parse(_oracle_flag(args, "box"))
-        g = HeisenbergElement.parse(_oracle_flag(args, "element"))
-        found = canonical_by_enumeration(box, g, budget)
-        closed = CosetSpace(box).canonical(g)
-        results = [
-            ("enumerated", str(found).replace(" ", "")),
-            ("closed_form", str(closed).replace(" ", "")),
-            ("agree", "yes" if found == closed else "NO"),
-        ]
-    elif target == "partition":
-        box = BoxSubgroup.parse(_oracle_flag(args, "box"))
-        classes = coset_partition(box, budget)
-        results = [
-            ("classes", len(classes)),
-            ("expected_index", box.index()),
-            ("agree", "yes" if len(classes) == box.index() else "NO"),
-        ]
-    elif target == "fixing":
-        if args.chain_ref is None:
-            raise ContractError(
-                "oracle fixing needs a chain reference: a built-in name or a config file"
-            )
-        chain = resolve_chain(args)
-        chain_label = chain.label
-        found = fixing_scan(chain, args.cylinder, args.depth, budget)
-        kernel = trivial_action_kernel(chain, args.cylinder, args.depth)
-        closed = chain.quotient_at(args.depth).image(kernel)
-        agree = len(found) == closed.order and all(closed.contains(x) for x in found)
-        results = [
-            ("scanned_size", len(found)),
-            ("closed_form_size", closed.order),
-            ("agree", "yes" if agree else "NO"),
-        ]
-    else:
-        raise ContractError(f"unknown oracle subtarget {target!r}")
-    return chain_label, (("subtarget", target),), results, "finite-depth"
+    chain_label, results = _ORACLE_TARGETS[args.subtarget](args, _budget_from(args))
+    return chain_label, (("subtarget", args.subtarget),), results, "finite-depth"
 
 
 # -- reproduce scenarios ---------------------------------------------------------
 
 
 def _reproduce_ex41(args) -> list:
-    p = args.p if args.p is not None else 2
-    chain = builtin_chain("ex41", p=p)
+    chain = builtin_chain("ex41", p=args.p)
     lines = [("chain", chain.label)]
     for level in range(1, 5):
         c = chain.core_at(level)
@@ -325,9 +335,7 @@ def _reproduce_ex41(args) -> list:
 
 
 def _reproduce_ex42(args) -> list:
-    p = args.p if args.p is not None else 2
-    q = args.q if args.q is not None else 3
-    chain = builtin_chain("ex42", p=p, q=q)
+    chain = builtin_chain("ex42", p=args.p, q=args.q)
     lines = [("chain", chain.label)]
     rep = discriminant_limit_report(chain, 1, 4)
     lines.append(("stable_image_orders", " ".join(map(str, rep.orders))))
@@ -410,15 +418,21 @@ _SCENARIOS = {
 
 def cmd_reproduce(args) -> tuple:
     name = args.name
-    if name not in _SCENARIOS:
-        raise ContractError(
-            f"unknown scenario {name!r}; choose from {sorted(_SCENARIOS)}"
-        )
     params = (("count", args.count), ("bound", args.bound)) if name == "cor16" else ()
     return name, params, _SCENARIOS[name](args), "schedule-certified"
 
 
 # -- entry point ------------------------------------------------------------------
+
+
+# The commands that analyse one chain: (name, help, required integer
+# flags, handler).
+_CHAIN_COMMANDS = (
+    ("spectrum", "Steinitz order and prime spectra", ("depth",), cmd_spectrum),
+    ("discriminant", "stabilized discriminant images", ("level", "depth"), cmd_discriminant),
+    ("wildness", "stable/wild certificate", ("lmax", "dmax"), cmd_wildness),
+    ("freeness", "topological freeness certificate", ("level", "radius", "dmax"), cmd_freeness),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -438,40 +452,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="echoed in the report; decides nothing")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="Steinitz order and prime spectra")
-    sp.add_argument("chain_ref", help=_CHAIN_REF_HELP)
-    _add_chain_arguments(sp)
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--bound", type=int)
-    sp.set_defaults(handler=cmd_spectrum)
-
-    dc = sub.add_parser("discriminant", help="stabilized discriminant images")
-    dc.add_argument("chain_ref", help=_CHAIN_REF_HELP)
-    _add_chain_arguments(dc)
-    dc.add_argument("--level", type=int, required=True)
-    dc.add_argument("--depth", type=int, required=True)
-    dc.set_defaults(handler=cmd_discriminant)
-
-    wd = sub.add_parser("wildness", help="stable/wild certificate")
-    wd.add_argument("chain_ref", help=_CHAIN_REF_HELP)
-    _add_chain_arguments(wd)
-    wd.add_argument("--lmax", type=int, required=True)
-    wd.add_argument("--dmax", type=int, required=True)
-    wd.set_defaults(handler=cmd_wildness)
-
-    fr = sub.add_parser("freeness", help="topological freeness certificate")
-    fr.add_argument("chain_ref", help=_CHAIN_REF_HELP)
-    _add_chain_arguments(fr)
-    fr.add_argument("--level", type=int, required=True)
-    fr.add_argument("--radius", type=int, required=True)
-    fr.add_argument("--dmax", type=int, required=True)
-    fr.set_defaults(handler=cmd_freeness)
+    for name, text, flags, handler in _CHAIN_COMMANDS:
+        cmd = sub.add_parser(name, help=text)
+        cmd.add_argument("chain_ref", help=_CHAIN_REF_HELP)
+        _add_chain_arguments(cmd)
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", type=int, required=True)
+        cmd.set_defaults(handler=handler)
+    sub.choices["spectrum"].add_argument("--bound", type=int)
 
     orc = sub.add_parser("oracle", help="ad-hoc enumeration cross-checks")
-    orc.add_argument(
-        "subtarget",
-        choices=["core", "relative-core", "canonical", "partition", "fixing"],
-    )
+    orc.add_argument("subtarget", choices=_ORACLE_TARGETS)
     orc.add_argument("--box", type=str, help="Box(Ma,Mb,Mc)")
     orc.add_argument("--outer", type=str, help="Box(Ma,Mb,Mc)")
     orc.add_argument("--element", type=str, help="(a,b,c)")
@@ -484,9 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(handler=cmd_oracle)
 
     rp = sub.add_parser("reproduce", help="bundled reference scenarios")
-    rp.add_argument("name", help="ex41 | ex42 | thm13 | thm15 | cor16")
-    rp.add_argument("--p", type=int)
-    rp.add_argument("--q", type=int)
+    rp.add_argument("name", choices=_SCENARIOS)
+    rp.add_argument("--p", type=int, default=2)
+    rp.add_argument("--q", type=int, default=3)
     rp.add_argument("--count", type=int, default=5)
     rp.add_argument("--bound", type=int, default=200, help="cor16: echoed; decides nothing")
     rp.set_defaults(handler=cmd_reproduce)

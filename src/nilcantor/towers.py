@@ -543,6 +543,15 @@ def ex42(p: int, q: int) -> ChainSpec:
     )
 
 
+def _growing_primes(pi_inf) -> tuple:
+    """p_j^level in every coordinate for the j-th smallest prime p_j of
+    pi_inf, entering at level j."""
+    return tuple(
+        PrimeSchedule(p, *[CoordSchedule(j, 0, 1)] * 3)
+        for j, p in enumerate(sorted(pi_inf), start=1)
+    )
+
+
 def stable_chain(pi_f, r, n, pi_inf) -> ChainSpec:
     """Finite family q_i^(r_i | n_i | n_i) plus growing primes p_j^level
     (p_j entering at level j): Gamma_l = {(a*M_l, b*N_l, c*N_l)} with
@@ -556,7 +565,7 @@ def stable_chain(pi_f, r, n, pi_inf) -> ChainSpec:
     for ri, ni in zip(r, n):
         if not 1 <= ri <= ni:
             raise ContractError(f"need 1 <= r <= n, got r={ri}, n={ni}")
-    entries = [
+    entries = tuple(
         PrimeSchedule(
             q,
             a=CoordSchedule(1, ri, 0),
@@ -564,23 +573,14 @@ def stable_chain(pi_f, r, n, pi_inf) -> ChainSpec:
             c=CoordSchedule(1, ni, 0),
         )
         for q, ri, ni in zip(pi_f, r, n)
-    ]
-    entries += [
-        PrimeSchedule(
-            p,
-            a=CoordSchedule(j, 0, 1),
-            b=CoordSchedule(j, 0, 1),
-            c=CoordSchedule(j, 0, 1),
-        )
-        for j, p in enumerate(sorted(pi_inf), start=1)
-    ]
+    )
     label = "stable(pi_f=%s;r=%s;n=%s;pi_inf=%s)" % (
         ",".join(map(str, pi_f)),
         ",".join(map(str, r)),
         ",".join(map(str, n)),
         ",".join(map(str, sorted(pi_inf))),
     )
-    return ChainSpec(label=label, explicit=tuple(entries))
+    return ChainSpec(label=label, explicit=entries + _growing_primes(pi_inf))
 
 
 def wild_chain(
@@ -599,15 +599,6 @@ def wild_chain(
         for p in pi_inf:
             if enumeration.index_of(p) is not None:
                 raise ContractError(f"family enumeration must exclude {p}")
-    entries = tuple(
-        PrimeSchedule(
-            p,
-            a=CoordSchedule(j, 0, 1),
-            b=CoordSchedule(j, 0, 1),
-            c=CoordSchedule(j, 0, 1),
-        )
-        for j, p in enumerate(pi_inf, start=1)
-    )
     label = "wild(n=%d;r=%d;pi_inf=%s;q=%s)" % (
         n,
         r,
@@ -616,26 +607,19 @@ def wild_chain(
     )
     return ChainSpec(
         label=label,
-        explicit=entries,
+        explicit=_growing_primes(pi_inf),
         family=IndexedFamily(enumeration, a_exp=r, b_exp=n, c_exp=n),
     )
 
 
+_BUILTIN_CHAINS = {"ex41": ex41, "ex42": ex42, "stable": stable_chain, "wild": wild_chain}
+
+
 def builtin_chain(name: str, **params) -> ChainSpec:
-    if name == "ex41":
-        return ex41(params["p"])
-    if name == "ex42":
-        return ex42(params["p"], params["q"])
-    if name == "stable":
-        return stable_chain(params["pi_f"], params["r"], params["n"], params["pi_inf"])
-    if name == "wild":
-        return wild_chain(
-            params["n"],
-            params["r"],
-            params.get("pi_inf", ()),
-            params.get("enumeration"),
-        )
-    raise ContractError(f"unknown built-in chain {name!r}")
+    """The built-in chain `name`, built from its constructor's keywords."""
+    if name not in _BUILTIN_CHAINS:
+        raise ContractError(f"unknown built-in chain {name!r}")
+    return _BUILTIN_CHAINS[name](**params)
 
 
 # -- declarative chain config -------------------------------------------------

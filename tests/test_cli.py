@@ -6,17 +6,28 @@ import io
 import os
 import pathlib
 import pkgutil
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import nilcantor
+from nilcantor import cli
 from nilcantor.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# Every flag each built-in chain requires, with a value it accepts.
+CHAIN_ARGS = {
+    "ex41": ["--p", "2"],
+    "ex42": ["--p", "2", "--q", "3"],
+    "stable": ["--pi_f", "2,3", "--r", "1,1", "--n", "2,2", "--pi_inf", "5"],
+    "wild": ["--n", "2", "--r", "1"],
+}
 
 
 def run_cli(argv, capsys):
@@ -127,6 +138,7 @@ def test_oracle_commands(capsys):
 def test_contract_violation_exits_2(capsys):
     code, _, err = run_cli(["spectrum", "nonsense", "--depth", "3"], capsys)
     assert code == 2 and "unknown chain reference" in err
+    assert "(ex41, ex42, stable, wild)" in err
     code, _, err = run_cli(["spectrum", "ex41", "--depth", "3"], capsys)
     assert code == 2 and "--p" in err
     code, _, err = run_cli(
@@ -192,6 +204,48 @@ def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatc
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_chain_args_cover_every_required_flag():
+    # CHAIN_ARGS lists each built-in chain once, with exactly the flags
+    # the chain table requires, and those flags alone suffice.
+    assert set(CHAIN_ARGS) == set(cli._CHAIN_FLAGS)
+    for name, flags in cli._CHAIN_FLAGS.items():
+        required = {f"--{f}" for f, read in flags.items() if read is not cli._optional_int_list}
+        assert set(CHAIN_ARGS[name][::2]) == required
+
+
+@pytest.mark.parametrize(
+    "chain,flag",
+    [(chain, flag) for chain, args in CHAIN_ARGS.items() for flag in args[::2]],
+)
+def test_each_required_chain_flag_exits_2_when_left_out(chain, flag, capsys):
+    args = CHAIN_ARGS[chain]
+    code, _, _ = run_cli(["spectrum", chain, *args, "--depth", "2"], capsys)
+    assert code == 0
+    i = args.index(flag)
+    code, out, err = run_cli(["spectrum", chain, *args[:i], *args[i + 2:], "--depth", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: chain {chain!r} requires {flag}\n"
+
+
+def readme_cli_calls() -> list:
+    """The argv of every `nilcantor ...` line in README's CLI code block."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("nilcantor ")]
+
+
+def test_readme_cli_calls_print_one_report(capsys):
+    # The README's examples run against the table-driven parser, so a
+    # renamed chain, flag or command fails here rather than in the docs.
+    calls = readme_cli_calls()
+    assert len(calls) == 8
+    for argv in calls:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(f"command: {argv[0]}\n") and out.count("command: ") == 1, argv
+        assert out.count("\ntool_version: ") == 1 and out.endswith("\nseed: 0\n"), argv
 
 
 def test_resource_exhaustion_exits_3(capsys):

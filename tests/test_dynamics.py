@@ -57,33 +57,33 @@ def test_kernels_antitone_in_cylinder():
 
 
 def test_kernel_is_pointwise_fixing_set():
-    # Direct semantics check: members fix every coset of the cylinder at
-    # the given depth, non-members move at least one.
-    chain = wild_chain(2, 1)
-    cyl, depth = 1, 2
-    kernel = trivial_action_kernel(chain, cyl, depth)
-    box_d, box_l = chain.box_at(depth), chain.box_at(cyl)
+    # Direct semantics check at depth 2: the kernel's generators fix every
+    # depth-2 coset inside their cylinder, and (6,0,0), in the level-2
+    # kernel but not the level-1 one, moves a coset inside the level-1
+    # cylinder.
+    chain, depth = wild_chain(2, 1), 2
+    box_d = chain.box_at(depth)
     space = CosetSpace(box_d)
-    reps = [
-        HeisenbergElement(a, b, c)
-        for a in range(0, box_d.Ma, box_l.Ma)
-        for b in range(0, box_d.Mb, box_l.Mb)
-        for c in range(0, box_d.Mc, box_l.Mc)
-    ]
 
-    def fixes_all(g):
+    def fixes_all(g, cyl):
+        box_l = chain.box_at(cyl)
         return all(
-            space.canonical(g * h) == space.canonical(h) for h in reps
+            space.canonical(g * h) == space.canonical(h)
+            for h in (
+                HeisenbergElement(a, b, c)
+                for a in range(0, box_d.Ma, box_l.Ma)
+                for b in range(0, box_d.Mb, box_l.Mb)
+                for c in range(0, box_d.Mc, box_l.Mc)
+            )
         )
 
-    assert fixes_all(HeisenbergElement(kernel.Ma, 0, 0))
-    assert fixes_all(HeisenbergElement(0, kernel.Mb, 0))
-    inside_not_kernel = HeisenbergElement(box_d.Ma, 0, 0)  # (6,0,0) is kernel gen
-    assert kernel.contains(inside_not_kernel) or not fixes_all(inside_not_kernel)
-    mover = HeisenbergElement(box_d.Ma * 1, 0, 0)
-    comparison = trivial_action_kernel(chain, cyl, depth)
-    if not comparison.contains(mover):
-        assert not fixes_all(mover)
+    comparison, kernel = (trivial_action_kernel(chain, cyl, depth) for cyl in (1, 2))
+    assert (kernel, comparison) == (BoxSubgroup(6, 36, 36), BoxSubgroup(18, 36, 36))
+    assert all(fixes_all(g, 2) for g in kernel.generators())
+    assert all(fixes_all(g, 1) for g in comparison.generators())
+    mover = HeisenbergElement(6, 0, 0)
+    assert kernel.contains(mover) and not comparison.contains(mover)
+    assert fixes_all(mover, 2) and not fixes_all(mover, 1)
 
 
 # -- witnesses --------------------------------------------------------------------

@@ -22,6 +22,7 @@ from nilcantor.dynamics import (
     _evaluate_pair,
     _family_activation_gap,
     _kernel_eventual,
+    freeness_certificate,
     lqa_witness,
     trivial_action_kernel,
     wildness_certificate,
@@ -32,7 +33,7 @@ from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivale
 from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule, wild_chain
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from gen_chains import draw_chain  # noqa: E402
+from gen_chains import MAX_QUOTIENT as SCAN_QUOTIENT, MAX_SCAN_CELLS, draw_chain  # noqa: E402
 
 WINDOW = (3, 5)  # wildness certificate: max cylinder, max depth
 WIDE_WINDOW = (4, 9)
@@ -49,6 +50,9 @@ SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
 BRANCH_WIDTH = 3  # branch labels have 1..BRANCH_WIDTH bits
 BRANCH_PRIMES = BRANCH_WIDTH + 1  # a tail's first primes, past where two branches part
 LIMIT_LOOKAHEAD = 20  # kernels this far past the quotient's depth stand for the limit
+FREENESS_CYLINDERS = (1, 2)
+FREENESS_RADIUS = 2  # small, so that drawn chains are FreeCertified and NotFree both
+FREENESS_DEPTH = 4  # certificates walk to here; scans run within the benchmark's budgets
 
 # Prime 5's c-schedule starts at depth 3, so from there on its growing
 # parts change the kernels of every pair; those parts die in the limit
@@ -184,6 +188,54 @@ def test_kernel_moduli_divide_the_next_depths(chain):
             kernel = trivial_action_kernel(chain, cylinder, depth)
             deeper = trivial_action_kernel(chain, cylinder, depth + 1)
             assert deeper.Ma % kernel.Ma == deeper.Mb % kernel.Mb == deeper.Mc % kernel.Mc == 0
+
+
+def _scan(chain, cylinder, depth):
+    """`oracle.fixing_scan` and Q_depth, or None past the budgets of
+    `gen_chains.py` (|Q_d| and the cosets inside the cylinder)."""
+    if depth < max(cylinder, 1):
+        return None
+    quotient = chain.quotient_at(depth)
+    if quotient.order > SCAN_QUOTIENT:
+        return None
+    if quotient.order // chain.box_at(cylinder).index() > MAX_SCAN_CELLS:
+        return None
+    budget = oracle.OracleBudget(max_group_order=SCAN_QUOTIENT * MAX_SCAN_CELLS)
+    return oracle.fixing_scan(chain, cylinder, depth, budget), quotient
+
+
+def _ball_reaches(residue, quotient, radius) -> bool:
+    """Whether a non-identity element with coordinates in [-radius, radius]
+    reduces to `residue` in the quotient.  Per coordinate, r mod M has a
+    lift in the ball exactly when min(r, M - r) <= radius; for r = 0 the
+    lifts +-M are the non-identity ones."""
+    moduli = (quotient.A, quotient.B, quotient.C)
+    near = [min(r, m - r) <= radius for r, m in zip(residue, moduli)]
+    nonzero = [m <= radius if r == 0 else ok for r, m, ok in zip(residue, moduli, near)]
+    return all(near) and any(nonzero)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(chains())
+def test_freeness_verdict_is_the_fixing_scan_in_the_ball(chain):
+    # FreeCertified at escape depth d: no non-identity element of the ball
+    # fixes the cylinder at depth d, and one still does at d - 1, so d is
+    # the first escape.  NotFree: the witness fixes it at every depth.
+    for cylinder in FREENESS_CYLINDERS:
+        cert = freeness_certificate(chain, cylinder, FREENESS_RADIUS, FREENESS_DEPTH)
+        if cert.verdict == "FreeCertified":
+            for depth, reached in ((cert.escape_depth, False), (cert.escape_depth - 1, True)):
+                found = _scan(chain, cylinder, depth)
+                if found is not None:
+                    scanned, quotient = found
+                    assert any(_ball_reaches(x, quotient, FREENESS_RADIUS) for x in scanned) == reached
+        elif cert.verdict == "NotFree":
+            w = cert.witness
+            for depth in range(cylinder, FREENESS_DEPTH + 1):
+                found = _scan(chain, cylinder, depth)
+                if found is not None:
+                    scanned, q = found
+                    assert (w.a % q.A, w.b % q.B, w.c % q.C) in scanned
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)

@@ -413,6 +413,23 @@ def test_parse_chain_config_errors_carry_position():
 
 
 def test_builtin_chain_dispatch():
+    branch = TreeBranchPrimes(1, 1)
+    cases = [
+        (("ex41", {"p": 2}), ex41(2)),
+        (("ex42", {"p": 5, "q": 3}), ex42(5, 3)),
+        (
+            ("stable", {"pi_f": (2, 3), "r": (1, 1), "n": (2, 2), "pi_inf": (7, 5)}),
+            stable_chain((2, 3), (1, 1), (2, 2), (7, 5)),
+        ),
+        (("wild", {"n": 2, "r": 1}), wild_chain(2, 1)),
+        (("wild", {"n": 3, "r": 1, "pi_inf": (7, 2)}), wild_chain(3, 1, (7, 2))),
+        (("wild", {"n": 2, "r": 1, "enumeration": branch}), wild_chain(2, 1, enumeration=branch)),
+    ]
+    for (name, params), expected in cases:
+        assert builtin_chain(name, **params) == expected
     assert builtin_chain("ex41", p=2).label == "ex41(p=2)"
+    # the growing primes enter in increasing order, whatever order pi_inf lists
+    growing = builtin_chain("wild", n=3, r=1, pi_inf=(7, 2)).explicit
+    assert [(s.prime, s.a.start) for s in growing] == [(2, 1), (7, 2)]
     with pytest.raises(ContractError):
         builtin_chain("nope")
