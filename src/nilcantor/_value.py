@@ -10,8 +10,6 @@ field.  Importing ``dataclasses`` would load ``inspect`` and ``ast`` in
 every CLI call and build each class's methods with ``exec`` at import.
 """
 
-import operator
-
 set_field = object.__setattr__
 
 
@@ -47,22 +45,3 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-
-def _compare(op):
-    def compare(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return op(self._key(), other._key())
-
-    return compare
-
-
-class OrderedValue(Value):
-    """A value class ordered by its field tuple."""
-
-    __slots__ = ()
-    __lt__ = _compare(operator.lt)
-    __le__ = _compare(operator.le)
-    __gt__ = _compare(operator.gt)
-    __ge__ = _compare(operator.ge)

@@ -34,8 +34,6 @@ from .oracle import (
 from .steinitz import almost_disjoint_spectra, asymptotically_equivalent, spectra
 from .towers import ChainSpec, CosetSpace, builtin_chain, parse_chain_config, wild_chain
 
-BUDGET_ENV = "NILCANTOR_MAX_GROUP_ORDER"
-
 
 def render(command: str, chain: str, parameters, results, evidence_grade: str, seed: int) -> str:
     """One command's report; `results` holds lines, each a (key, value)
@@ -218,20 +216,6 @@ def cmd_freeness(args) -> tuple:
     return chain.label, params, results, cert.evidence_grade
 
 
-def _budget_from(args) -> OracleBudget:
-    env_order = os.environ.get(BUDGET_ENV)
-    try:
-        max_order = args.max_group_order
-        if max_order is None:
-            max_order = int(env_order) if env_order else 10**6
-    except ValueError:
-        raise ContractError(f"{BUDGET_ENV} must be an integer, got {env_order!r}") from None
-    return OracleBudget(
-        max_modulus=args.max_modulus,
-        max_group_order=max_order,
-    )
-
-
 def _oracle_flag(args, name: str) -> str:
     value = getattr(args, name)
     if value is None:
@@ -307,7 +291,8 @@ _ORACLE_TARGETS = {
 
 
 def cmd_oracle(args) -> tuple:
-    chain_label, results = _ORACLE_TARGETS[args.subtarget](args, _budget_from(args))
+    budget = OracleBudget(args.max_group_order)
+    chain_label, results = _ORACLE_TARGETS[args.subtarget](args, budget)
     return chain_label, (("subtarget", args.subtarget),), results, "finite-depth"
 
 
@@ -468,8 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--element", type=str, help="(a,b,c)")
     orc.add_argument("--cylinder", type=int, default=1)
     orc.add_argument("--depth", type=int, default=1)
-    orc.add_argument("--max-modulus", type=int, default=12)
-    orc.add_argument("--max-group-order", type=int)
+    orc.add_argument("--max-group-order", type=int, default=OracleBudget().max_group_order)
     orc.add_argument("chain_ref", nargs="?", help=_CHAIN_REF_HELP + " (fixing only)")
     _add_chain_arguments(orc)
     orc.set_defaults(handler=cmd_oracle)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from math import gcd, lcm
 
-from ._value import OrderedValue, set_field
+from ._value import Value, set_field
 from .errors import ContractError
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-class HeisenbergElement(OrderedValue):
+class HeisenbergElement(Value):
     """Integer triple (a, b, c); identity is (0, 0, 0)."""
 
     __slots__ = ("a", "b", "c")
@@ -87,7 +87,7 @@ class HeisenbergElement(OrderedValue):
 IDENTITY = HeisenbergElement(0, 0, 0)
 
 
-class BoxSubgroup(OrderedValue):
+class BoxSubgroup(Value):
     """The subgroup {(a*Ma, b*Mb, c*Mc)} of the Heisenberg group.
 
     Requires Mc | Ma*Mb: the product of two box elements adds a*Ma*b'*Mb

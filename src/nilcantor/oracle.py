@@ -2,11 +2,18 @@
 
 Nothing here shares logic with the fast paths beyond the element
 arithmetic itself: cores and relative cores are found by scanning
-conjugators, coset structure by pairwise membership tests, and
-trivial-action kernels by checking every group element against every
-coset.  The closed forms are trusted only because they agree with these
-scans on every input within budget; that equivalence is this module's
-entire contract and runs in the regular test suite.
+conjugators, coset structure by walking each grid point's coset through
+the box, and trivial-action kernels by checking every group element
+against every coset.  The coset partition of a grid is the fibres of its
+canonical table.  The closed forms are trusted only because they agree
+with these scans on every input within budget; that equivalence is this
+module's entire contract and runs in the regular test suite.
+
+One number bounds every scan: `OracleBudget.max_group_order`.  A scan
+counts the steps it will take before it starts and refuses with
+ResourceError above the budget (the pair scans above PAIRS_FACTOR times
+it); only the orbits, whose size is not known in advance, are refused as
+they pass it.
 
 This module is the one home of enumeration: the towers module holds
 closed forms only, and the generator closures and orbits that check its
@@ -34,21 +41,17 @@ __all__ = [
     "canonical_table_by_enumeration",
 ]
 
-# relative_core_by_enumeration only scans the outer box's conjugator
-# residues, so it takes inner moduli up to this multiple of max_modulus.
-RELATIVE_CORE_MODULUS_FACTOR = 6
-# fixing_scan confronts each identity-coset stabilizer with each coset
-# representative: up to this multiple of max_group_order pairs.
-FIXING_PAIRS_FACTOR = 4
+# A scan that confronts pairs (conjugator and candidate, stabilizer and
+# coset) may make up to this multiple of max_group_order tests.
+PAIRS_FACTOR = 4
 
 
 class OracleBudget(Value):
-    __slots__ = ("max_modulus", "max_group_order")
+    __slots__ = ("max_group_order",)
 
-    def __init__(self, max_modulus: int = 12, max_group_order: int = 10**6):
-        if min(max_modulus, max_group_order) < 1:
-            raise ContractError("budget fields must be positive")
-        set_field(self, "max_modulus", max_modulus)
+    def __init__(self, max_group_order: int = 10**6):
+        if max_group_order < 1:
+            raise ContractError(f"max_group_order must be positive, got {max_group_order}")
         set_field(self, "max_group_order", max_group_order)
 
 
@@ -60,6 +63,17 @@ def _check(condition: bool, message: str) -> None:
         raise ContractError(message)
 
 
+def _refuse_above(demand: int, what: str, budget: OracleBudget, factor: int = 1) -> None:
+    """Refuse a scan that will take `demand` steps, before it starts."""
+    limit = budget.max_group_order * factor
+    if demand > limit:
+        scale = f" x {factor}" if factor != 1 else ""
+        raise ResourceError(
+            f"{what}: {demand} exceeds budget {limit} "
+            f"(max_group_order {budget.max_group_order}{scale})"
+        )
+
+
 def _same_left_coset(g: HeisenbergElement, h: HeisenbergElement, box: BoxSubgroup) -> bool:
     return box.contains(g.inverse() * h)
 
@@ -69,13 +83,16 @@ def core_by_enumeration(box: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET)
 
     Conjugation by (x, y, z) shifts the central coordinate by x*b - y*a,
     which only depends on (x, y) mod Mc, so scanning (x, y) in [0, Mc)^2
-    is exhaustive in effect.
+    is exhaustive in effect.  The Mc^2 conjugators meet 2(Mc+1)
+    candidates and then at most (Mc+1)^2 pairs of survivors.
     """
-    ma, mb, mc = box.Ma, box.Mb, box.Mc
-    if max(ma, mb, mc) > budget.max_modulus:
-        raise ResourceError(
-            f"largest modulus {max(ma, mb, mc)} of {box} exceeds budget {budget.max_modulus}"
-        )
+    mc, window = box.Mc, box.Mc + 1
+    _refuse_above(
+        mc * mc * (2 * window + window * window),
+        f"conjugation tests of the core scan of {box}",
+        budget,
+        PAIRS_FACTOR,
+    )
     survives, surviving_a, surviving_b, found = _conjugation_scan(box, range(mc), range(mc))
     # The two coordinates must be independent (product structure).
     for a in surviving_a:
@@ -116,16 +133,17 @@ def relative_core_by_enumeration(
     outer: BoxSubgroup, inner: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET
 ) -> BoxSubgroup:
     """Same scan as core_by_enumeration, with conjugators restricted to
-    representatives of the outer box."""
+    representatives of the outer box: at most Mc'^2 of them, each tested
+    against 2(Mc'+1) candidates."""
     if not outer.contains_box(inner):
         raise ContractError(f"{inner} is not contained in {outer}")
-    ma, mb, mc = inner.Ma, inner.Mb, inner.Mc
-    limit = budget.max_modulus * RELATIVE_CORE_MODULUS_FACTOR
-    if max(ma, mb, mc) > limit:
-        raise ResourceError(
-            f"largest modulus {max(ma, mb, mc)} of {inner} exceeds budget {limit} "
-            f"(max_modulus {budget.max_modulus} x {RELATIVE_CORE_MODULUS_FACTOR})"
-        )
+    mc = inner.Mc
+    _refuse_above(
+        mc * mc * 2 * (mc + 1),
+        f"conjugation tests of the relative core scan of {inner} in {outer}",
+        budget,
+        PAIRS_FACTOR,
+    )
     # The outer box's (x, y) values, reduced mod Mc': the shift x*b - y*a
     # only depends on these residues.
     xs = sorted({(k * outer.Ma) % mc for k in range(mc)})
@@ -146,8 +164,7 @@ def fixing_scan(
     exactly the "does g fix h*Gamma_depth" test.
     """
     q = chain.quotient_at(depth)
-    if q.order > budget.max_group_order:
-        raise ResourceError(f"|Q_{depth}| = {q.order} exceeds budget {budget.max_group_order}")
+    _refuse_above(q.order, f"elements of Q_{depth}", budget)
     box = chain.box_at(depth)
     outer = chain.box_at(cylinder) if cylinder >= 1 else None
 
@@ -176,12 +193,9 @@ def fixing_scan(
     reps = [
         HeisenbergElement(a, b, c) for a in reps_a for b in reps_b for c in reps_c
     ]
-    pairs, limit = len(survivors) * len(reps), budget.max_group_order * FIXING_PAIRS_FACTOR
-    if pairs > limit:
-        raise ResourceError(
-            f"fixing scan needs {pairs} stabilizer-coset pairs; exceeds budget {limit} "
-            f"(max_group_order {budget.max_group_order} x {FIXING_PAIRS_FACTOR})"
-        )
+    _refuse_above(
+        len(survivors) * len(reps), "stabilizer-coset pairs of the fixing scan", budget, PAIRS_FACTOR
+    )
 
     fixed = []
     for g in survivors:
@@ -236,24 +250,11 @@ def coset_partition(
     box: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET, span: int = 2
 ) -> list[frozenset]:
     """Partition the grid [0, span*Ma) x [0, span*Mb) x [0, span*Mc) into
-    left cosets of the box by pairwise membership tests."""
-    if box.index() > budget.max_group_order:
-        raise ResourceError(f"index {box.index()} of {box} exceeds budget {budget.max_group_order}")
-    grid = [
-        HeisenbergElement(a, b, c)
-        for a in range(span * box.Ma)
-        for b in range(span * box.Mb)
-        for c in range(span * box.Mc)
-    ]
-    classes: list[tuple[HeisenbergElement, set]] = []
-    for g in grid:
-        for rep, members in classes:
-            if _same_left_coset(rep, g, box):
-                members.add((g.a, g.b, g.c))
-                break
-        else:
-            classes.append((g, {(g.a, g.b, g.c)}))
-    return [frozenset(members) for _rep, members in classes]
+    left cosets of the box: the fibres of its canonical table."""
+    fibres: dict = {}
+    for g, r in canonical_table_by_enumeration(box, span, budget).items():
+        fibres.setdefault(r, []).append(g)
+    return [frozenset(members) for members in fibres.values()]
 
 
 def canonical_by_enumeration(
@@ -261,8 +262,7 @@ def canonical_by_enumeration(
 ) -> tuple:
     """The unique grid point in the same left coset as g, found by scanning
     the whole grid and asserting uniqueness."""
-    if box.index() > budget.max_group_order:
-        raise ResourceError(f"index {box.index()} of {box} exceeds budget {budget.max_group_order}")
+    _refuse_above(box.index(), f"grid points of the canonical scan of {box}", budget)
     matches = [
         (a, b, c)
         for a in range(box.Ma)
@@ -274,36 +274,35 @@ def canonical_by_enumeration(
     return matches[0]
 
 
-def canonical_table_by_enumeration(box: BoxSubgroup, span: int = 2) -> dict:
+def canonical_table_by_enumeration(
+    box: BoxSubgroup, span: int = 2, budget: OracleBudget = DEFAULT_BUDGET
+) -> dict:
     """canonical_by_enumeration over the whole spanned grid
     [0, span*Ma) x [0, span*Mb) x [0, span*Mc): returns {grid element ->
     its unique mate}, a mate being a point r of the plain grid
     [0, Ma) x [0, Mb) x [0, Mc) in the same left coset.
 
-    g is in the coset of r exactly when g = r*h for some box element h,
-    namely h = r^-1 g = (ga-ra, gb-rb, gc-rc-ra*(gb-rb)).  On the two
-    grids its a-part is a multiple of Ma in (-Ma, span*Ma), so in
-    [0, span*Ma); likewise its b-part lies in [0, span*Mb); and its c-part
-    lies in [-(Mc-1) - (Ma-1)*(span-1)*Mb, span*Mc).  So walking r*h over
-    every plain-grid r and every box element h in that window meets each
-    (g, r) pair exactly once, and the scan insists that each spanned-grid
-    point is met exactly once.
+    g is in the coset of r exactly when g = r*h for a box element
+    h = (x, y, z), and r*h = (ra+x, rb+y, rc+z+ra*y).  Since ra < Ma and
+    rb < Mb, r*h has its a- and b-parts on the spanned grid exactly for
+    the multiples x of Ma in [0, span*Ma) and y of Mb in [0, span*Mb); for
+    each such (x, y) its c-part lies in [0, span*Mc) exactly for the
+    multiples z of Mc from -floor((rc + ra*y)/Mc)*Mc up to, not including,
+    span*Mc - rc - ra*y.  Walking those h from every plain-grid r meets
+    each (g, r) pair exactly once, span^3 * index steps in all, and the
+    scan insists that each spanned-grid point is met exactly once.
     """
     ma, mb, mc = box.Ma, box.Mb, box.Mc
     wa, wb, wc = span * ma, span * mb, span * mc
-    low_c = -((mc - 1 + (ma - 1) * (wb - mb)) // mc) * mc
-    window = [
-        (x, y, z)
-        for x in range(0, wa, ma)
-        for y in range(0, wb, mb)
-        for z in range(low_c, wc, mc)
-    ]
+    _refuse_above(wa * wb * wc, f"points of the coset table of {box} at span {span}", budget)
+    steps = [(x, y) for x in range(0, wa, ma) for y in range(0, wb, mb)]
     table: dict = {}
     for r in ((a, b, c) for a in range(ma) for b in range(mb) for c in range(mc)):
         ra, rb, rc = r
-        for x, y, z in window:
-            g = (ra + x, rb + y, rc + z + ra * y)  # r*h by the group law
-            if g[0] < wa and g[1] < wb and 0 <= g[2] < wc:
+        for x, y in steps:
+            shift = rc + ra * y
+            for z in range(-(shift // mc) * mc, wc - shift, mc):
+                g = (ra + x, rb + y, shift + z)  # r*h by the group law
                 _check(g not in table, f"{g} meets the representative grid twice")
                 table[g] = r
     _check(len(table) == wa * wb * wc, "some coset misses the representative grid")

@@ -164,7 +164,7 @@ def _all_boxes(limit):
 
 def test_criterion_6_oracle_equivalence_suite():
     with _Budget("ACCEPTANCE-6 oracle equivalence", 60.0):
-        budget = OracleBudget(max_modulus=12)
+        budget = OracleBudget()
         boxes = list(_all_boxes(8))
         # core and the trivial-action kernel of the whole space
         for box in boxes:

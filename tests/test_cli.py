@@ -1,12 +1,15 @@
 """CLI behaviour: exit codes, report shape, golden reproduce scenarios."""
 
+import argparse
 import ast
 import importlib
 import io
 import os
 import pathlib
 import pkgutil
+import re
 import shlex
+import signal
 import subprocess
 import sys
 
@@ -20,6 +23,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Every flag each built-in chain requires, with a value it accepts.
 CHAIN_ARGS = {
@@ -154,45 +158,38 @@ def test_contract_violation_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv,env,config",
+    "argv,config",
     [
-        (["spectrum", "wild", "--n", "2,3", "--r", "1", "--depth", "3"], {}, None),
-        (["spectrum", "wild", "--n", "x", "--r", "1", "--depth", "3"], {}, None),
+        (["spectrum", "wild", "--n", "2,3", "--r", "1", "--depth", "3"], None),
+        (["spectrum", "wild", "--n", "x", "--r", "1", "--depth", "3"], None),
         (
             ["spectrum", "stable", "--pi_f", "2,x", "--r", "1,1", "--n", "2,2",
              "--pi_inf", "5", "--depth", "3"],
-            {},
             None,
         ),
-        (["oracle", "core"], {}, None),
-        (["oracle", "core", "--box", "Box(2,2,4)"], {"NILCANTOR_MAX_GROUP_ORDER": "abc"}, None),
-        (["spectrum", "{config}", "--depth", "3"], {}, "family qi coord=a\n"),
-        (["spectrum", "ex41", "--p", "x", "--depth", "3"], {}, None),
-        (["bogus"], {}, None),
-        (["spectrum", "ex41", "--p", "2"], {}, None),
-        (["oracle", "fixing", "--depth", "2"], {}, None),
-        (["freeness", "ex41", "--p", "2", "--level", "-1", "--radius", "1", "--dmax", "2"],
-         {}, None),
-        (["spectrum", "{dir}", "--depth", "2"], {}, None),
-        (["spectrum", "{config}", "--depth", "2"], {}, b"\xff\n"),
-        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "0"], {}, None),
-        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "-5"], {}, None),
-        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-modulus", "0"], {}, None),
-        (["oracle", "partition", "--box", "Box(2,2,4)"], {"NILCANTOR_MAX_GROUP_ORDER": "0"}, None),
-        (["spectrum", "{config}", "--depth", "2"], {},
+        (["oracle", "core"], None),
+        (["spectrum", "{config}", "--depth", "3"], "family qi coord=a\n"),
+        (["spectrum", "ex41", "--p", "x", "--depth", "3"], None),
+        (["bogus"], None),
+        (["spectrum", "ex41", "--p", "2"], None),
+        (["oracle", "fixing", "--depth", "2"], None),
+        (["freeness", "ex41", "--p", "2", "--level", "-1", "--radius", "1", "--dmax", "2"], None),
+        (["spectrum", "{dir}", "--depth", "2"], None),
+        (["spectrum", "{config}", "--depth", "2"], b"\xff\n"),
+        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "0"], None),
+        (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "-5"], None),
+        (["spectrum", "{config}", "--depth", "2"],
          "prime=2 coord=a start=1 base=0 slope=1\nprime=2 coord=b start=1 base=0 slope=1\n"
          "prime=2 coord=c start=1 base=0 slope=2\nfamily exclude=3,5\n"),
     ],
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
-         "budget-env-text", "family-no-base", "argparse-bad-int",
+         "family-no-base", "argparse-bad-int",
          "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain",
          "freeness-negative-cylinder", "config-is-directory", "config-not-utf8",
-         "budget-flag-zero", "budget-flag-negative", "budget-modulus-zero", "budget-env-zero",
+         "budget-flag-zero", "budget-flag-negative",
          "family-exclude-without-family"],
 )
-def test_bad_input_exits_2_with_one_line(argv, env, config, tmp_path, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_bad_input_exits_2_with_one_line(argv, config, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "chain.cfg"
         if isinstance(config, bytes):
@@ -246,6 +243,53 @@ def test_readme_cli_calls_print_one_report(capsys):
         assert (code, err) == (0, ""), argv
         assert out.startswith(f"command: {argv[0]}\n") and out.count("command: ") == 1, argv
         assert out.count("\ntool_version: ") == 1 and out.endswith("\nseed: 0\n"), argv
+
+
+def run_cli_within(argv, capsys, seconds: float):
+    """run_cli under an alarm: a call still running after `seconds` fails."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run_cli(argv, capsys)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_partition_is_one_table_walk_under_one_budget(capsys):
+    # The partition is the fibres of the canonical table, span^3 * index
+    # = 10,368 steps here, not a class search quadratic in the index.
+    argv = ["oracle", "partition", "--box", "Box(4,9,36)"]
+    code, out, err = run_cli_within(argv, capsys, 1.0)
+    assert (code, err) == (0, "")
+    assert "  classes: 1296\n  expected_index: 1296\n  agree: yes\n" in out
+    # Index 10^6 fits the budget, but its table at span 2 has 8 * 10^6
+    # points: refused before the walk.
+    argv = ["oracle", "partition", "--box", "Box(1000,1000,1)"]
+    code, out, err = run_cli_within(argv, capsys, 1.0)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "8000000 exceeds budget 1000000 (max_group_order 1000000)" in err
+
+
+def test_readme_names_no_deleted_knob():
+    # A flag or environment variable deleted from the code must leave the
+    # docs with it.
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = set(parser._option_string_actions)
+    for sub in commands.choices.values():
+        accepted |= set(sub._option_string_actions)
+    text = README.read_text()
+    lines = [line for line in text.splitlines() if not line.lstrip().startswith("pip ")]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", "\n".join(lines)))
+    assert {"--p", "--max-group-order", "--seed"} <= flags
+    assert sorted(flags - accepted) == []
+    sources = "".join(path.read_text() for path in SRC.rglob("*.py"))
+    assert [name for name in set(re.findall(r"NILCANTOR_\w+", text)) if name not in sources] == []
 
 
 def test_resource_exhaustion_exits_3(capsys):
@@ -394,21 +438,6 @@ def test_seed_is_echoed(capsys):
     code, out, _ = run_cli(["--seed", "7", "reproduce", "ex41"], capsys)
     assert code == 0
     assert out.rstrip().endswith("seed: 7")
-
-
-def test_budget_env_var_applies(monkeypatch, capsys):
-    monkeypatch.setenv("NILCANTOR_MAX_GROUP_ORDER", "100")
-    code, _, err = run_cli(
-        ["oracle", "fixing", "wild", "--n", "2", "--r", "1", "--cylinder", "1", "--depth", "3"],
-        capsys,
-    )
-    assert code == 3 and "exceeds budget" in err
-    monkeypatch.setenv("NILCANTOR_MAX_GROUP_ORDER", "2000000")
-    code, out, _ = run_cli(
-        ["oracle", "fixing", "wild", "--n", "2", "--r", "1", "--cylinder", "2", "--depth", "2"],
-        capsys,
-    )
-    assert code == 0 and "agree: yes" in out
 
 
 def run_python(*args):

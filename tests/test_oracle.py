@@ -45,8 +45,14 @@ def test_core_oracle_examples():
 
 
 def test_core_oracle_budget():
-    with pytest.raises(ResourceError):
-        core_by_enumeration(BoxSubgroup(1, 13, 13), OracleBudget(max_modulus=12))
+    # 12^2 conjugators x (2*13 candidates + 13^2 survivor pairs) = 28,080
+    # tests fit 9,000 x 4; at Mc = 13 the scan needs 37,856 and is refused.
+    budget = OracleBudget(max_group_order=9000)
+    assert core_by_enumeration(BoxSubgroup(1, 12, 12), budget) == BoxSubgroup(12, 12, 12)
+    with pytest.raises(ResourceError) as err:
+        core_by_enumeration(BoxSubgroup(1, 13, 13), budget)
+    assert "core scan of Box(1,13,13): 37856 exceeds" in str(err.value)
+    assert "budget 36000 (max_group_order 9000 x 4)" in str(err.value)
 
 
 def test_core_oracle_equals_closed_form_all_moduli_up_to_12():
@@ -69,10 +75,11 @@ def test_relative_core_oracle_examples():
 def test_relative_core_oracle_budget_states_demand_and_budget():
     with pytest.raises(ResourceError) as err:
         relative_core_by_enumeration(
-            BoxSubgroup(2, 3, 6), BoxSubgroup(4, 9, 36), OracleBudget(max_modulus=5)
+            BoxSubgroup(2, 3, 6), BoxSubgroup(4, 9, 36), OracleBudget(max_group_order=1000)
         )
-    assert "largest modulus 36" in str(err.value)
-    assert "budget 30 (max_modulus 5 x 6)" in str(err.value)
+    # at most 36^2 conjugator residues, each against 2 * 37 candidates
+    assert "scan of Box(4,9,36) in Box(2,3,6): 95904 exceeds" in str(err.value)
+    assert "budget 4000 (max_group_order 1000 x 4)" in str(err.value)
 
 
 def test_relative_core_oracle_handles_coarse_outer_moduli():
@@ -163,7 +170,10 @@ def test_partition_examples():
 
 
 def test_partition_classes_have_uniform_size():
-    for box in (BoxSubgroup(2, 3, 6), BoxSubgroup(2, 2, 2), BoxSubgroup(1, 4, 4)):
+    boxes = (
+        BoxSubgroup(2, 3, 6), BoxSubgroup(2, 2, 2), BoxSubgroup(1, 4, 4), BoxSubgroup(20, 20, 1)
+    )
+    for box in boxes:
         classes = coset_partition(box, span=2)
         assert len(classes) == index_in(GAMMA, box)
         assert {len(c) for c in classes} == {8}
@@ -181,13 +191,30 @@ def test_canonical_oracle_agrees_with_closed_form():
 
 
 def test_canonical_table_matches_closed_form():
-    for box in (BoxSubgroup(2, 2, 4), BoxSubgroup(3, 2, 6), BoxSubgroup(1, 1, 1)):
+    boxes = (
+        BoxSubgroup(2, 2, 4), BoxSubgroup(3, 2, 6), BoxSubgroup(1, 1, 1), BoxSubgroup(5, 1, 1)
+    )
+    for box in boxes:
         space = CosetSpace(box)
-        table = canonical_table_by_enumeration(box, span=2)
-        for g, rep in table.items():
-            assert space.canonical(HeisenbergElement(*g)) == rep
+        for span in (1, 2, 3):
+            table = canonical_table_by_enumeration(box, span)
+            assert len(table) == span**3 * box.index()
+            for g, rep in table.items():
+                assert space.canonical(HeisenbergElement(*g)) == rep
+
+
+def test_coset_table_refuses_before_walking():
+    # span^3 * index points: 27 * 16 = 432 at span 3 over Box(2,2,4)
+    budget = OracleBudget(max_group_order=431)
+    assert len(canonical_table_by_enumeration(BoxSubgroup(2, 2, 4), 2, budget)) == 128
+    with pytest.raises(ResourceError) as err:
+        coset_partition(BoxSubgroup(2, 2, 4), budget, span=3)
+    assert str(err.value) == (
+        "points of the coset table of Box(2,2,4) at span 3: 432 exceeds budget 431 "
+        "(max_group_order 431)"
+    )
 
 
 def test_budget_is_validated():
     with pytest.raises(ContractError):
-        OracleBudget(max_modulus=0)
+        OracleBudget(max_group_order=0)

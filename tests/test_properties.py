@@ -22,6 +22,7 @@ from nilcantor.dynamics import (
     _evaluate_pair,
     _family_activation_gap,
     _kernel_eventual,
+    discriminant_limit_report,
     freeness_certificate,
     lqa_witness,
     trivial_action_kernel,
@@ -30,7 +31,14 @@ from nilcantor.dynamics import (
 from nilcantor.errors import ContractError
 from nilcantor.heisenberg import index_in
 from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivalent, type_leq
-from nilcantor.towers import ChainSpec, CoordSchedule, IndexedFamily, PrimeSchedule, wild_chain
+from nilcantor.towers import (
+    ChainSpec,
+    CoordSchedule,
+    IndexedFamily,
+    PrimeSchedule,
+    stable_chain,
+    wild_chain,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from gen_chains import MAX_QUOTIENT as SCAN_QUOTIENT, MAX_SCAN_CELLS, draw_chain  # noqa: E402
@@ -53,6 +61,8 @@ LIMIT_LOOKAHEAD = 20  # kernels this far past the quotient's depth stand for the
 FREENESS_CYLINDERS = (1, 2)
 FREENESS_RADIUS = 2  # small, so that drawn chains are FreeCertified and NotFree both
 FREENESS_DEPTH = 4  # certificates walk to here; scans run within the benchmark's budgets
+DISCRIMINANT_LEVELS = (1, 2)  # reports at these levels, to depth level or level + 1 ...
+LIMIT_DEPTHS = 3  # ... and a stabilized one's limit order at this many further depths
 
 # Prime 5's c-schedule starts at depth 3, so from there on its growing
 # parts change the kernels of every pair; those parts die in the limit
@@ -236,6 +246,45 @@ def test_freeness_verdict_is_the_fixing_scan_in_the_ball(chain):
                 if found is not None:
                     scanned, q = found
                     assert (w.a % q.A, w.b % q.B, w.c % q.C) in scanned
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_stabilized_discriminant_keeps_its_limit_order(chain):
+    # A stabilized report claims its last image order for every deeper
+    # depth.  Check the next depths' images, and where Q_level fits the
+    # benchmark's scan budget, the oracle's closure of the deeper boxes.
+    budget = oracle.OracleBudget(max_group_order=SCAN_QUOTIENT)
+    for level in DISCRIMINANT_LEVELS:
+        quotient = chain.quotient_at(level)
+        for max_depth in (level, level + 1):
+            rep = discriminant_limit_report(chain, level, max_depth)
+            if not rep.stabilized:
+                continue
+            assert rep.limit_order == rep.orders[-1]
+            for depth in range(max_depth + 1, max_depth + 1 + LIMIT_DEPTHS):
+                assert chain.stable_image(level, depth).order == rep.limit_order
+                if quotient.order <= SCAN_QUOTIENT:
+                    gens = chain.box_at(depth).generators()
+                    assert len(oracle.subgroup_closure(quotient, gens, budget)) == rep.limit_order
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+@example(stable_chain((2, 3), (1, 1), (2, 2), (5,)))
+def test_steinitz_limit_exponents_are_read_off_the_raw_orders(chain):
+    # Past every schedule start a promoted prime's raw exponent grows at
+    # each depth, and every other prime's raw exponent is its finite
+    # limit exponent, family primes included.
+    depth = chain.last_start() + 1
+    order = chain.steinitz_order(depth)
+    raws = [order.raw] + [chain.steinitz_order(depth + k).raw for k in (1, 2)]
+    for p in chain.relevant_primes(depth):
+        exponents = [raw.multiplicity(p) for raw in raws]
+        if p in order.limit.infinite_primes:
+            assert exponents[0] < exponents[1] < exponents[2]
+        else:
+            assert exponents == [order.limit.multiplicity(p)] * 3
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
