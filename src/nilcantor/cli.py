@@ -148,7 +148,7 @@ def cmd_spectrum(args) -> tuple:
     order = chain.steinitz_order(args.depth)
     bound = args.bound
     if bound is None:
-        bound = max([2] + list(chain.relevant_primes(args.depth)))
+        bound = max([2] + [s.prime for s in chain.schedules(args.depth)])
     sp = spectra(order.limit, bound)
     results = [
         ("steinitz_order_raw", str(order.raw)),

@@ -34,7 +34,7 @@ from typing import Optional
 from ._value import Value, set_field
 from .errors import ContractError
 from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
-from .towers import COORDS, ChainSpec
+from .towers import COORDS, ChainSpec, PrimeSchedule
 
 __all__ = [
     "trivial_action_kernel",
@@ -62,11 +62,12 @@ def trivial_action_kernel(chain: ChainSpec, cylinder: int, depth: int) -> BoxSub
 # -- symbolic kernel analysis -------------------------------------------------
 
 
-def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> tuple[int, int]:
+def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, int]:
     """Eventual (base, slope) in the depth of the kernel's lattice exponent
-    at prime p in the given coordinate, for a fixed cylinder level
-    (cylinder 0 is the whole space).  This is the one home of the kernel
-    law; every schedule-level statement below reads it from here.
+    at the prime of schedule s in the given coordinate, for a fixed
+    cylinder level (cylinder 0 is the whole space).  This is the one home
+    of the kernel law; every schedule-level statement below reads it from
+    here.
 
     From the relative-core closed form, with k the other coordinate's
     exponent at the cylinder:
@@ -77,7 +78,6 @@ def _kernel_eventual(chain: ChainSpec, cylinder: int, p: int, coord: str) -> tup
     by (slope, base): the own schedule, the c-schedule shifted down by k,
     and zero.
     """
-    s = chain.schedule(p)
     ec = s.c
     if coord == "c":
         return ec.base, ec.slope
@@ -96,11 +96,8 @@ def _family_activation_gap(chain: ChainSpec) -> int:
     all of them; 0 when there is no family or no gap."""
     if chain.family is None:
         return 0
-    q = chain.family.prime_at(1)
-    return sum(
-        _kernel_eventual(chain, 0, q, x)[0] - _kernel_eventual(chain, 1, q, x)[0]
-        for x in ("a", "b")
-    )
+    q = chain.family.schedule_at(1)
+    return sum(_kernel_eventual(q, 0, x)[0] - _kernel_eventual(q, 1, x)[0] for x in ("a", "b"))
 
 
 def _stable_level(chain: ChainSpec) -> int:
@@ -121,8 +118,8 @@ def _stable_level(chain: ChainSpec) -> int:
             if own.slope > 0:
                 continue
             first = max(1, own.start, s.c.start)
-            floor = _kernel_eventual(chain, first, s.prime, coord)[0]
-            while first > 1 and _kernel_eventual(chain, first - 1, s.prime, coord)[0] == floor:
+            floor = _kernel_eventual(s, first, coord)[0]
+            while first > 1 and _kernel_eventual(s, first - 1, coord)[0] == floor:
                 first -= 1
             level = max(level, first)
     return level
@@ -220,10 +217,11 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
     )
     orders = [index_in(k, c) for k, c in zip(inner, outer)]
     ratio, limit_gap, notes = 1, 1, []
-    for p in chain.relevant_primes(l2):
+    for s in chain.schedules(l2):
+        p = s.prime
         for coord in ("a", "b"):
-            base1, slope1 = _kernel_eventual(chain, l1, p, coord)
-            base2, slope2 = _kernel_eventual(chain, l2, p, coord)
+            base1, slope1 = _kernel_eventual(s, l1, coord)
+            base2, slope2 = _kernel_eventual(s, l2, coord)
             if slope1 != slope2:
                 # Cannot happen for schedules in this class (the cylinder
                 # level only shifts the subtracted constant); treat any
@@ -380,12 +378,12 @@ def _coordinate_unbounded(chain: ChainSpec, cylinder: int, coord: str) -> bool:
     """Whether the kernel's coordinate lattice grows without bound in the
     depth: some explicit prime's kernel exponent grows, or the family gives
     a positive one to every prime it activates after the cylinder."""
-    if any(_kernel_eventual(chain, cylinder, p, coord)[1] > 0 for p in chain.explicit_primes()):
+    if any(_kernel_eventual(s, cylinder, coord)[1] > 0 for s in chain.explicit):
         return True
     if chain.family is None:
         return False
-    late = chain.family.prime_at(cylinder + 1)
-    return _kernel_eventual(chain, cylinder, late, coord)[0] >= 1
+    late = chain.family.schedule_at(cylinder + 1)
+    return _kernel_eventual(late, cylinder, coord)[0] >= 1
 
 
 def freeness_certificate(
@@ -503,13 +501,12 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
     floor = []
     for coord in COORDS:
         lat = 1
-        for p in chain.relevant_primes(level):
-            s = chain.schedule(p)
+        for s in chain.schedules(level):
             own = s.coord(coord)
             core_exp = s.c.exponent(level)
             if coord != "c":
                 core_exp = max(own.exponent(level), core_exp)
-            lat *= p ** (core_exp if own.slope > 0 else min(own.base, core_exp))
+            lat *= s.prime ** (core_exp if own.slope > 0 else min(own.base, core_exp))
         floor.append(lat)
     symbolic = tuple(floor) == images[-1].lattice
     numeric = len(images) >= 2 and images[-1] == images[-2]

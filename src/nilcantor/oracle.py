@@ -74,10 +74,6 @@ def _refuse_above(demand: int, what: str, budget: OracleBudget, factor: int = 1)
         )
 
 
-def _same_left_coset(g: HeisenbergElement, h: HeisenbergElement, box: BoxSubgroup) -> bool:
-    return box.contains(g.inverse() * h)
-
-
 def core_by_enumeration(box: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET) -> BoxSubgroup:
     """Intersect the conjugates g B g^-1 over conjugator representatives.
 
@@ -261,14 +257,19 @@ def canonical_by_enumeration(
     box: BoxSubgroup, g: HeisenbergElement, budget: OracleBudget = DEFAULT_BUDGET
 ) -> tuple:
     """The unique grid point in the same left coset as g, found by scanning
-    the whole grid and asserting uniqueness."""
+    the whole grid and asserting uniqueness.  A point h is in g's coset
+    exactly when g^-1*h is in the box, and by the group law g^-1*(a, b, c)
+    = (a - ga, b - gb, c - gc + ga*gb - ga*b), so each point is tested on
+    integers."""
     _refuse_above(box.index(), f"grid points of the canonical scan of {box}", budget)
+    ma, mb, mc = box.Ma, box.Mb, box.Mc
+    ga, gb, gc = g.a, g.b, g.c
     matches = [
         (a, b, c)
-        for a in range(box.Ma)
-        for b in range(box.Mb)
-        for c in range(box.Mc)
-        if _same_left_coset(g, HeisenbergElement(a, b, c), box)
+        for a in range(ma)
+        for b in range(mb)
+        for c in range(mc)
+        if (a - ga) % ma == 0 and (b - gb) % mb == 0 and (c - gc + ga * gb - ga * b) % mc == 0
     ]
     _check(len(matches) == 1, f"coset of {g} meets the grid in {len(matches)} points")
     return matches[0]

@@ -96,7 +96,7 @@ ZERO_SCHEDULE = CoordSchedule()
 
 
 class PrimeSchedule(Value):
-    """The three coordinate schedules of one explicit prime."""
+    """The three coordinate schedules of one prime."""
 
     __slots__ = ("prime", "a", "b", "c")
 
@@ -146,6 +146,16 @@ class IndexedFamily(Value):
     def activation_of(self, p: int) -> Optional[int]:
         i = self.primes.index_of(p)
         return None if i is None else i + 1
+
+    def schedule_at(self, i: int) -> PrimeSchedule:
+        """The schedule of q_i: the constant family exponents from level i
+        on."""
+        return PrimeSchedule(
+            self.prime_at(i),
+            CoordSchedule(i, self.a_exp),
+            CoordSchedule(i, self.b_exp),
+            CoordSchedule(i, self.c_exp),
+        )
 
 
 # -- the chain ----------------------------------------------------------------
@@ -250,31 +260,28 @@ class ChainSpec(Value):
 
     # -- evaluation ---------------------------------------------------------
 
-    def explicit_primes(self) -> tuple[int, ...]:
-        return tuple(s.prime for s in self.explicit)
-
-    def family_primes(self, level: int) -> tuple[int, ...]:
-        if self.family is None:
-            return ()
-        return tuple(self.family.prime_at(i) for i in range(1, level + 1))
-
-    def relevant_primes(self, level: int) -> tuple[int, ...]:
-        """Primes with any support in boxes up to `level`."""
-        return tuple(sorted(set(self.explicit_primes()) | set(self.family_primes(level))))
+    def schedules(self, level: int) -> list[PrimeSchedule]:
+        """The schedules a walk of the levels up to `level` reads, sorted by
+        prime: the explicit entries as stored, and those of the family
+        primes q_1..q_level, found by index.  Every level walk reads its
+        exponents from here."""
+        rows = list(self.explicit)
+        if self.family is not None:
+            rows += [self.family.schedule_at(i) for i in range(1, level + 1)]
+        return sorted(rows, key=lambda s: s.prime)
 
     def schedule(self, p: int) -> PrimeSchedule:
-        """Prime p's exponent schedules: its explicit entry, the family's
-        constant exponents from p's activation level on, or zero.  Every
-        exponent of the chain is read from here."""
+        """Prime p's exponent schedules, found from p alone: its explicit
+        entry, the family's constant exponents from p's activation level
+        on, or zero.  The symbolic answer that `schedules` is checked
+        against."""
         for s in self.explicit:
             if s.prime == p:
                 return s
         f = self.family
         i = None if f is None else f.activation_of(p)
         if i is not None:
-            return PrimeSchedule(
-                p, CoordSchedule(i, f.a_exp), CoordSchedule(i, f.b_exp), CoordSchedule(i, f.c_exp)
-            )
+            return f.schedule_at(i)
         return PrimeSchedule(p)
 
     def check_depth_budget(self, level: int, what: str) -> None:
@@ -290,8 +297,8 @@ class ChainSpec(Value):
         if level < 1:
             raise ContractError("level must be >= 1")
         ma = mb = mc = 1
-        for p in self.relevant_primes(level):
-            s = self.schedule(p)
+        for s in self.schedules(level):
+            p = s.prime
             ma *= p ** s.a.exponent(level)
             mb *= p ** s.b.exponent(level)
             mc *= p ** s.c.exponent(level)
@@ -330,11 +337,10 @@ class ChainSpec(Value):
         self.check_depth_budget(depth, f"a Steinitz order at depth {depth}")
         raw_fp: dict[int, int] = {}
         # Schedules are monotone, so the lcm exponent is the depth value.
-        for p in self.relevant_primes(depth):
-            s = self.schedule(p)
+        for s in self.schedules(depth):
             e = s.a.exponent(depth) + s.b.exponent(depth) + s.c.exponent(depth)
             if e:
-                raw_fp[p] = e
+                raw_fp[s.prime] = e
         raw = SteinitzNumber(tuple(sorted(raw_fp.items())))
 
         promoted, limit_fp = [], {}

@@ -275,6 +275,16 @@ def test_partition_is_one_table_walk_under_one_budget(capsys):
     assert "8000000 exceeds budget 1000000 (max_group_order 1000000)" in err
 
 
+@pytest.mark.parametrize("element", ["(1,2,3)", "(-150,7,12345)"])
+def test_canonical_scan_tests_each_grid_point_on_integers(element, capsys):
+    # Index 10^6, exactly the default budget: the scan tests each grid
+    # point with the group law on integer triples, building no element.
+    argv = ["oracle", "canonical", "--box", "Box(100,100,100)", "--element", element]
+    code, out, err = run_cli_within(argv, capsys, 1.0)
+    assert (code, err) == (0, "")
+    assert "  agree: yes\n" in out
+
+
 def test_readme_names_no_deleted_knob():
     # A flag or environment variable deleted from the code must leave the
     # docs with it.
@@ -425,6 +435,24 @@ def test_deep_freeness_matches_benchmark_reference(capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (REFERENCE / "freeness_wild.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("wildness_wild", ["wildness", "wild", "--n", "2", "--r", "1", "--lmax", "16", "--dmax", "40"]),
+        ("discriminant_wild",
+         ["discriminant", "wild", "--n", "2", "--r", "1", "--level", "5", "--depth", "300"]),
+        ("spectrum_wild_800", ["spectrum", "wild", "--n", "2", "--r", "1", "--depth", "800"]),
+    ],
+)
+def test_family_walks_match_benchmark_references(name, argv, capsys):
+    # The benchmark's deep_towers references that walk the indexed family
+    # level by level: 120 wildness pairs to depth 40, a discriminant to
+    # depth 300, and the spectrum's prime bound read off 800 levels.
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (REFERENCE / f"{name}.txt").read_text()
 
 
 def test_reports_are_deterministic(capsys):

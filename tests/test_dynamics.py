@@ -460,6 +460,22 @@ def test_wild_family_discriminant_grows():
     assert rep.stabilized  # image inside the fixed level stabilizes
 
 
+def test_level_walks_count_no_primes(monkeypatch):
+    # Once the chain is built, every level walk reads the family primes by
+    # index: none of these may find a prime's index by counting primes.
+    chain = wild_chain(2, 1)
+
+    def refuse(_enumeration, p):
+        raise AssertionError(f"a level walk looked up the index of {p}")
+
+    monkeypatch.setattr(Primes, "index_of", refuse)
+    monkeypatch.setattr(TreeBranchPrimes, "index_of", refuse)
+    assert chain.box_at(200).Ma % chain.family.prime_at(200) == 0
+    assert chain.steinitz_order(50).raw.multiplicity(229) == 5
+    assert wildness_certificate(chain, 8, 20).verdict == "WildEvidence"
+    assert discriminant_limit_report(chain, 5, 40).stabilized
+
+
 # -- depth budget -----------------------------------------------------------------------
 
 

@@ -30,6 +30,7 @@ from nilcantor.dynamics import (
 )
 from nilcantor.errors import ContractError
 from nilcantor.heisenberg import index_in
+from nilcantor.primes import isprime
 from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivalent, type_leq
 from nilcantor.towers import (
     ChainSpec,
@@ -52,6 +53,7 @@ ORDER_DEPTH = 4  # raw Steinitz orders are checked at depths 1..ORDER_DEPTH
 LAW_CYLINDERS = range(0, 4)
 LAW_DEPTHS = (40, 41)  # past every start and line crossing the generator can draw
 LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
+WALK_LEVELS = 8  # a level walk's schedules are checked at levels 1..WALK_LEVELS
 MONOTONE_DEPTH = 8  # kernel moduli divide the next depth's at depths 1..MONOTONE_DEPTH
 SYLOW_CYLINDERS = 4  # gaps (l1, l2) with l1 < l2 <= SYLOW_CYLINDERS ...
 SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
@@ -174,17 +176,36 @@ def _valuation(n: int, p: int) -> int:
 @PROPERTY_SETTINGS
 @given(chains())
 def test_kernel_law_is_the_closed_form_at_depth(chain):
-    primes = chain.explicit_primes()
-    if chain.family is not None:
-        primes += chain.family_primes(LAW_FAMILY_PRIMES)
+    rows = chain.schedules(LAW_FAMILY_PRIMES)
     for cylinder in LAW_CYLINDERS:
         for depth in LAW_DEPTHS:
             kernel = trivial_action_kernel(chain, cylinder, depth)
             moduli = dict(zip("abc", (kernel.Ma, kernel.Mb, kernel.Mc)))
-            for p in primes:
+            for s in rows:
                 for coord, modulus in moduli.items():
-                    base, slope = _kernel_eventual(chain, cylinder, p, coord)
-                    assert _valuation(modulus, p) == base + slope * depth
+                    base, slope = _kernel_eventual(s, cylinder, coord)
+                    assert _valuation(modulus, s.prime) == base + slope * depth
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+@example(wild_chain(2, 1))
+@example(wild_chain(3, 2, enumeration=TreeBranchPrimes(2, 3)))
+def test_level_walk_lists_the_schedule_of_each_prime(chain):
+    # The walk finds the family primes by index, `schedule(p)` by counting
+    # primes.  A listed prime is explicit or has support by the level, and
+    # both routes give it the same schedule.  The family enumerates
+    # increasingly, so no prime past the last listed one has support.
+    explicit = {s.prime for s in chain.explicit}
+    for level in range(1, WALK_LEVELS + 1):
+        rows = chain.schedules(level)
+        listed = [s.prime for s in rows]
+        assert listed == sorted(set(listed))
+        assert all(s == chain.schedule(s.prime) for s in rows)
+        for p in filter(isprime, range(listed[-1] + 1)):
+            s = chain.schedule(p)
+            supported = any(s.coord(x).exponent(level) for x in "abc")
+            assert (p in listed) == (p in explicit or supported)
 
 
 @PROPERTY_SETTINGS
@@ -279,7 +300,7 @@ def test_steinitz_limit_exponents_are_read_off_the_raw_orders(chain):
     depth = chain.last_start() + 1
     order = chain.steinitz_order(depth)
     raws = [order.raw] + [chain.steinitz_order(depth + k).raw for k in (1, 2)]
-    for p in chain.relevant_primes(depth):
+    for p in (s.prime for s in chain.schedules(depth)):
         exponents = [raw.multiplicity(p) for raw in raws]
         if p in order.limit.infinite_primes:
             assert exponents[0] < exponents[1] < exponents[2]
