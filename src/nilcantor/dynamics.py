@@ -77,6 +77,14 @@ def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, 
     so for a and b it is eventually the largest of three lines, compared
     by (slope, base): the own schedule, the c-schedule shifted down by k,
     and zero.
+
+    In a and b the cylinder enters only through k = e_other(cylinder)
+    (0 for the whole space), which never falls as the cylinder grows
+    because every schedule is monotone, and k is subtracted from the
+    c-line's base.  So the winning slope is the largest slope, whatever k
+    is, and the winning base cannot rise: a smaller cylinder's exponent
+    has the same slope and a base no larger.  The pair evaluation relies
+    on this unchecked; a tier-1 property checks it on generated chains.
     """
     ec = s.c
     if coord == "c":
@@ -197,18 +205,18 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
     """Compare the kernels at cylinder levels l1 < l2 at the depths
     first..last with the schedule prediction read off `_kernel_eventual`.
 
-    Returns the KernelReport at depth `first`, the order of the gap that
-    survives the inverse limit (constant kernel exponents survive
+    Returns the KernelReport at depth `first` and the order of the gap
+    that survives the inverse limit (constant kernel exponents survive
     verbatim; growing ones are eventually annihilated by the connecting
-    maps) and a note for each failed structural check.  The gap is
-    `persistent` when no check failed, the kernel order is the same at
-    every tested depth, and it equals both the predicted ratio and the
-    limit gap: then the whole gap lies in slope-0 prime parts, which by
-    the Sylow decomposition (see `wildness_certificate`) survive
-    verbatim.  Each cylinder's kernels are built once, as one column over
-    the depths first..last, and nothing past `last` is read.  The flag is
-    printed evidence only: the wildness verdict reads the limit gap and
-    notes.
+    maps).  By the kernel law each prime's part of the predicted ratio is
+    p to the base difference of the two cylinders.  The gap is `persistent`
+    when the kernel order is the same at every tested depth and equals
+    both the predicted ratio and the limit gap: then the whole gap lies
+    in slope-0 prime parts, which by the Sylow decomposition (see
+    `wildness_certificate`) survive verbatim.  Each cylinder's kernels
+    are built once, as one column over the depths first..last, and
+    nothing past `last` is read.  The flag is printed evidence only: the
+    wildness verdict reads the limit gap.
     """
     if not (last >= first >= l2 > l1 >= 1):
         raise ContractError("need depth >= refined > cylinder >= 1")
@@ -216,25 +224,15 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
         [trivial_action_kernel(chain, l, d) for d in range(first, last + 1)] for l in (l1, l2)
     )
     orders = [index_in(k, c) for k, c in zip(inner, outer)]
-    ratio, limit_gap, notes = 1, 1, []
+    ratio, limit_gap = 1, 1
     for s in chain.schedules(l2):
-        p = s.prime
         for coord in ("a", "b"):
-            base1, slope1 = _kernel_eventual(s, l1, coord)
-            base2, slope2 = _kernel_eventual(s, l2, coord)
-            if slope1 != slope2:
-                # Cannot happen for schedules in this class (the cylinder
-                # level only shifts the subtracted constant); treat any
-                # occurrence as a failed analysis, never as evidence.
-                notes.append(f"kernel slopes disagree at {p}/{coord}")
-            elif base1 < base2:
-                notes.append(f"kernel antitonicity violated at {p}/{coord}")
-            else:
-                gap = p ** (base1 - base2)
-                ratio *= gap
-                if slope1 == 0:
-                    limit_gap *= gap
-    persistent = not notes and len(set(orders)) == 1 and ratio == limit_gap == orders[0]
+            base, slope = _kernel_eventual(s, l1, coord)
+            gap = s.prime ** (base - _kernel_eventual(s, l2, coord)[0])
+            ratio *= gap
+            if slope == 0:
+                limit_gap *= gap
+    persistent = len(set(orders)) == 1 and ratio == limit_gap == orders[0]
     kernel, comparison = inner[0], outer[0]
     report = KernelReport(
         cylinder=l1,
@@ -246,7 +244,7 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
         witness=_pick_witness(kernel, comparison),
         persistent=persistent,
     )
-    return report, limit_gap, tuple(notes)
+    return report, limit_gap
 
 
 def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> KernelReport:
@@ -320,15 +318,13 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     equals the predicted ratio and the limit gap; the verdict reads the
     schedules alone:
 
-      1. a failed structural note (kernel slopes disagree, or
-         antitonicity fails) is a defect of the analysis: Inconclusive;
-      2. else a family gap g = `_family_activation_gap` >= 1: WildEvidence;
-      3. else StableCertified(l0), l0 = `_stable_level`: no limit gap
+      1. a family gap g = `_family_activation_gap` >= 1: WildEvidence;
+      2. else StableCertified(l0), l0 = `_stable_level`: no limit gap
          survives between levels >= l0 (finite-depth gaps below l0, or
          gaps that die in the limit, are consistent with it), unless a
          tested pair at or above l0 keeps a surviving gap: Inconclusive.
 
-    Step 2 is the Sylow decomposition.  Q_d is finite nilpotent, so it is
+    Step 1 is the Sylow decomposition.  Q_d is finite nilpotent, so it is
     the direct product of its Sylow subgroups and the connecting maps
     respect that product: the q-part of a kernel gap survives or dies on
     q's schedule alone.  Family primes are disjoint from the explicit
@@ -352,19 +348,15 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
             chain_label=chain.label,
             parameters=(("max_cylinder", max_cylinder), ("max_depth", max_depth)),
             evidence_grade=evidence_grade,
-            reports=tuple(report for report, _gap, _notes in pairs.values()),
+            reports=tuple(report for report, _gap in pairs.values()),
             **found,
         )
-
-    problems = sorted({note for _report, _gap, notes in pairs.values() for note in notes})
-    if problems:
-        return certificate("Inconclusive", GRADE_FINITE, reason="; ".join(problems))
 
     if _family_activation_gap(chain) >= 1:
         return certificate("WildEvidence", GRADE_SCHEDULE)
 
     level = _stable_level(chain)
-    stray = [(l1, l2) for (l1, l2), (_r, gap, _n) in pairs.items() if l1 >= level and gap != 1]
+    stray = [(l1, l2) for (l1, l2), (_r, gap) in pairs.items() if l1 >= level and gap != 1]
     if stray:
         return certificate(
             "Inconclusive",

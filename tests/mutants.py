@@ -1,0 +1,149 @@
+"""The mutant catalogue: small deliberate faults the test suite must catch.
+
+Each entry names a file under `src/nilcantor/`, an exact text that occurs
+once under `src/`, the text that replaces it, and the tests that must fail
+once it is replaced.  Run it with
+
+    python3 tests/mutants.py
+
+Each entry is applied to a fresh copy of the checkout in a temporary
+directory, and only that entry's tests run there.  A mutant is killed when
+every one of its tests fails; a test that passes, or a run that ends in a
+collection error, lets it survive.  The runner prints one line per entry
+and exits 1 naming every survivor.
+
+The file is not named `test_*.py`, so pytest does not collect it;
+`tests/test_mutants.py` checks in tier-1 that every old text still occurs
+exactly once under `src/`.  A change that adds a certificate or a property
+adds its mutants here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIP = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/nilcantor/
+    old: str
+    new: str
+    tests: tuple  # pytest node ids that must fail
+
+
+MUTANTS = (
+    Mutant(
+        "c-line-plus",
+        "dynamics.py",
+        "(ec.slope, ec.base - k)",
+        "(ec.slope, ec.base + k)",
+        (
+            "tests/test_properties.py::test_kernel_law_keeps_the_slope_and_never_raises_the_base",
+            "tests/test_properties.py::test_kernel_law_is_the_closed_form_at_depth",
+        ),
+    ),
+    Mutant(
+        "persistent-without-limit-gap",
+        "dynamics.py",
+        "ratio == limit_gap == orders[0]",
+        "ratio == orders[0]",
+        ("tests/test_properties.py::test_persistent_gaps_are_the_gaps_the_limit_keeps",),
+    ),
+    Mutant(
+        "escape-depth-plus-one",
+        "dynamics.py",
+        "escape_depth=d)",
+        "escape_depth=d + 1)",
+        ("tests/test_properties.py::test_freeness_verdict_is_the_fixing_scan_in_the_ball",),
+    ),
+    Mutant(
+        "escape-depth-minus-one",
+        "dynamics.py",
+        "escape_depth=d)",
+        "escape_depth=d - 1)",
+        ("tests/test_properties.py::test_freeness_verdict_is_the_fixing_scan_in_the_ball",),
+    ),
+    Mutant(
+        "escape-radius-ge",
+        "dynamics.py",
+        "min(kernel.Ma, kernel.Mb, kernel.Mc) > ball_radius",
+        "min(kernel.Ma, kernel.Mb, kernel.Mc) >= ball_radius",
+        ("tests/test_properties.py::test_freeness_verdict_is_the_fixing_scan_in_the_ball",),
+    ),
+    Mutant(
+        "stabilized-without-floor",
+        "dynamics.py",
+        "stabilized = bool(symbolic and (numeric or len(images) == 1))",
+        "stabilized = bool(numeric or len(images) == 1)",
+        ("tests/test_properties.py::test_stabilized_discriminant_keeps_its_limit_order",),
+    ),
+    Mutant(
+        "promotion-on-c-slope",
+        "towers.py",
+        "total = sum(s.coord(x).slope for x in COORDS)",
+        "total = s.c.slope",
+        (
+            "tests/test_properties.py"
+            "::test_steinitz_limit_exponents_are_read_off_the_raw_orders",
+        ),
+    ),
+    Mutant(
+        "one-sided-tail-twice",
+        "steinitz.py",
+        "fp = {p: op(x1.multiplicity(p), x2.multiplicity(p)) for p",
+        "fp = {p: op(x1.multiplicity(p), x2.multiplicity(p))"
+        " + (tail.exponent if p in sided else 0) for p",
+        ("tests/test_steinitz.py::test_tails_agree_with_multiplicities",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed' or why the mutant survived, from a fresh mutated copy."""
+    with tempfile.TemporaryDirectory(prefix="nilcantor-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=SKIP)
+        target = copy / "src" / "nilcantor" / mutant.file
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            return "old text does not occur exactly once"
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+    passed = [t for t in mutant.tests if not any(f.split("[")[0] == t for f in failed)]
+    if done.returncode != 1:
+        return f"survived (pytest exit {done.returncode})"
+    if passed:
+        return f"survived ({', '.join(passed)} passed)"
+    return "killed"
+
+
+def main() -> int:
+    survivors = []
+    for mutant in MUTANTS:
+        outcome = run(mutant)
+        print(f"{mutant.name}: {outcome}", flush=True)
+        if outcome != "killed":
+            survivors.append(mutant.name)
+    if survivors:
+        print(f"surviving mutants: {', '.join(survivors)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -301,26 +301,62 @@ def test_ex42_certificate_stable():
     assert cert.verdict == "StableCertified"
 
 
-def test_late_start_chain_gets_honest_stable_level():
-    # A finite chain whose b/c-schedules activate at level 3 leaves real
-    # (surviving) kernel gaps below level 3, so the certificate must not
-    # claim stability from level 1; the growing prime keeps it descending.
-    chain = ChainSpec(
-        "late",
-        (
-            PrimeSchedule(
-                2, a=CoordSchedule(1, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1, 0, 1)
-            ),
-            PrimeSchedule(
-                3, a=CoordSchedule(3, 1, 0), b=CoordSchedule(3, 2, 0), c=CoordSchedule(3, 2, 0)
-            ),
+# A finite chain whose b/c-schedules activate at level 3: it leaves real
+# (surviving) kernel gaps below level 3, and the growing prime keeps it
+# descending.
+LATE = ChainSpec(
+    "late",
+    (
+        PrimeSchedule(
+            2, a=CoordSchedule(1, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1, 0, 1)
         ),
-    )
-    cert = wildness_certificate(chain, 4, 6)
+        PrimeSchedule(
+            3, a=CoordSchedule(3, 1, 0), b=CoordSchedule(3, 2, 0), c=CoordSchedule(3, 2, 0)
+        ),
+    ),
+)
+
+
+def test_late_start_chain_gets_honest_stable_level():
+    # The surviving gaps below level 3 forbid stability from level 1.
+    cert = wildness_certificate(LATE, 4, 6)
     assert cert.verdict == "StableCertified"
     assert cert.stable_from_level == 3
-    report = lqa_witness(chain, 2, 3, 4)
+    report = lqa_witness(LATE, 2, 3, 4)
     assert report.kernel_order == 3 and report.persistent
+
+
+def test_surviving_gap_above_the_stable_level_is_inconclusive(monkeypatch):
+    # The one Inconclusive wildness path: a stable level set too low (1
+    # instead of 3) meets the surviving gaps of every pair that reaches
+    # level 3, and the certificate names them instead of claiming
+    # stability.
+    monkeypatch.setattr(dynamics, "_stable_level", lambda chain: 1)
+    cert = wildness_certificate(LATE, 4, 6)
+    assert cert.verdict == "Inconclusive"
+    assert cert.stable_from_level is None
+    assert cert.reason == (
+        "surviving gaps above the computed stable level: [(1, 3), (1, 4), (2, 3), (2, 4)]"
+    )
+
+
+@pytest.mark.parametrize(
+    "chain", [wild_chain(2, 1), ex42(2, 3), LATE], ids=["wild", "ex42", "late"]
+)
+def test_no_wildness_verdict_reads_a_kernel(chain, monkeypatch):
+    # The verdict reads schedule facts only: kernels with every modulus
+    # doubled change the printed reports and nothing else.
+    honest = wildness_certificate(chain, 4, 6)
+
+    def doubled(chain, cylinder, depth):
+        kernel = trivial_action_kernel(chain, cylinder, depth)
+        return BoxSubgroup(2 * kernel.Ma, 2 * kernel.Mb, 2 * kernel.Mc)
+
+    monkeypatch.setattr(dynamics, "trivial_action_kernel", doubled)
+    skewed = wildness_certificate(chain, 4, 6)
+    assert skewed.reports != honest.reports
+    verdict = ("verdict", "evidence_grade", "stable_from_level", "reason")
+    assert [getattr(skewed, f) for f in verdict] == [getattr(honest, f) for f in verdict]
 
 
 def test_wildness_precondition():

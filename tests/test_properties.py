@@ -54,6 +54,7 @@ LAW_CYLINDERS = range(0, 4)
 LAW_DEPTHS = (40, 41)  # past every start and line crossing the generator can draw
 LAW_FAMILY_PRIMES = 3  # the family primes activated at levels 1..3
 WALK_LEVELS = 8  # a level walk's schedules are checked at levels 1..WALK_LEVELS
+KERNEL_LAW_LEVEL = 8  # the kernel law's rows, and its cylinders 0..KERNEL_LAW_LEVEL
 MONOTONE_DEPTH = 8  # kernel moduli divide the next depth's at depths 1..MONOTONE_DEPTH
 SYLOW_CYLINDERS = 4  # gaps (l1, l2) with l1 < l2 <= SYLOW_CYLINDERS ...
 SYLOW_DEPTH = 8  # ... at every depth l2..SYLOW_DEPTH
@@ -189,6 +190,21 @@ def test_kernel_law_is_the_closed_form_at_depth(chain):
 
 @PROPERTY_SETTINGS
 @given(chains())
+def test_kernel_law_keeps_the_slope_and_never_raises_the_base(chain):
+    # Why a pair evaluation needs no runtime check: as the cylinder grows
+    # by one level, a kernel exponent's eventual slope stays and its base
+    # does not rise, so every gap is a prime power with exponent >= 0 and
+    # survives the limit exactly when the shared slope is 0.
+    for s in chain.schedules(KERNEL_LAW_LEVEL):
+        for coord in ("a", "b"):
+            for cylinder in range(KERNEL_LAW_LEVEL):
+                base, slope = _kernel_eventual(s, cylinder, coord)
+                next_base, next_slope = _kernel_eventual(s, cylinder + 1, coord)
+                assert next_slope == slope and next_base <= base
+
+
+@PROPERTY_SETTINGS
+@given(chains())
 @example(wild_chain(2, 1))
 @example(wild_chain(3, 2, enumeration=TreeBranchPrimes(2, 3)))
 def test_level_walk_lists_the_schedule_of_each_prime(chain):
@@ -320,7 +336,7 @@ def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
         d = max(l2, chain.last_start())
         quotient = chain.quotient_at(d)
         for l1 in range(1, l2):
-            report, limit_gap, _notes = _evaluate_pair(chain, l1, l2, l2, WINDOW[1])
+            report, limit_gap = _evaluate_pair(chain, l1, l2, l2, WINDOW[1])
             outer, inner = (
                 quotient.image(trivial_action_kernel(chain, l, d + LIMIT_LOOKAHEAD))
                 for l in (l1, l2)
