@@ -6,8 +6,11 @@ stores them with ``set_field``.  The base then gives it equality within
 one class, a hash, the ``Name(field=value, ...)`` repr, copying and
 pickling through ``__init__``, and instances that refuse assignment.  A
 ``"__dict__"`` slot (room for ``functools.cached_property``) is not a
-field.  Importing ``dataclasses`` would load ``inspect`` and ``ast`` in
-every CLI call and build each class's methods with ``exec`` at import.
+field.  A subclass that derives quantities from its fields as properties
+may name, in ``_shown``, the fields and properties its repr prints, in
+order; equality and hashing read the fields alone.  Importing
+``dataclasses`` would load ``inspect`` and ``ast`` in every CLI call and
+build each class's methods with ``exec`` at import.
 """
 
 set_field = object.__setattr__
@@ -16,11 +19,13 @@ set_field = object.__setattr__
 class Value:
     __slots__ = ()
     _fields: tuple = ()
+    _shown: tuple = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         slots = cls.__dict__.get("__slots__", ())
         cls._fields = tuple(name for name in slots if name != "__dict__")
+        cls._shown = cls.__dict__.get("_shown", cls._fields)
 
     def _key(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -34,7 +39,7 @@ class Value:
         return hash(self._key())
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):

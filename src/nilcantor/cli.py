@@ -15,6 +15,8 @@ import sys
 
 from . import __version__
 from .dynamics import (
+    GRADE_FINITE,
+    GRADE_SCHEDULE,
     Certificate,
     discriminant_limit_report,
     freeness_certificate,
@@ -155,7 +157,7 @@ def cmd_spectrum(args) -> tuple:
         ("steinitz_order_limit", str(order.limit)),
         ("promoted_to_infinity", ",".join(map(str, order.limit.infinite_primes)) or "(none)"),
     ] + _spectra_lines(sp)
-    return chain.label, (("depth", args.depth), ("bound", bound)), results, "schedule-certified"
+    return chain.label, (("depth", args.depth), ("bound", bound)), results, GRADE_SCHEDULE
 
 
 def cmd_discriminant(args) -> tuple:
@@ -293,7 +295,7 @@ _ORACLE_TARGETS = {
 def cmd_oracle(args) -> tuple:
     budget = OracleBudget(args.max_group_order)
     chain_label, results = _ORACLE_TARGETS[args.subtarget](args, budget)
-    return chain_label, (("subtarget", args.subtarget),), results, "finite-depth"
+    return chain_label, (("subtarget", args.subtarget),), results, GRADE_FINITE
 
 
 # -- reproduce scenarios ---------------------------------------------------------
@@ -404,7 +406,7 @@ _SCENARIOS = {
 def cmd_reproduce(args) -> tuple:
     name = args.name
     params = (("count", args.count), ("bound", args.bound)) if name == "cor16" else ()
-    return name, params, _SCENARIOS[name](args), "schedule-certified"
+    return name, params, _SCENARIOS[name](args), GRADE_SCHEDULE
 
 
 # -- entry point ------------------------------------------------------------------

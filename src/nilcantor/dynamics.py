@@ -33,7 +33,7 @@ from typing import Optional
 
 from ._value import Value, set_field
 from .errors import ContractError
-from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
+from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in, relative_core
 from .towers import COORDS, ChainSpec, PrimeSchedule
 
 __all__ = [
@@ -50,13 +50,13 @@ __all__ = [
 
 def trivial_action_kernel(chain: ChainSpec, cylinder: int, depth: int) -> BoxSubgroup:
     """Elements acting trivially on every depth-`depth` coset inside the
-    level-`cylinder` cylinder; `cylinder`=0 means the whole space, whose
-    pointwise stabilizer is the normal core."""
+    level-`cylinder` cylinder: the relative core of Gamma_depth over
+    Gamma_cylinder.  `cylinder`=0 means the whole space, so the outer group
+    is GAMMA and the kernel is the normal core."""
     if cylinder < 0 or depth < max(cylinder, 1):
         raise ContractError("need depth >= cylinder >= 0 and depth >= 1")
-    if cylinder == 0:
-        return chain.core_at(depth)
-    return relative_core(chain.box_at(cylinder), chain.box_at(depth))
+    outer = chain.box_at(cylinder) if cylinder else GAMMA
+    return relative_core(outer, chain.box_at(depth))
 
 
 # -- symbolic kernel analysis -------------------------------------------------
@@ -145,18 +145,19 @@ class KernelReport(Value):
     one rule of `_evaluate_pair`: a constant kernel order that equals the
     predicted ratio and the limit gap, read off the pair's own kernel
     columns at the tested depths and no deeper.  Verdicts read the
-    schedules instead."""
+    schedules instead.
 
-    __slots__ = (
-        "cylinder",
-        "refined",
-        "depth",
-        "kernel_box",
-        "comparison_box",
-        "kernel_order",
-        "witness",
-        "persistent",
-    )
+    `kernel_order` and `witness` are derived from the two boxes.  The one
+    check is that `comparison_box` lies inside `kernel_box`: then every
+    modulus ratio is a positive integer, so the order (their product) is
+    at least 1, and a witness exists exactly when some ratio exceeds 1.
+    The witness is the kernel's generator in that coordinate, so it lies
+    in the kernel and, its coordinate being a proper divisor of the
+    comparison's modulus, outside the comparison.
+    """
+
+    __slots__ = ("cylinder", "refined", "depth", "kernel_box", "comparison_box", "persistent")
+    _shown = __slots__[:5] + ("kernel_order", "witness", "persistent")
 
     def __init__(
         self,
@@ -165,40 +166,32 @@ class KernelReport(Value):
         depth: int,
         kernel_box: BoxSubgroup,
         comparison_box: BoxSubgroup,
-        kernel_order: int,
-        witness: Optional[HeisenbergElement],
         persistent: bool = False,
     ):
-        if kernel_order < 1:
-            raise ContractError(f"kernel order must be >= 1, got {kernel_order}")
-        if (witness is not None) != (kernel_order > 1):
-            raise ContractError("a witness is given exactly when the kernel order exceeds 1")
-        if witness is not None:
-            if not kernel_box.contains(witness):
-                raise ContractError(f"witness {witness} is not in the kernel {kernel_box}")
-            if comparison_box.contains(witness):
-                raise ContractError(
-                    f"witness {witness} is in the comparison kernel {comparison_box}"
-                )
+        if not kernel_box.contains_box(comparison_box):
+            raise ContractError(f"{comparison_box} is not contained in the kernel {kernel_box}")
         set_field(self, "cylinder", cylinder)
         set_field(self, "refined", refined)
         set_field(self, "depth", depth)
         set_field(self, "kernel_box", kernel_box)
         set_field(self, "comparison_box", comparison_box)
-        set_field(self, "kernel_order", kernel_order)
-        set_field(self, "witness", witness)
         set_field(self, "persistent", persistent)
 
+    @property
+    def kernel_order(self) -> int:
+        return index_in(self.kernel_box, self.comparison_box)
 
-def _pick_witness(kernel: BoxSubgroup, comparison: BoxSubgroup):
-    ratios = (
-        comparison.Ma // kernel.Ma,
-        comparison.Mb // kernel.Mb,
-        comparison.Mc // kernel.Mc,
-    )
-    if max(ratios) == 1:
-        return None
-    return kernel.generators()[ratios.index(max(ratios))]  # ties break a, then b, then c
+    @property
+    def witness(self) -> Optional[HeisenbergElement]:
+        kernel, comparison = self.kernel_box, self.comparison_box
+        ratios = (
+            comparison.Ma // kernel.Ma,
+            comparison.Mb // kernel.Mb,
+            comparison.Mc // kernel.Mc,
+        )
+        if max(ratios) == 1:
+            return None
+        return kernel.generators()[ratios.index(max(ratios))]  # ties break a, then b, then c
 
 
 def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
@@ -233,18 +226,7 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, first: int, last: int):
             if slope == 0:
                 limit_gap *= gap
     persistent = len(set(orders)) == 1 and ratio == limit_gap == orders[0]
-    kernel, comparison = inner[0], outer[0]
-    report = KernelReport(
-        cylinder=l1,
-        refined=l2,
-        depth=first,
-        kernel_box=kernel,
-        comparison_box=comparison,
-        kernel_order=orders[0],
-        witness=_pick_witness(kernel, comparison),
-        persistent=persistent,
-    )
-    return report, limit_gap
+    return KernelReport(l1, l2, first, inner[0], outer[0], persistent), limit_gap
 
 
 def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> KernelReport:
@@ -268,29 +250,18 @@ class Certificate(Value):
     """A structured verdict with exactly the evidence that was computed.
 
     `verdict` is one of StableCertified, WildEvidence, FreeCertified,
-    NotFree and Inconclusive; `parameters` holds ordered (name, value)
-    pairs echoed into reports; `reports` holds the KernelReport evidence,
-    when relevant.
+    NotFree and Inconclusive; `reports` holds the KernelReport evidence,
+    when relevant.  `evidence_grade` is derived from the verdict: an
+    Inconclusive verdict rests on finite-depth numbers alone, and every
+    other verdict is read off the schedules.
     """
 
-    __slots__ = (
-        "verdict",
-        "chain_label",
-        "parameters",
-        "evidence_grade",
-        "reports",
-        "stable_from_level",
-        "witness",
-        "reason",
-        "escape_depth",
-    )
+    __slots__ = ("verdict", "reports", "stable_from_level", "witness", "reason", "escape_depth")
+    _shown = ("verdict", "evidence_grade") + __slots__[1:]
 
     def __init__(
         self,
         verdict: str,
-        chain_label: str,
-        parameters: tuple,
-        evidence_grade: str,
         reports: tuple = (),
         stable_from_level: Optional[int] = None,
         witness: Optional[HeisenbergElement] = None,
@@ -298,14 +269,15 @@ class Certificate(Value):
         escape_depth: Optional[int] = None,
     ):
         set_field(self, "verdict", verdict)
-        set_field(self, "chain_label", chain_label)
-        set_field(self, "parameters", parameters)
-        set_field(self, "evidence_grade", evidence_grade)
         set_field(self, "reports", reports)
         set_field(self, "stable_from_level", stable_from_level)
         set_field(self, "witness", witness)
         set_field(self, "reason", reason)
         set_field(self, "escape_depth", escape_depth)
+
+    @property
+    def evidence_grade(self) -> str:
+        return GRADE_FINITE if self.verdict == "Inconclusive" else GRADE_SCHEDULE
 
 
 def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) -> Certificate:
@@ -341,29 +313,19 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
         for l1 in range(1, max_cylinder)
         for l2 in range(l1 + 1, max_cylinder + 1)
     }
-
-    def certificate(verdict, evidence_grade, **found):
-        return Certificate(
-            verdict=verdict,
-            chain_label=chain.label,
-            parameters=(("max_cylinder", max_cylinder), ("max_depth", max_depth)),
-            evidence_grade=evidence_grade,
-            reports=tuple(report for report, _gap in pairs.values()),
-            **found,
-        )
-
+    reports = tuple(report for report, _gap in pairs.values())
     if _family_activation_gap(chain) >= 1:
-        return certificate("WildEvidence", GRADE_SCHEDULE)
+        return Certificate("WildEvidence", reports)
 
     level = _stable_level(chain)
     stray = [(l1, l2) for (l1, l2), (_r, gap) in pairs.items() if l1 >= level and gap != 1]
     if stray:
-        return certificate(
+        return Certificate(
             "Inconclusive",
-            GRADE_FINITE,
+            reports,
             reason=f"surviving gaps above the computed stable level: {stray}",
         )
-    return certificate("StableCertified", GRADE_SCHEDULE, stable_from_level=level)
+    return Certificate("StableCertified", reports, stable_from_level=level)
 
 
 def _coordinate_unbounded(chain: ChainSpec, cylinder: int, coord: str) -> bool:
@@ -384,7 +346,11 @@ def freeness_certificate(
     """Certify that no non-identity element fixes the cylinder pointwise.
 
     NotFree: some coordinate lattice is certifiably bounded, and its
-    stabilized generator fixes the cylinder at every tested depth.
+    stabilized generator fixes the cylinder at every tested depth.  The
+    generator is read off the kernel at depth `deep` >= `max_depth`, where
+    every schedule is affine, and checked once, in the kernel at
+    `max_depth`: each kernel contains the deeper ones, so that one check
+    covers every shallower depth.
     FreeCertified: all three kernel lattices are certifiably unbounded, so
     the full intersection of the kernels is trivial, and `escape_depth` is
     the first depth by `max_depth` whose kernel's smallest modulus exceeds
@@ -401,37 +367,22 @@ def freeness_certificate(
     deep = max(chain.last_start() + 1, max_depth)  # where a NotFree witness is read
     chain.check_depth_budget(deep, f"a freeness certificate to depth {max_depth}")
 
-    def certificate(verdict, evidence_grade, **found):
-        return Certificate(
-            verdict=verdict,
-            chain_label=chain.label,
-            parameters=(
-                ("cylinder", cylinder), ("ball_radius", ball_radius), ("max_depth", max_depth)
-            ),
-            evidence_grade=evidence_grade,
-            **found,
-        )
-
     bounded = [x for x in COORDS if not _coordinate_unbounded(chain, cylinder, x)]
     if bounded:
         coord = "c" if "c" in bounded else bounded[0]
         witness = trivial_action_kernel(chain, cylinder, deep).generators()[COORDS.index(coord)]
-        if element_escape_depth(chain, cylinder, witness, max_depth) is not None:
+        if not trivial_action_kernel(chain, cylinder, max_depth).contains(witness):
             raise ContractError(f"stabilized generator {witness} leaves a tested kernel")
-        return certificate(
-            "NotFree",
-            GRADE_SCHEDULE,
-            witness=witness,
-            reason=f"the {coord}-lattice of the kernel is bounded",
+        return Certificate(
+            "NotFree", witness=witness, reason=f"the {coord}-lattice of the kernel is bounded"
         )
 
     for d in range(max(cylinder, 1), max_depth + 1):
         kernel = trivial_action_kernel(chain, cylinder, d)
         if min(kernel.Ma, kernel.Mb, kernel.Mc) > ball_radius:
-            return certificate("FreeCertified", GRADE_SCHEDULE, escape_depth=d)
-    return certificate(
+            return Certificate("FreeCertified", escape_depth=d)
+    return Certificate(
         "Inconclusive",
-        GRADE_FINITE,
         reason="kernel lattices are unbounded but a ball element still "
         f"survives depth {max_depth}; raise max_depth",
     )
@@ -452,25 +403,26 @@ def element_escape_depth(
 
 
 class DiscriminantReport(Value):
-    """Orders of the stabilized images of D_depth inside D_level."""
+    """Orders of the stabilized images of D_depth inside D_level.  A
+    stabilized report's `limit_order` is its last order, certified by the
+    schedules; an open one has no limit order and finite-depth evidence."""
 
-    __slots__ = ("level", "depths", "orders", "stabilized", "limit_order", "evidence_grade")
+    __slots__ = ("level", "depths", "orders", "stabilized")
+    _shown = __slots__ + ("limit_order", "evidence_grade")
 
-    def __init__(
-        self,
-        level: int,
-        depths: tuple,
-        orders: tuple,
-        stabilized: bool,
-        limit_order: Optional[int],
-        evidence_grade: str = GRADE_FINITE,
-    ):
+    def __init__(self, level: int, depths: tuple, orders: tuple, stabilized: bool):
         set_field(self, "level", level)
         set_field(self, "depths", depths)
         set_field(self, "orders", orders)
         set_field(self, "stabilized", stabilized)
-        set_field(self, "limit_order", limit_order)
-        set_field(self, "evidence_grade", evidence_grade)
+
+    @property
+    def limit_order(self) -> Optional[int]:
+        return self.orders[-1] if self.stabilized else None
+
+    @property
+    def evidence_grade(self) -> str:
+        return GRADE_SCHEDULE if self.stabilized else GRADE_FINITE
 
 
 def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> DiscriminantReport:
@@ -503,11 +455,4 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
     symbolic = tuple(floor) == images[-1].lattice
     numeric = len(images) >= 2 and images[-1] == images[-2]
     stabilized = bool(symbolic and (numeric or len(images) == 1))
-    return DiscriminantReport(
-        level=level,
-        depths=depths,
-        orders=orders,
-        stabilized=stabilized,
-        limit_order=orders[-1] if stabilized else None,
-        evidence_grade=GRADE_SCHEDULE if stabilized else GRADE_FINITE,
-    )
+    return DiscriminantReport(level, depths, orders, stabilized)

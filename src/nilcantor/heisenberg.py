@@ -128,14 +128,10 @@ class BoxSubgroup(Value):
     # -- closed forms ----------------------------------------------------
 
     def core(self) -> "BoxSubgroup":
-        """Largest subgroup of this box normal in the full group.
-
-        An element (A, B, C) of the box has all its conjugates
-        (A, B, C + x*B - y*A) in the box for every integer x, y iff
-        Mc | A and Mc | B, so the core is the box with moduli
-        (lcm(Ma, Mc), lcm(Mb, Mc), Mc).
+        """Largest subgroup of this box normal in the full group: the
+        relative core over GAMMA, with moduli (lcm(Ma, Mc), lcm(Mb, Mc), Mc).
         """
-        return BoxSubgroup(lcm(self.Ma, self.Mc), lcm(self.Mb, self.Mc), self.Mc)
+        return relative_core(GAMMA, self)
 
     def is_normal_in_gamma(self) -> bool:
         return self.Ma % self.Mc == 0 and self.Mb % self.Mc == 0

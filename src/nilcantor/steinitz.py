@@ -471,19 +471,26 @@ class PrimeSet(Value):
 
 
 class PrimeSpectra(Value):
-    """Classification of the primes of a Steinitz number up to a bound."""
+    """Classification of the primes of a Steinitz number up to a bound:
+    the finite-exponent primes `pi_f` and the infinite ones `pi_inf`,
+    which are disjoint.  `pi` is their union, complete when both are."""
 
-    __slots__ = ("pi", "pi_f", "pi_inf", "enumeration_bound")
+    __slots__ = ("pi_f", "pi_inf", "enumeration_bound")
+    _shown = ("pi",) + __slots__
 
-    def __init__(self, pi: PrimeSet, pi_f: PrimeSet, pi_inf: PrimeSet, enumeration_bound: int):
-        if set(pi.primes) != set(pi_f.primes) | set(pi_inf.primes):
-            raise ContractError("pi must be the union of pi_f and pi_inf")
+    def __init__(self, pi_f: PrimeSet, pi_inf: PrimeSet, enumeration_bound: int):
         if set(pi_f.primes) & set(pi_inf.primes):
             raise ContractError("pi_f and pi_inf must be disjoint")
-        set_field(self, "pi", pi)
         set_field(self, "pi_f", pi_f)
         set_field(self, "pi_inf", pi_inf)
         set_field(self, "enumeration_bound", enumeration_bound)
+
+    @property
+    def pi(self) -> PrimeSet:
+        return PrimeSet(
+            tuple(sorted(self.pi_f.primes + self.pi_inf.primes)),
+            self.pi_f.complete and self.pi_inf.complete,
+        )
 
 
 def spectra(xi: SteinitzNumber, bound: int) -> PrimeSpectra:
@@ -498,10 +505,7 @@ def spectra(xi: SteinitzNumber, bound: int) -> PrimeSpectra:
     f_complete = xi.tail is None and all(p <= bound for p, _ in xi.finite_part)
     i_complete = all(p <= bound for p in xi.infinite_primes)
     return PrimeSpectra(
-        pi=PrimeSet(tuple(sorted(set(finite) | set(infinite))), f_complete and i_complete),
-        pi_f=PrimeSet(tuple(finite), f_complete),
-        pi_inf=PrimeSet(tuple(infinite), i_complete),
-        enumeration_bound=bound,
+        PrimeSet(tuple(finite), f_complete), PrimeSet(tuple(infinite), i_complete), bound
     )
 
 

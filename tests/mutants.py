@@ -14,8 +14,8 @@ and exits 1 naming every survivor.
 
 The file is not named `test_*.py`, so pytest does not collect it;
 `tests/test_mutants.py` checks in tier-1 that every old text still occurs
-exactly once under `src/`.  A change that adds a certificate or a property
-adds its mutants here.
+exactly once under `src/`, and that every test an entry names exists.  A
+change that adds a certificate or a property adds its mutants here.
 """
 
 import os
@@ -101,6 +101,72 @@ MUTANTS = (
         "fp = {p: op(x1.multiplicity(p), x2.multiplicity(p))"
         " + (tail.exponent if p in sided else 0) for p",
         ("tests/test_steinitz.py::test_tails_agree_with_multiplicities",),
+    ),
+    Mutant(
+        "kernel-column-one-depth",
+        "dynamics.py",
+        "range(first, last + 1)",
+        "range(first, first + 1)",
+        ("tests/test_dynamics.py::test_order_constancy_decides_the_persistent_mark",),
+    ),
+    Mutant(
+        "witness-smallest-ratio",
+        "dynamics.py",
+        "ratios.index(max(ratios))",
+        "ratios.index(min(ratios))",
+        (
+            "tests/test_properties.py::test_derived_witness_marks_exactly_the_gaps",
+            "tests/test_dynamics.py::test_lqa_witness_example",
+        ),
+    ),
+    Mutant(
+        "inconclusive-schedule-certified",
+        "dynamics.py",
+        'GRADE_FINITE if self.verdict == "Inconclusive" else GRADE_SCHEDULE',
+        "GRADE_SCHEDULE",
+        ("tests/test_dynamics.py::test_freeness_inconclusive_when_depth_too_small",),
+    ),
+    Mutant(
+        "family-gap-zero",
+        "dynamics.py",
+        "return sum(_kernel_eventual(q, 0, x)[0] - _kernel_eventual(q, 1, x)[0]",
+        "return 0 * sum(_kernel_eventual(q, 0, x)[0] - _kernel_eventual(q, 1, x)[0]",
+        (
+            "tests/test_properties.py::test_family_gap_decides_wildness",
+            "tests/test_dynamics.py::test_wild_family_certificate",
+        ),
+    ),
+    Mutant(
+        "raw-order-max",
+        "towers.py",
+        "e = s.a.exponent(depth) + s.b.exponent(depth) + s.c.exponent(depth)",
+        "e = max(s.a.exponent(depth), s.b.exponent(depth), s.c.exponent(depth))",
+        (
+            "tests/test_properties.py::test_raw_steinitz_order_is_lcm_of_box_indices",
+            "tests/test_towers.py::test_steinitz_order_ex41",
+        ),
+    ),
+    Mutant(
+        "branches-cover-each-other",
+        "steinitz.py",
+        'return base == "primes" or base == _base(t2.primes)',
+        'return base == "primes" or _base(t2.primes) != "primes"',
+        (
+            "tests/test_steinitz.py::test_almost_disjoint_pairwise_inequivalent",
+            "tests/test_properties.py"
+            "::test_branch_limits_are_equivalent_exactly_when_words_and_sums_agree",
+        ),
+    ),
+    Mutant(
+        "below-without-exponent",
+        "steinitz.py",
+        "return _covers(t2, t1) and t1.exponent <= t2.exponent",
+        "return _covers(t2, t1)",
+        (
+            "tests/test_steinitz.py::test_type_leq_with_tails",
+            "tests/test_properties.py"
+            "::test_branch_limits_are_equivalent_exactly_when_words_and_sums_agree",
+        ),
     ),
 )
 

@@ -15,7 +15,9 @@ Each line, fields separated by `|`:
   as l1-l2@d:order with + when persistent; the freeness verdict at
   (1, 100, 6) and its escape depth; for l = 1, 2 the discriminant orders
   over depths l..l+3 with s when stabilized; and the first 12 hex digits
-  of the sha256 of the full reprs of the four results.
+  of the sha256 of the full reprs of the four results, each certificate's
+  with the chain label and the window it was computed for written in
+  after its verdict (`_with_inputs`).
 """
 
 import hashlib
@@ -57,12 +59,28 @@ def _coord(s) -> str:
     return f"{s.start}.{s.base}.{s.slope}"
 
 
+def _with_inputs(cert, label: str, parameters: tuple) -> str:
+    """The certificate's repr with the chain label and the named window
+    parameters written in after its verdict: certificates store neither,
+    and the digest names both."""
+    verdict = f"verdict={cert.verdict!r}, "
+    inputs = f"chain_label={label!r}, parameters={parameters!r}, "
+    return repr(cert).replace(verdict, verdict + inputs, 1)
+
+
 def census_line(index: int, chain) -> str:
     wild = wildness_certificate(chain, *WINDOW)
     free = freeness_certificate(chain, *FREENESS)
     discs = [discriminant_limit_report(chain, level, level + 3) for level in DISCRIMINANT_LEVELS]
     family = chain.family
-    digest = hashlib.sha256("\n".join(map(repr, [wild, free, *discs])).encode()).hexdigest()
+    texts = [
+        _with_inputs(wild, chain.label, tuple(zip(("max_cylinder", "max_depth"), WINDOW))),
+        _with_inputs(
+            free, chain.label, tuple(zip(("cylinder", "ball_radius", "max_depth"), FREENESS))
+        ),
+        *map(repr, discs),
+    ]
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     fields = [
         f"{index:04d}",
         " ".join(f"{s.prime}:{_coord(s.a)}/{_coord(s.b)}/{_coord(s.c)}" for s in chain.explicit),

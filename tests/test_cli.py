@@ -548,10 +548,9 @@ def test_invariants_hold_under_python_O():
         "from nilcantor.heisenberg import BoxSubgroup\n"
         "from nilcantor.steinitz import PrimeSet, PrimeSpectra, TailSchedule\n"
         "print('optimize', sys.flags.optimize)\n"
-        "box = BoxSubgroup(1, 1, 1)\n"
-        "for make in (lambda: KernelReport(1, 2, 2, box, box, 0, None),\n"
-        "             lambda: PrimeSpectra(PrimeSet((2,), True), PrimeSet((), True),\n"
-        "                                  PrimeSet((), True), 7),\n"
+        "box, narrow = BoxSubgroup(1, 1, 1), BoxSubgroup(2, 1, 1)\n"
+        "for make in (lambda: KernelReport(1, 2, 2, narrow, box),\n"
+        "             lambda: PrimeSpectra(PrimeSet((2,), True), PrimeSet((2,), True), 7),\n"
         "             lambda: TailSchedule((2, 5, 11), 1)):\n"
         "    try:\n"
         "        make()\n"

@@ -158,6 +158,38 @@ def test_lqa_witness_judges_persistence_at_its_one_depth():
     assert over_2_to_5[(1, 2)] == at[2]
 
 
+# Prime 2's c-schedule starts at depth 3 and its a-schedule at depth 10, so
+# the kernel gap between cylinders 1 and 2 opens at depth 3 and closes again
+# at depth 10: over depths 2..12 the pair's orders are 1, 2 (seven times),
+# 1, 1, 1.
+TRANSIENT = ChainSpec(
+    "transient",
+    (
+        PrimeSchedule(
+            2, a=CoordSchedule(10, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(3, 0, 1)
+        ),
+        PrimeSchedule(
+            3, a=CoordSchedule(1, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1, 0, 1)
+        ),
+    ),
+)
+
+
+def test_order_constancy_decides_the_persistent_mark():
+    # At depth 2 alone the order 1 equals the predicted ratio and the limit
+    # gap, so the one-depth report is marked; over depths 2..12 the order
+    # is not constant, so the certificate's report of the same pair is not.
+    orders = [
+        index_in(trivial_action_kernel(TRANSIENT, 2, d), trivial_action_kernel(TRANSIENT, 1, d))
+        for d in range(2, 13)
+    ]
+    assert orders == [1] + [2] * 7 + [1] * 3
+    assert lqa_witness(TRANSIENT, 1, 2, 2).persistent
+    reports = {(r.cylinder, r.refined): r for r in wildness_certificate(TRANSIENT, 3, 12).reports}
+    assert reports[(1, 2)].kernel_order == 1
+    assert not reports[(1, 2)].persistent
+
+
 def test_stable_family_kernels_are_level_independent():
     chain = stable_chain((2, 3), (1, 1), (2, 2), (5,))
     for d in (2, 3, 4):
@@ -414,7 +446,7 @@ def test_freeness_walk_stops_at_the_escape_depth(call, kernels, monkeypatch):
     assert len(built) == kernels
 
 
-def _pinched_chain():
+def _pinched_chain(*schedules, family=None):
     return ChainSpec(
         "pinched",
         (
@@ -424,7 +456,9 @@ def _pinched_chain():
                 b=CoordSchedule(1, 0, 1),
                 c=CoordSchedule(1, 2, 0),
             ),
-        ),
+        )
+        + schedules,
+        family,
         trivial_intersection=False,
     )
 
@@ -439,23 +473,47 @@ def test_degenerate_chain_is_not_free():
 
 
 def test_not_free_checks_its_witness_at_every_tested_depth(monkeypatch):
-    # A depth-3 kernel that doubles the a- and c-moduli misses the
-    # stabilized generator (0,0,4), which the certificate must notice.
+    # Prime 3 starts at level 8, so the stabilized generator (0,0,4) is read
+    # off the depth-9 kernel.  A depth-5 kernel that doubles the a- and
+    # c-moduli misses it, and the one check, at max_depth 5, must notice:
+    # each kernel contains the deeper ones, so it stands for depths 1..5.
     def broken(chain, cylinder, depth):
         kernel = trivial_action_kernel(chain, cylinder, depth)
-        if depth != 3:
+        if depth != 5:
             return kernel
         return BoxSubgroup(2 * kernel.Ma, kernel.Mb, 2 * kernel.Mc)
 
+    late = PrimeSchedule(3, a=CoordSchedule(8, 0, 1), b=CoordSchedule(8, 0, 1))
     monkeypatch.setattr(dynamics, "trivial_action_kernel", broken)
     with pytest.raises(ContractError, match=r"\(0,0,4\) leaves a tested kernel"):
-        freeness_certificate(_pinched_chain(), 1, 10, 5)
+        freeness_certificate(_pinched_chain(late), 1, 10, 5)
+
+
+def test_not_free_builds_the_same_kernels_at_every_max_depth(monkeypatch):
+    # The NotFree path reads its witness off one kernel and checks it in
+    # one more, however deep the window: no walk over the depths.
+    built = []
+
+    def counting(chain, cylinder, depth):
+        built.append(depth)
+        return trivial_action_kernel(chain, cylinder, depth)
+
+    monkeypatch.setattr(dynamics, "trivial_action_kernel", counting)
+    chain = _pinched_chain(family=IndexedFamily(Primes(exclude=(2,)), 1, 1, 0))
+    counts = []
+    for max_depth in (6, 400):
+        built.clear()
+        cert = freeness_certificate(chain, 1, 10, max_depth)
+        assert cert.verdict == "NotFree" and cert.witness == HeisenbergElement(0, 0, 4)
+        counts.append(len(built))
+    assert counts == [2, 2]
 
 
 def test_freeness_inconclusive_when_depth_too_small():
     cert = freeness_certificate(wild_chain(2, 1), 1, 100, 2)
     assert cert.verdict == "Inconclusive"
     assert "raise max_depth" in cert.reason
+    assert cert.evidence_grade == "finite-depth"
 
 
 # -- discriminant limit reports -----------------------------------------------------------

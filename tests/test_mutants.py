@@ -1,10 +1,12 @@
 """The mutant catalogue cannot rot unseen: every entry still applies."""
 
+import ast
 from pathlib import Path
 
 from mutants import MUTANTS
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_each_mutant_text_occurs_once_under_src():
@@ -12,3 +14,21 @@ def test_each_mutant_text_occurs_once_under_src():
     for mutant in MUTANTS:
         counts = {path.name: text.count(mutant.old) for path, text in texts.items()}
         assert {name: n for name, n in counts.items() if n} == {mutant.file: 1}, mutant.name
+
+
+def test_each_mutant_names_tests_that_exist():
+    # The runner stays out of tier-1, so a renamed or deleted test would
+    # otherwise orphan its entry until the catalogue next runs.
+    missing = []
+    for mutant in MUTANTS:
+        for node in mutant.tests:
+            path, name = node.split("[")[0].split("::")
+            file = ROOT / path
+            defined = file.is_file() and name in {
+                fn.name
+                for fn in ast.parse(file.read_text()).body
+                if isinstance(fn, ast.FunctionDef)
+            }
+            if not defined:
+                missing.append((mutant.name, node))
+    assert missing == []

@@ -141,6 +141,19 @@ def test_lqa_witness_is_the_certificate_pair_at_one_depth(chain):
 
 @PROPERTY_SETTINGS
 @given(chains())
+def test_derived_witness_marks_exactly_the_gaps(chain):
+    # A report's witness lies in its kernel and outside its comparison
+    # kernel exactly when the kernel order exceeds 1; otherwise there is none.
+    for r in wildness_certificate(chain, *WINDOW).reports:
+        w = r.witness
+        if r.kernel_order > 1:
+            assert r.kernel_box.contains(w) and not r.comparison_box.contains(w)
+        else:
+            assert w is None
+
+
+@PROPERTY_SETTINGS
+@given(chains())
 def test_raw_steinitz_order_is_lcm_of_box_indices(chain):
     for depth in range(1, ORDER_DEPTH + 1):
         indices = [chain.box_at(level).index() for level in range(1, depth + 1)]
