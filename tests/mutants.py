@@ -110,6 +110,23 @@ MUTANTS = (
         ("tests/test_dynamics.py::test_order_constancy_decides_the_persistent_mark",),
     ),
     Mutant(
+        "pair-reads-one-column",
+        "dynamics.py",
+        "for l in (l1, l2)",
+        "for l in (l2, l2)",
+        ("tests/test_dynamics.py::test_wild_family_certificate",),
+    ),
+    Mutant(
+        "not-free-witness-from-box",
+        "dynamics.py",
+        "witness = trivial_action_kernel(chain, cylinder, deep).generators()",
+        "witness = chain.box_at(cylinder).generators()",
+        (
+            "tests/test_properties.py::test_not_free_witness_lies_in_every_tested_kernel",
+            "tests/test_properties.py::test_freeness_verdict_is_the_fixing_scan_in_the_ball",
+        ),
+    ),
+    Mutant(
         "witness-smallest-ratio",
         "dynamics.py",
         "ratios.index(max(ratios))",
@@ -167,6 +184,51 @@ MUTANTS = (
             "tests/test_properties.py"
             "::test_branch_limits_are_equivalent_exactly_when_words_and_sums_agree",
         ),
+    ),
+    Mutant(
+        "relative-core-shear-ma",
+        "heisenberg.py",
+        "gcd(inner.Mc, outer.Mb)",
+        "gcd(inner.Mc, outer.Ma)",
+        (
+            "tests/test_properties.py::test_kernel_closed_form_equals_fixing_scan",
+            "tests/test_heisenberg.py::test_relative_core_examples",
+        ),
+    ),
+    Mutant(
+        "branch-keeps-trailing-zeros",
+        "steinitz.py",
+        '.rstrip("0")',
+        "",
+        ("tests/test_steinitz.py::test_branches_with_one_stripped_word_are_one_set",),
+    ),
+    Mutant(
+        "combine-keeps-left-tail",
+        "steinitz.py",
+        "if 2 * len(on_t2) < len(sided):",
+        "if False:",
+        ("tests/test_steinitz.py::test_tailed_product_same_schedule",),
+    ),
+    Mutant(
+        "coset-table-short-window",
+        "oracle.py",
+        "for x in range(0, wa, ma)",
+        "for x in range(0, wa - ma, ma)",
+        ("tests/test_oracle.py::test_canonical_table_matches_closed_form",),
+    ),
+    Mutant(
+        "coset-table-group-law",
+        "oracle.py",
+        "shift = rc + ra * y",
+        "shift = rc + rb * x",
+        ("tests/test_oracle.py::test_canonical_table_matches_closed_form",),
+    ),
+    Mutant(
+        "coset-table-non-box-step",
+        "oracle.py",
+        "for y in range(0, wb, mb)",
+        "for y in range(0, wb, 1)",
+        ("tests/test_oracle.py::test_canonical_table_matches_closed_form",),
     ),
 )
 

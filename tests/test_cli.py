@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import hashlib
 import importlib
 import io
 import os
@@ -453,6 +454,19 @@ def test_family_walks_match_benchmark_references(name, argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (REFERENCE / f"{name}.txt").read_text()
+
+
+def test_deep_wild_window_keeps_its_report(capsys):
+    # 496 level pairs over depths up to 80: sharing one kernel column per
+    # cylinder keeps this call near 1 s.  The line count and digest were
+    # recorded when every pair still built its own two columns.
+    argv = ["wildness", "wild", "--n", "2", "--r", "1", "--lmax", "32", "--dmax", "80"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 504
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9c00d0ce140ea988290f6f33094ca875a5f32f074e29b06f7640f07eb05bd95f"
+    )
 
 
 def test_reports_are_deterministic(capsys):

@@ -64,6 +64,8 @@ LIMIT_LOOKAHEAD = 20  # kernels this far past the quotient's depth stand for the
 FREENESS_CYLINDERS = (1, 2)
 FREENESS_RADIUS = 2  # small, so that drawn chains are FreeCertified and NotFree both
 FREENESS_DEPTH = 4  # certificates walk to here; scans run within the benchmark's budgets
+NOT_FREE_CYLINDERS = (0, 1, 2)
+NOT_FREE_DEPTH = 6  # NotFree certificates at every max_depth up to here
 DISCRIMINANT_LEVELS = (1, 2)  # reports at these levels, to depth level or level + 1 ...
 LIMIT_DEPTHS = 3  # ... and a stabilized one's limit order at this many further depths
 
@@ -78,6 +80,20 @@ LATE_GROWTH = ChainSpec(
         ),
     ),
     IndexedFamily(Primes(exclude=(5,)), 2, 0, 1),
+    trivial_intersection=False,
+)
+
+# Prime 2's c-lattice is pinned at 4 from level 1, and prime 3 starts at
+# level 8, so a NotFree witness is read off the depth-9 kernel whenever
+# the window ends before it.
+LATE_PINCHED = ChainSpec(
+    "late-pinched",
+    (
+        PrimeSchedule(
+            2, a=CoordSchedule(1, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1, 2, 0)
+        ),
+        PrimeSchedule(3, a=CoordSchedule(8, 0, 1), b=CoordSchedule(8, 0, 1)),
+    ),
     trivial_intersection=False,
 )
 
@@ -300,6 +316,23 @@ def test_freeness_verdict_is_the_fixing_scan_in_the_ball(chain):
 
 @PROPERTY_SETTINGS
 @given(chains())
+@example(LATE_PINCHED)
+def test_not_free_witness_lies_in_every_tested_kernel(chain):
+    # A NotFree witness is a generator of one kernel at a depth at or past
+    # max_depth and is not checked again: each kernel contains the deeper
+    # ones, so the witness must lie in the kernel at every depth from the
+    # cylinder to max_depth, also where max_depth ends before the last
+    # schedule start and the witness is read deeper.
+    for cylinder in NOT_FREE_CYLINDERS:
+        for max_depth in range(max(cylinder, 1), NOT_FREE_DEPTH + 1):
+            cert = freeness_certificate(chain, cylinder, FREENESS_RADIUS, max_depth)
+            if cert.verdict == "NotFree":
+                for depth in range(max(cylinder, 1), max_depth + 1):
+                    assert trivial_action_kernel(chain, cylinder, depth).contains(cert.witness)
+
+
+@PROPERTY_SETTINGS
+@given(chains())
 def test_stabilized_discriminant_keeps_its_limit_order(chain):
     # A stabilized report claims its last image order for every deeper
     # depth.  Check the next depths' images, and where Q_level fits the
@@ -349,7 +382,11 @@ def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
         d = max(l2, chain.last_start())
         quotient = chain.quotient_at(d)
         for l1 in range(1, l2):
-            report, limit_gap = _evaluate_pair(chain, l1, l2, l2, WINDOW[1])
+            columns = {
+                l: {e: trivial_action_kernel(chain, l, e) for e in range(l2, WINDOW[1] + 1)}
+                for l in (l1, l2)
+            }
+            report, limit_gap = _evaluate_pair(chain, l1, l2, columns, l2, WINDOW[1])
             outer, inner = (
                 quotient.image(trivial_action_kernel(chain, l, d + LIMIT_LOOKAHEAD))
                 for l in (l1, l2)
