@@ -13,10 +13,11 @@ from nilcantor.steinitz import (
 )
 
 # A supernatural number is a formal product of prime powers where the
-# exponents may be infinite.  Explicit data covers finitely many primes;
-# a lazy "tail" enumeration covers infinitely many more.
-a = SteinitzNumber.parse("2^3 * 3 * 5^inf")
-b = SteinitzNumber.parse("2 * 7^2")
+# exponents may be infinite.  Explicit data covers finitely many primes,
+# as (prime, exponent) pairs and primes of exponent infinity; a lazy
+# "tail" enumeration covers infinitely many more.
+a = SteinitzNumber(((2, 3), (3, 1)), (5,))
+b = SteinitzNumber(((2, 1), (7, 2)))
 print("a           =", a)
 print("b           =", b)
 print("a * b       =", a.product(b))
@@ -39,6 +40,6 @@ print("asymptotically equal?    ", asymptotically_equivalent(every_prime, odd_pr
 
 # The type order compares after multiplying by integers; 2^5*3 <= 2*3
 # because the right side may be multiplied by 2^4.
-x = SteinitzNumber.parse("2^5 * 3")
-y = SteinitzNumber.parse("2 * 3")
+x = SteinitzNumber(((2, 5), (3, 1)))
+y = SteinitzNumber(((2, 1), (3, 1)))
 print("\ntype of", x, "below type of", y, "?", type_leq(x, y))

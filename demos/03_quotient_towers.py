@@ -6,7 +6,7 @@ Run:  python3 demos/03_quotient_towers.py
 from nilcantor.dynamics import discriminant_limit_report
 from nilcantor.heisenberg import GAMMA, HeisenbergElement, index_in
 from nilcantor.oracle import coset_orbit
-from nilcantor.towers import CosetSpace, ex41, ex42
+from nilcantor.towers import ex41, ex42
 
 # The one-prime self-similar chain Gamma_l = {(2^l a, 2^l b, 4^l c)}.
 chain = ex41(2)
@@ -33,9 +33,9 @@ order = chain.steinitz_order(4)
 print("\nSteinitz order at depth 4:", order)
 
 # Odometer coset arithmetic: canonical representatives and the action.
-space = CosetSpace(chain.box_at(1))
+box = chain.box_at(1)
 g = HeisenbergElement(3, 5, 7)
-print("\ncanonical rep of (3,5,7) mod", space.box, "=", space.canonical(g))
+print("\ncanonical rep of (3,5,7) mod", box, "=", box.canonical(g))
 # The orbit is enumerated by the oracle; transitivity is the closed form.
-orbit = coset_orbit(space, [HeisenbergElement(1, 0, 0), HeisenbergElement(0, 1, 0), HeisenbergElement(0, 0, 1)])
-print("orbit of the basepoint has size", len(orbit), "= whole space of", space.size)
+orbit = coset_orbit(box, [HeisenbergElement(1, 0, 0), HeisenbergElement(0, 1, 0), HeisenbergElement(0, 0, 1)])
+print("orbit of the basepoint has size", len(orbit), "= whole space of", box.index())

@@ -5,7 +5,8 @@ The package computes, in exact integer arithmetic, with
   * supernatural (Steinitz) numbers, their prime spectra, asymptotic
     equivalence and the type order (:mod:`nilcantor.steinitz`),
   * the integer Heisenberg group and its box subgroups, with closed-form
-    cores, relative cores and indices (:mod:`nilcantor.heisenberg`),
+    cores, relative cores, indices, canonical coset representatives and
+    the left action on each coset space (:mod:`nilcantor.heisenberg`),
   * symbolic descending chains of box subgroups, their finite quotient
     towers, discriminant levels and Steinitz orders (:mod:`nilcantor.towers`),
   * stability / wildness and topological-freeness certificates built from
@@ -22,7 +23,7 @@ __version__ = "0.1.0"
 from .errors import ContractError, ResourceError
 from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement
 from .steinitz import INF, PrimeSpectra, SteinitzNumber
-from .towers import ChainSpec, CosetSpace, FiniteQuotient, builtin_chain
+from .towers import ChainSpec, FiniteQuotient, builtin_chain
 from .dynamics import (
     Certificate,
     KernelReport,
@@ -43,7 +44,6 @@ __all__ = [
     "PrimeSpectra",
     "ChainSpec",
     "FiniteQuotient",
-    "CosetSpace",
     "builtin_chain",
     "Certificate",
     "KernelReport",

@@ -34,7 +34,7 @@ from .oracle import (
     relative_core_by_enumeration,
 )
 from .steinitz import almost_disjoint_spectra, asymptotically_equivalent, spectra
-from .towers import ChainSpec, CosetSpace, builtin_chain, parse_chain_config, wild_chain
+from .towers import ChainSpec, builtin_chain, parse_chain_config, wild_chain
 
 
 def render(command: str, chain: str, parameters, results, evidence_grade: str, seed: int) -> str:
@@ -251,7 +251,7 @@ def _oracle_relative_core(args, budget) -> tuple:
 def _oracle_canonical(args, budget) -> tuple:
     box = BoxSubgroup.parse(_oracle_flag(args, "box"))
     g = HeisenbergElement.parse(_oracle_flag(args, "element"))
-    return _agreement(canonical_by_enumeration(box, g, budget), CosetSpace(box).canonical(g))
+    return _agreement(canonical_by_enumeration(box, g, budget), box.canonical(g))
 
 
 def _oracle_partition(args, budget) -> tuple:

@@ -115,7 +115,9 @@ def _stable_level(chain: ChainSpec) -> int:
     Only primes whose a- and c-schedules (resp. b- and c-) are eventually
     constant can leave a surviving gap, and by the box condition their
     kernel exponent is pinned to the a-base once the level passes both
-    starts; below that the exact values decide.
+    starts; below that the exact values decide.  By the kernel law the
+    base never rises with the cylinder, so the levels at the floor are
+    the ones from some first level on, found by bisection.
     """
     level = 1
     for s in chain.explicit:
@@ -125,11 +127,15 @@ def _stable_level(chain: ChainSpec) -> int:
             own = s.coord(coord)
             if own.slope > 0:
                 continue
-            first = max(1, own.start, s.c.start)
-            floor = _kernel_eventual(s, first, coord)[0]
-            while first > 1 and _kernel_eventual(s, first - 1, coord)[0] == floor:
-                first -= 1
-            level = max(level, first)
+            lo, hi = 1, max(1, own.start, s.c.start)
+            floor = _kernel_eventual(s, hi, coord)[0]
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _kernel_eventual(s, mid, coord)[0] == floor:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            level = max(level, lo)
     return level
 
 

@@ -8,9 +8,10 @@ matrix with rows (1, a, c), (0, 1, b), (0, 0, 1), so the group law is
 A *box subgroup* Box(Ma, Mb, Mc) is the set {(a*Ma, b*Mb, c*Mc)}.  Such a
 triple of moduli is closed under the law exactly when Mc divides Ma*Mb,
 and every subgroup handled by this package is a box.  That shape is what
-makes membership, indices, normal cores and relative cores available in
-closed form; the closed forms are validated against dumb enumeration in
-the oracle module before being trusted at large moduli.
+makes membership, indices, normal cores, relative cores, canonical coset
+representatives and the left action on the coset space Gamma/B available
+in closed form; the closed forms are validated against dumb enumeration
+in the oracle module before being trusted at large moduli.
 
 Everything here is immutable and pure.
 """
@@ -26,7 +27,6 @@ from .errors import ContractError
 __all__ = [
     "HeisenbergElement",
     "BoxSubgroup",
-    "IDENTITY",
     "GAMMA",
     "index_in",
     "relative_core",
@@ -84,9 +84,6 @@ class HeisenbergElement(Value):
         return cls(int(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
-IDENTITY = HeisenbergElement(0, 0, 0)
-
-
 class BoxSubgroup(Value):
     """The subgroup {(a*Ma, b*Mb, c*Mc)} of the Heisenberg group.
 
@@ -133,9 +130,6 @@ class BoxSubgroup(Value):
         """
         return relative_core(GAMMA, self)
 
-    def is_normal_in_gamma(self) -> bool:
-        return self.Ma % self.Mc == 0 and self.Mb % self.Mc == 0
-
     def index(self) -> int:
         """Index in the full group: the number of cosets Ma*Mb*Mc."""
         return self.Ma * self.Mb * self.Mc
@@ -146,6 +140,27 @@ class BoxSubgroup(Value):
             HeisenbergElement(0, self.Mb, 0),
             HeisenbergElement(0, 0, self.Mc),
         )
+
+    # -- the coset space Gamma/B ---------------------------------------------
+
+    def canonical(self, g: HeisenbergElement) -> tuple[int, int, int]:
+        """Representative of the left coset g*B, in [0, Ma) x [0, Mb) x [0, Mc).
+
+        Multiplying g on the right by box elements can shift c by any
+        multiple of Mc and by a*(multiples of Mb); reducing a and b first
+        and then c - abar*(b - bbar) mod Mc picks the same triple for the
+        whole coset (Mc | Ma*Mb makes the choice independent of the lift).
+        The identity coset, the base of the odometer, is (0, 0, 0).
+        """
+        abar = g.a % self.Ma
+        bbar = g.b % self.Mb
+        return (abar, bbar, (g.c - abar * (g.b - bbar)) % self.Mc)
+
+    def act(self, g: HeisenbergElement, x) -> tuple[int, int, int]:
+        """The left action of g on the coset with canonical representative x."""
+        if not (0 <= x[0] < self.Ma and 0 <= x[1] < self.Mb and 0 <= x[2] < self.Mc):
+            raise ContractError(f"{x} is not a canonical representative")
+        return self.canonical(g * HeisenbergElement(x[0], x[1], x[2]))
 
     def __str__(self) -> str:
         return f"Box({self.Ma},{self.Mb},{self.Mc})"

@@ -15,11 +15,12 @@ ResourceError above the budget (the pair scans above PAIRS_FACTOR times
 it); only the orbits, whose size is not known in advance, are refused as
 they pass it.
 
-This module is the one home of enumeration: the towers module holds
-closed forms only, and the generator closures and orbits that check its
-subgroups and its action live here.  Invariants of the scans are
-explicit checks that raise ContractError, so they hold under
-``python -O`` too.  Every scan is plain Python over the group law.
+This module is the one home of enumeration: the heisenberg and towers
+modules hold closed forms only, and the generator closures and orbits
+that check their subgroups and the action on cosets live here.
+Invariants of the scans are explicit checks that raise ContractError, so
+they hold under ``python -O`` too.  Every scan is plain Python over the
+group law.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from ._value import Value, set_field
 from .errors import ContractError, ResourceError
 from .heisenberg import BoxSubgroup, HeisenbergElement
-from .towers import ChainSpec, CosetSpace, FiniteQuotient
+from .towers import ChainSpec, FiniteQuotient
 
 __all__ = [
     "OracleBudget",
@@ -232,14 +233,11 @@ def subgroup_closure(
     return _orbit(quotient.identity, quotient.mul, moves, budget, "subgroup closure")
 
 
-def coset_orbit(
-    space: CosetSpace, generators, start=None, budget: OracleBudget = DEFAULT_BUDGET
-) -> frozenset:
-    """The orbit of `start` (default: the basepoint) under the group the
+def coset_orbit(box: BoxSubgroup, generators, budget: OracleBudget = DEFAULT_BUDGET) -> frozenset:
+    """The orbit of the identity coset in Gamma/box under the group the
     elements `generators` generate."""
     moves = list(generators) + [g.inverse() for g in generators]
-    start = space.basepoint if start is None else start
-    return _orbit(start, space.act, moves, budget, "orbit")
+    return _orbit((0, 0, 0), box.act, moves, budget, "orbit")
 
 
 def coset_partition(

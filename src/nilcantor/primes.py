@@ -14,8 +14,7 @@ the sieve:
     forward from it, up to index ``NTH_CAP``.  Tree-branch codes grow like
     2^i, so it never lists the primes it skips.
 
-Each cap is checked before any work is done, except that ``factorize``
-learns only after trial division that a large cofactor is composite.
+Each cap is checked before any work is done.
 """
 
 from __future__ import annotations
@@ -178,26 +177,3 @@ def nth_prime(n: int) -> int:
     if n <= len(_SIEVE.primes):
         return _SIEVE.primes[n - 1]
     return _nth_above_sieve(n)
-
-
-def factorize(n: int) -> dict[int, int]:
-    """{prime: exponent} of a positive integer, by trial division over the
-    sieve.  A cofactor left above SIEVE_CAP^2 must pass isprime, or the
-    call raises ResourceError."""
-    if _check_int(n, "n") < 1:
-        raise ContractError(f"need a positive integer, got {n!r}")
-    _SIEVE.grow(isqrt(n))
-    factors: dict[int, int] = {}
-    for p in _SIEVE.primes:
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n >= _SIEVE.limit**2 and not isprime(n):
-            raise ResourceError(
-                f"cofactor {n} has no prime factor below the sieve cap {SIEVE_CAP}"
-            )
-        factors[n] = 1  # above every prime divided out
-    return factors

@@ -30,12 +30,11 @@ chi(p) <= chi'(p) for all but finitely many p.
 from __future__ import annotations
 
 import functools
-import re
 from typing import Iterator, Optional
 
 from ._value import Value, set_field
 from .errors import ContractError, ResourceError
-from .primes import SIEVE_CAP, factorize, isprime, nth_prime, primepi
+from .primes import SIEVE_CAP, isprime, nth_prime, primepi
 
 __all__ = [
     "INF",
@@ -45,7 +44,6 @@ __all__ = [
     "Primes",
     "TreeBranchPrimes",
     "TailSchedule",
-    "ONE",
     "spectra",
     "asymptotically_equivalent",
     "type_leq",
@@ -199,18 +197,6 @@ def _check_enumeration(primes) -> None:
         raise ContractError(f"not a prime set (Primes or TreeBranchPrimes): {primes!r}")
 
 
-def _enumeration_from_key(key: str) -> Primes | TreeBranchPrimes:
-    if key == "primes":
-        return Primes()
-    m = re.fullmatch(r"primes\{excl=([\d,]+)\}", key)
-    if m:
-        return Primes(tuple(int(q) for q in m.group(1).split(",")))
-    m = re.fullmatch(r"branch\{(\d+)/(\d+)\}", key)
-    if m:
-        return TreeBranchPrimes(int(m.group(1)), int(m.group(2)))
-    raise ContractError(f"unknown prime enumeration: {key!r}")
-
-
 # -- tails -----------------------------------------------------------------
 
 
@@ -255,13 +241,6 @@ class TailSchedule(Value):
 
     def key(self) -> str:
         return f"{self.primes.key()}^{self.exponent}@{self.start}"
-
-    @classmethod
-    def parse(cls, text: str) -> "TailSchedule":
-        m = re.fullmatch(r"(.+)\^(\d+)@(\d+)", text)
-        if m is None:
-            raise ContractError(f"not a tail schedule: {text!r}")
-        return cls(_enumeration_from_key(m.group(1)), int(m.group(2)), int(m.group(3)))
 
 
 # What a tail enumerates: a base set minus the finite set it drops (its
@@ -329,12 +308,6 @@ class SteinitzNumber(Value):
         set_field(self, "infinite_primes", inf)
         set_field(self, "tail", tail)
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_int(cls, n: int) -> "SteinitzNumber":
-        return cls(tuple(sorted(factorize(n).items())))
-
     # -- queries -----------------------------------------------------------
 
     def multiplicity(self, p: int):
@@ -383,30 +356,6 @@ class SteinitzNumber(Value):
         if self.tail is not None:
             text += f" [tail:{self.tail.key()}]"
         return text
-
-    @classmethod
-    def parse(cls, text: str) -> "SteinitzNumber":
-        text = text.strip()
-        tail = None
-        m = re.fullmatch(r"(.*?)\s*\[tail:(.+)\]", text)
-        if m:
-            text, tail = m.group(1).strip(), TailSchedule.parse(m.group(2))
-        fp, infs = {}, []
-        if text != "1":
-            for factor in text.split("*"):
-                fm = re.fullmatch(r"\s*(\d+)(?:\^(inf|\d+))?\s*", factor)
-                if fm is None:
-                    raise ContractError(f"bad factor {factor!r} in {text!r}")
-                p = int(fm.group(1))
-                e = fm.group(2)
-                if e == "inf":
-                    infs.append(p)
-                else:
-                    fp[p] = int(e) if e else 1
-        return cls(tuple(sorted(fp.items())), tuple(infs), tail)
-
-
-ONE = SteinitzNumber()
 
 
 def _combine(x1: SteinitzNumber, x2: SteinitzNumber, op) -> SteinitzNumber:

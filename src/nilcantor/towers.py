@@ -20,11 +20,12 @@ From the chain the module builds, all in exact integer arithmetic:
                                  the connecting maps (coordinatewise
                                  reduction Q_depth -> Q_level),
   * steinitz_order            -- lcm of the coset-space sizes #(Gamma/Gamma_l),
-                                 with schedule-certified infinity promotion,
-  * canonical coset arithmetic and the left action on Gamma/Gamma_l.
+                                 with schedule-certified infinity promotion.
 
 Every one of these is a closed form; the enumerations that check them
-(subgroup closures, orbits, fixing scans) live in the oracle module.
+(subgroup closures, orbits, fixing scans) live in the oracle module.  The
+coset space Gamma/Gamma_l and its left action are those of the box
+box_at(l) (BoxSubgroup.canonical and BoxSubgroup.act).
 
 Exponent infinity is never extrapolated: a prime is promoted to the
 infinite part of a Steinitz order only when its schedule provably grows
@@ -50,7 +51,6 @@ __all__ = [
     "ChainSpec",
     "FiniteQuotient",
     "QuotientSubgroup",
-    "CosetSpace",
     "ChainSteinitzOrder",
     "ex41",
     "ex42",
@@ -61,10 +61,6 @@ __all__ = [
 ]
 
 COORDS = ("a", "b", "c")
-
-# Levels up to which structural invariants are checked numerically before
-# the symbolic (eventually-affine) argument takes over.
-_VALIDATE_MARGIN = 2
 
 
 # -- schedules ----------------------------------------------------------------
@@ -93,6 +89,15 @@ class CoordSchedule(Value):
 
 
 ZERO_SCHEDULE = CoordSchedule()
+
+
+def _breakpoints(scheds) -> list[int]:
+    """The levels 1, and s - 1 and s for every start s >= 2, sorted.  Between
+    two consecutive ones, and past the last, every exponent of `scheds` is
+    affine in the level, so a linear inequality among them that holds at
+    these levels holds at every level up to the last breakpoint."""
+    starts = {f.start for f in scheds if f.start >= 2}
+    return sorted({1} | starts | {s - 1 for s in starts})
 
 
 class PrimeSchedule(Value):
@@ -212,11 +217,10 @@ class ChainSpec(Value):
         return max([1] + [s.coord(x).start for s in self.explicit for x in COORDS])
 
     def _validate_box_condition(self):
-        # Per prime: e_c(l) <= e_a(l) + e_b(l), numerically up to the
-        # horizon and, past it, from the slopes (all schedules affine there).
-        horizon = self.last_start() + _VALIDATE_MARGIN
+        # Per prime: e_c(l) <= e_a(l) + e_b(l), at the prime's breakpoints
+        # and, past the last one, from the slopes.
         for s in self.explicit:
-            for level in range(1, horizon + 1):
+            for level in _breakpoints([s.a, s.b, s.c]):
                 ea, eb, ec = (s.coord(x).exponent(level) for x in COORDS)
                 if ec > ea + eb:
                     raise ContractError(
@@ -232,10 +236,13 @@ class ChainSpec(Value):
     def _validate_proper_descent(self):
         # Exponents are monotone, so by unique factorisation box_at(l+1)
         # differs from box_at(l) exactly when some exponent grows there.
+        # A growing schedule grows at every level from its start - 1 on,
+        # and a constant one only at its start - 1, so the first level with
+        # no growth is 1 or a start: a breakpoint.
         if self.family is not None:
             return  # a new prime enters at every level
         scheds = [s.coord(x) for s in self.explicit for x in COORDS]
-        for level in range(1, self.last_start() + _VALIDATE_MARGIN + 1):
+        for level in _breakpoints(scheds):
             if all(f.exponent(level + 1) == f.exponent(level) for f in scheds):
                 raise ContractError(
                     f"chain is not properly descending at level {level} -> "
@@ -462,58 +469,6 @@ class QuotientSubgroup(Value):
         la, lb, lc = self.lattice
         x = self.ambient.reduce(x)
         return x[0] % la == 0 and x[1] % lb == 0 and x[2] % lc == 0
-
-
-# -- coset spaces -------------------------------------------------------------
-
-
-class CosetSpace(Value):
-    """The finite space Gamma/B for a box B, with canonical representatives
-    (a mod Ma, b mod Mb, reduced c).  The chain's level-l space is
-    CosetSpace(box_at(l)), and the identity-coset cylinder corresponds to
-    the representative (0, 0, 0)."""
-
-    __slots__ = ("box",)
-
-    def __init__(self, box: BoxSubgroup):
-        set_field(self, "box", box)
-
-    @property
-    def size(self) -> int:
-        return self.box.index()
-
-    @property
-    def basepoint(self) -> tuple[int, int, int]:
-        return (0, 0, 0)
-
-    def canonical(self, g: HeisenbergElement) -> tuple[int, int, int]:
-        """Representative of the left coset g*B.
-
-        Multiplying g on the right by box elements can shift c by any
-        multiple of Mc and by a*(multiples of Mb); reducing a and b first
-        and then c - abar*(b - bbar) mod Mc picks the same triple for the
-        whole coset (Mc | Ma*Mb makes the choice independent of the lift).
-        """
-        ma, mb, mc = self.box.Ma, self.box.Mb, self.box.Mc
-        abar = g.a % ma
-        bbar = g.b % mb
-        cbar = (g.c - abar * (g.b - bbar)) % mc
-        return (abar, bbar, cbar)
-
-    def is_canonical(self, x) -> bool:
-        return (
-            0 <= x[0] < self.box.Ma
-            and 0 <= x[1] < self.box.Mb
-            and 0 <= x[2] < self.box.Mc
-        )
-
-    def lift(self, x) -> HeisenbergElement:
-        return HeisenbergElement(x[0], x[1], x[2])
-
-    def act(self, g: HeisenbergElement, x) -> tuple[int, int, int]:
-        if not self.is_canonical(x):
-            raise ContractError(f"{x} is not a canonical representative")
-        return self.canonical(g * self.lift(x))
 
 
 # -- built-in chains ----------------------------------------------------------

@@ -229,6 +229,33 @@ MUTANTS = (
         "for y in range(0, wb, mb)",
         "for y in range(0, wb, 1)",
         ("tests/test_oracle.py::test_canonical_table_matches_closed_form",),
+    ),    Mutant(
+        "canonical-without-shear",
+        "heisenberg.py",
+        "(g.c - abar * (g.b - bbar)) % self.Mc",
+        "g.c % self.Mc",
+        (
+            "tests/test_towers.py::test_canonical_constant_on_cosets",
+            "tests/test_oracle.py::test_canonical_oracle_agrees_with_closed_form",
+            "tests/test_oracle.py::test_canonical_table_matches_closed_form",
+        ),
+    ),
+    Mutant(
+        "validation-skips-level-before-start",
+        "towers.py",
+        "sorted({1} | starts | {s - 1 for s in starts})",
+        "sorted({1} | starts)",
+        ("tests/test_properties.py::test_breakpoints_decide_what_the_level_walk_decides",),
+    ),
+    Mutant(
+        "stable-level-bisection-past-the-floor",
+        "dynamics.py",
+        "lo = mid + 1",
+        "lo = mid + 2",
+        (
+            "tests/test_properties.py::test_stable_level_is_one_past_the_last_surviving_drop",
+            "tests/test_dynamics.py::test_late_start_chain_gets_honest_stable_level",
+        ),
     ),
 )
 

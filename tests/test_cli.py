@@ -341,6 +341,32 @@ def test_depth_past_the_sieve_exits_3_before_walking(argv, capsys):
     assert "depth 400000" in err and "sieve cap 4194304" in err
 
 
+# Prime 3 enters at level 10^12: no check walks the levels up to a start.
+LATE_START_CONFIG = (
+    "prime=2 coord=a start=1 base=0 slope=1\n"
+    "prime=2 coord=b start=1 base=0 slope=1\n"
+    "prime=2 coord=c start=1 base=0 slope=1\n"
+    "prime=3 coord=a start=1000000000000 base=1 slope=0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["spectrum", "--depth", "3"],
+        ["discriminant", "--level", "1", "--depth", "3"],
+        ["wildness", "--lmax", "3", "--dmax", "5"],
+    ],
+    ids=["spectrum", "discriminant", "wildness"],
+)
+def test_late_start_config_runs_without_walking_to_its_start(command, tmp_path, capsys):
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(LATE_START_CONFIG)
+    code, out, err = run_cli_within([command[0], str(cfg), *command[1:]], capsys, 1.0)
+    assert (code, err) == (0, "")
+    assert f"command: {command[0]}" in out
+
+
 def test_config_file_chain(tmp_path, capsys):
     cfg = tmp_path / "chain.cfg"
     cfg.write_text(

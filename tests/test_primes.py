@@ -11,7 +11,6 @@ from nilcantor.primes import (
     MR_BOUND,
     NTH_CAP,
     SIEVE_CAP,
-    factorize,
     isprime,
     nth_prime,
     primepi,
@@ -69,14 +68,6 @@ def test_nth_prime_matches_sympy_up_to_the_tree_branch_codes():
     assert run == list(sympy.primerange(run[0], run[-1] + 1))
 
 
-def test_factorize_matches_sympy():
-    rng = random.Random(17)
-    values = [1, 2, 360, 2 * 999983, 999983**2, 2**40 * 3, (2**61 - 1) * 3**5]
-    values += [rng.randrange(1, 10**12) for _ in range(20)]
-    for n in values:
-        assert factorize(n) == sympy.factorint(n), n
-
-
 def test_caps_refuse_before_any_work():
     limit = primes._SIEVE.limit
     with pytest.raises(ResourceError):
@@ -96,7 +87,7 @@ def test_mr_bound_is_where_the_bases_fail():
 
 
 @pytest.mark.parametrize("call", [lambda: nth_prime(0), lambda: nth_prime(2.0),
-                                  lambda: primepi(True), lambda: factorize(0)])
+                                  lambda: primepi(True)])
 def test_bad_arguments_are_contract_violations(call):
     with pytest.raises(ContractError):
         call()

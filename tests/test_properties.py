@@ -7,9 +7,11 @@ explicit primes from {2, 3, 5}, each coordinate with a random start, base
 and slope, and an indexed family over the remaining primes 30 % of the
 time.  Draws that `ChainSpec` rejects are discarded.  Corollary 1.6's
 chains, a family over one branch of the binary tree, have a strategy of
-their own.
+their own, and so do the explicit rows that validation accepts or
+rejects.
 """
 
+import re
 import sys
 from math import lcm
 from pathlib import Path
@@ -22,6 +24,7 @@ from nilcantor.dynamics import (
     _evaluate_pair,
     _family_activation_gap,
     _kernel_eventual,
+    _stable_level,
     discriminant_limit_report,
     freeness_certificate,
     lqa_witness,
@@ -93,6 +96,31 @@ LATE_PINCHED = ChainSpec(
             2, a=CoordSchedule(1, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1, 2, 0)
         ),
         PrimeSchedule(3, a=CoordSchedule(8, 0, 1), b=CoordSchedule(8, 0, 1)),
+    ),
+    trivial_intersection=False,
+)
+
+
+# Prime 3 enters at level 3 and lowers its a-kernel base there, so the
+# stable level is 3, found on the bisection's last step.
+LATE_DROP = ChainSpec(
+    "late-drop",
+    (
+        PrimeSchedule(2, *[CoordSchedule(1, 0, 1)] * 3),
+        PrimeSchedule(
+            3, a=CoordSchedule(3, 1, 0), b=CoordSchedule(3, 2, 0), c=CoordSchedule(3, 2, 0)
+        ),
+    ),
+)
+
+# Prime 2's c-schedule starts at level 1000, but its a-kernel base
+# max(1, 5 - level) reaches its floor at level 4.
+LATE_FLOOR = ChainSpec(
+    "late-floor",
+    (
+        PrimeSchedule(
+            2, a=CoordSchedule(1, 1, 0), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1000, 5, 0)
+        ),
     ),
     trivial_intersection=False,
 )
@@ -230,6 +258,98 @@ def test_kernel_law_keeps_the_slope_and_never_raises_the_base(chain):
                 base, slope = _kernel_eventual(s, cylinder, coord)
                 next_base, next_slope = _kernel_eventual(s, cylinder + 1, coord)
                 assert next_slope == slope and next_base <= base
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+@example(LATE_DROP)
+@example(LATE_FLOOR)
+def test_stable_level_is_one_past_the_last_surviving_drop(chain):
+    # The reference walks the consecutive cylinders.  A kernel line of
+    # slope 0 whose base drops from cylinder l to l + 1 leaves a gap that
+    # survives the limit there; past the starts of its own and the c
+    # schedule the box condition pins it to its own base.
+    expected = 1
+    for s in chain.explicit:
+        for coord in ("a", "b"):
+            if _kernel_eventual(s, 0, coord)[1] > 0:
+                continue
+            top = max(1, s.coord(coord).start, s.c.start)
+            for level in range(1, top):
+                if _kernel_eventual(s, level, coord)[0] != _kernel_eventual(s, level + 1, coord)[0]:
+                    expected = max(expected, level + 1)
+    assert _stable_level(chain) == expected
+
+
+@st.composite
+def schedule_rows(draw):
+    """One to three explicit primes from {2, 3, 5, 7}, each coordinate with
+    a start <= 6, a base <= 3 and a slope <= 2: the rows of a chain that
+    `ChainSpec` may accept or reject.  Rows with an all-zero schedule are
+    discarded, because that check comes before the ones compared here."""
+    coord = st.builds(CoordSchedule, st.integers(0, 6), st.integers(0, 3), st.integers(0, 2))
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=3, unique=True))
+    rows = tuple(PrimeSchedule(p, draw(coord), draw(coord), draw(coord)) for p in primes)
+    if any(all(f.is_zero() for f in (s.a, s.b, s.c)) for s in rows):
+        reject()
+    return rows
+
+
+def _walk_rejection(rows):
+    """What the level walk rejects the rows for, or None.  It checks the box
+    condition and proper descent at every level up to the last start + 2,
+    and the slopes past it, where every exponent is affine.  Primes are
+    checked in increasing order, as `ChainSpec` stores them."""
+    horizon = max([1] + [f.start for s in rows for f in (s.a, s.b, s.c)]) + 2
+    for s in sorted(rows, key=lambda s: s.prime):
+        for level in range(1, horizon + 1):
+            ea, eb, ec = (f.exponent(level) for f in (s.a, s.b, s.c))
+            if ec > ea + eb:
+                return f"prime {s.prime}: box condition fails at level {level}"
+        if s.c.slope > s.a.slope + s.b.slope:
+            return f"prime {s.prime}: box condition fails for all large levels"
+    scheds = [f for s in rows for f in (s.a, s.b, s.c)]
+    for level in range(1, horizon + 1):
+        if all(f.exponent(level + 1) == f.exponent(level) for f in scheds):
+            return (
+                f"chain is not properly descending at level {level} -> {level + 1}; "
+                "it is eventually constant"
+            )
+    if not any(f.slope > 0 for f in scheds):
+        return "chain is eventually constant: no growing schedule and no family"
+    return None
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(schedule_rows())
+# The box condition fails only at level 3, the level before b starts.
+@example(
+    (PrimeSchedule(2, CoordSchedule(1, 2, 0), CoordSchedule(4, 0, 1), CoordSchedule(1, 0, 1)),)
+)
+def test_breakpoints_decide_what_the_level_walk_decides(rows):
+    # Validation reads only the breakpoints.  It accepts and rejects what
+    # the walk does, with the walk's descent message.  The box condition
+    # may fail first inside an interval between breakpoints, so there it
+    # names the walk's prime and a level at which the condition fails.
+    walk = _walk_rejection(rows)
+    try:
+        ChainSpec("drawn", rows, trivial_intersection=False)
+        found = None
+    except ContractError as exc:
+        found = str(exc)
+    assert (found is None) == (walk is None)
+    if found is None or "box condition" not in found:
+        assert found == walk
+        return
+    prime = int(re.match(r"prime (\d+):", found).group(1))
+    assert walk.startswith(f"prime {prime}:")
+    s = next(s for s in rows if s.prime == prime)
+    level = re.search(r"at level (\d+)", found)
+    if level is None:
+        assert s.c.slope > s.a.slope + s.b.slope
+    else:
+        ea, eb, ec = (f.exponent(int(level.group(1))) for f in (s.a, s.b, s.c))
+        assert ec > ea + eb
 
 
 @PROPERTY_SETTINGS

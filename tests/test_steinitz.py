@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from nilcantor.errors import ContractError, ResourceError
 from nilcantor.steinitz import (
     INF,
-    ONE,
     Primes,
     SteinitzNumber,
     TailSchedule,
@@ -21,6 +20,8 @@ from nilcantor.steinitz import (
 )
 from nilcantor.primes import SIEVE_CAP
 from nilcantor.towers import IndexedFamily, PrimeSchedule, wild_chain
+
+from helpers import steinitz_int
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -48,7 +49,7 @@ def test_multiplicity_examples():
 
 def test_multiplicity_rejects_nonprime():
     with pytest.raises(ContractError):
-        ONE.multiplicity(4)
+        SteinitzNumber().multiplicity(4)
     with pytest.raises(ContractError):
         SteinitzNumber({6: 1})
 
@@ -122,13 +123,13 @@ def test_associativity_on_seeded_numbers():
 
 
 def test_integer_embedding():
-    assert SteinitzNumber.from_int(360) == SteinitzNumber({2: 3, 3: 2, 5: 1})
-    assert SteinitzNumber.from_int(1) == ONE
-    assert SteinitzNumber.from_int(360).as_int() == 360
+    assert steinitz_int(360) == SteinitzNumber({2: 3, 3: 2, 5: 1})
+    assert steinitz_int(1) == SteinitzNumber()
+    assert steinitz_int(360).as_int() == 360
     rng = random.Random(105)
     for _ in range(50):
         a, b = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
-        assert SteinitzNumber.from_int(a).product(SteinitzNumber.from_int(b)).as_int() == a * b
+        assert steinitz_int(a).product(steinitz_int(b)).as_int() == a * b
 
 
 def test_tailed_product_same_schedule():
@@ -176,7 +177,7 @@ def test_spectra_examples():
     sp = spectra(SteinitzNumber(infinite_primes=(2, 3)), 10)
     assert sp.pi_inf.primes == (2, 3) and sp.pi_inf.complete
     assert sp.pi_f.primes == () and sp.pi_f.complete
-    sp1 = spectra(ONE, 100)
+    sp1 = spectra(SteinitzNumber(), 100)
     assert sp1.pi.primes == ()
     assert sp1.pi.complete
 
@@ -246,12 +247,12 @@ def test_equivalence_against_multiplier_oracle():
     # For explicit numbers, equivalence means m*x = m'*y for some finite
     # multipliers; search them exhaustively on small cases.
     rng = random.Random(111)
+    multipliers = [steinitz_int(m) for m in range(1, 2**6)]
 
-    def oracle(x, y, bound=2**6):
-        for m in range(1, bound):
-            for mp in range(1, bound):
-                left = SteinitzNumber.from_int(m).product(x)
-                if left == SteinitzNumber.from_int(mp).product(y):
+    def oracle(x, y):
+        for m in multipliers:
+            for mp in multipliers:
+                if m.product(x) == mp.product(y):
                     return True
         return False
 
@@ -268,13 +269,16 @@ def test_comparisons_answer_and_foreign_prime_sets_are_refused():
     # Explicit primes and one-sided dropped primes are finitely many, so
     # no prime bound is needed, however large they are.
     assert asymptotically_equivalent(SteinitzNumber({101: 2}), SteinitzNumber({101: 3}))
+    branch = TreeBranchPrimes(0, 1)
     pairs = (
-        ("branch{0/1}^1@0", "branch{0/1}^2@4"),  # one-sided primes 19 and 53
-        ("primes{excl=101}^1@1", "primes^2@0"),  # one-sided prime 101
+        # one-sided primes 19 and 53
+        (TailSchedule(branch, 1, 0), TailSchedule(branch, 2, 4)),
+        # one-sided prime 101
+        (TailSchedule(Primes(exclude=(101,)), 1, 1), TailSchedule(Primes(), 2, 0)),
     )
     for low, high in pairs:
-        x = SteinitzNumber(tail=TailSchedule.parse(low))
-        y = SteinitzNumber(tail=TailSchedule.parse(high))
+        x = SteinitzNumber(tail=low)
+        y = SteinitzNumber(tail=high)
         assert type_leq(x, y)
         assert not type_leq(y, x)
         assert not asymptotically_equivalent(x, y)
@@ -315,7 +319,7 @@ def test_type_leq_brute_force_multiplier_search():
         return all(leq(u.multiplicity(p), v.multiplicity(p)) for p in (2, 3, 5, 7))
 
     found = any(
-        dominated(x, SteinitzNumber.from_int(m).product(y)) for m in range(1, 2**6)
+        dominated(x, steinitz_int(m).product(y)) for m in range(1, 2**6)
     )
     assert found and type_leq(x, y)
 
@@ -331,7 +335,7 @@ def test_type_leq_reflexive_transitive_and_divisibility():
                 if type_leq(x, y) and type_leq(y, z):
                     assert type_leq(x, z)
     for x in numbers[:10]:
-        bigger = x.product(SteinitzNumber.from_int(360))
+        bigger = x.product(steinitz_int(360))
         assert type_leq(x, bigger)
 
 
@@ -340,8 +344,8 @@ def test_type_leq_with_tails():
     large = SteinitzNumber(tail=TailSchedule(Primes(), 3, 0))
     assert type_leq(small, large)
     assert not type_leq(large, small)
-    assert not type_leq(small, ONE)
-    assert type_leq(ONE, small)
+    assert not type_leq(small, SteinitzNumber())
+    assert type_leq(SteinitzNumber(), small)
 
 
 def test_branch_below_all_primes():
@@ -482,23 +486,13 @@ def test_almost_disjoint_count_contract():
         almost_disjoint_spectra(0)
 
 
-# -- serialization ----------------------------------------------------------------------
-
-
-def test_round_trip_text_form():
-    cases = [
-        ONE,
-        SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,)),
-        SteinitzNumber({3: 2}, tail=TailSchedule(Primes(exclude=(3,)), 5, 2)),
-        SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(2, 3), 1, 0)),
-    ]
-    for xi in cases:
-        assert SteinitzNumber.parse(str(xi)) == xi
+# -- text form --------------------------------------------------------------------------
 
 
 def test_text_form_examples():
-    xi = SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,))
-    assert str(xi) == "2^3 * 3 * 5^inf"
-    assert str(ONE) == "1"
-    with pytest.raises(ContractError):
-        SteinitzNumber.parse("2^^3")
+    assert str(SteinitzNumber()) == "1"
+    assert str(SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,))) == "2^3 * 3 * 5^inf"
+    tailed = SteinitzNumber({3: 2}, tail=TailSchedule(Primes(exclude=(3,)), 5, 2))
+    assert str(tailed) == "3^2 [tail:primes{excl=3}^5@2]"
+    branch = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(2, 3), 1, 0))
+    assert str(branch) == "1 [tail:branch{2/3}^1@0]"
