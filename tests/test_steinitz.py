@@ -496,3 +496,17 @@ def test_text_form_examples():
     assert str(tailed) == "3^2 [tail:primes{excl=3}^5@2]"
     branch = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(2, 3), 1, 0))
     assert str(branch) == "1 [tail:branch{2/3}^1@0]"
+
+
+def test_round_trip_text_form():
+    # a number rebuilt from its stored parts is the same number with the same text form
+    cases = [
+        SteinitzNumber(),
+        SteinitzNumber({2: 3, 3: 1}, infinite_primes=(5,)),
+        SteinitzNumber({3: 2}, tail=TailSchedule(Primes(exclude=(3,)), 5, 2)),
+        SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(2, 3), 1, 0)),
+    ]
+    for xi in cases:
+        rebuilt = SteinitzNumber(xi.finite_part, xi.infinite_primes, xi.tail)
+        assert rebuilt == xi and hash(rebuilt) == hash(xi)
+        assert str(rebuilt) == str(xi)
