@@ -200,12 +200,14 @@ class KernelReport(Value):
         return kernel.generators()[ratios.index(max(ratios))]  # ties break a, then b, then c
 
 
-def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, columns: dict, first: int, last: int):
+def _evaluate_pair(rows: list, l1: int, l2: int, columns: dict, first: int, last: int):
     """Compare the kernels at cylinder levels l1 < l2 at the depths
     first..last with the schedule prediction read off `_kernel_eventual`.
-    `columns[l]` maps each of those depths to the kernel at cylinder l; the
-    caller builds them, so a certificate shares one column per cylinder
-    among all its pairs.
+    `columns[l]` maps each of those depths to the kernel at cylinder l, and
+    `rows` holds the schedules of some level >= l2; the caller builds both,
+    so a certificate shares them among all its pairs.  A family prime that
+    enters after l2 has the same kernel base at both cylinders, so its
+    factor is 1.
 
     Returns the KernelReport at depth `first` and the order of the gap
     that survives the inverse limit (constant kernel exponents survive
@@ -222,7 +224,7 @@ def _evaluate_pair(chain: ChainSpec, l1: int, l2: int, columns: dict, first: int
     outer, inner = ([columns[l][d] for d in range(first, last + 1)] for l in (l1, l2))
     orders = [index_in(k, c) for k, c in zip(inner, outer)]
     ratio, limit_gap = 1, 1
-    for s in chain.schedules(l2):
+    for s in rows:
         for coord in ("a", "b"):
             base, slope = _kernel_eventual(s, l1, coord)
             gap = s.prime ** (base - _kernel_eventual(s, l2, coord)[0])
@@ -246,7 +248,7 @@ def lqa_witness(chain: ChainSpec, cylinder: int, refined: int, depth: int) -> Ke
     if not (depth >= refined > cylinder >= 1):
         raise ContractError("need depth >= refined > cylinder >= 1")
     columns = {l: {depth: trivial_action_kernel(chain, l, depth)} for l in (cylinder, refined)}
-    return _evaluate_pair(chain, cylinder, refined, columns, depth, depth)[0]
+    return _evaluate_pair(chain.schedules(refined), cylinder, refined, columns, depth, depth)[0]
 
 
 GRADE_FINITE = "finite-depth"
@@ -322,8 +324,9 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
         l: {d: trivial_action_kernel(chain, l, d) for d in range(max(l, 2), max_depth + 1)}
         for l in range(1, max_cylinder + 1)
     }
+    rows = chain.schedules(max_cylinder)
     pairs = {
-        (l1, l2): _evaluate_pair(chain, l1, l2, columns, l2, max_depth)
+        (l1, l2): _evaluate_pair(rows, l1, l2, columns, l2, max_depth)
         for l1 in range(1, max_cylinder)
         for l2 in range(l1 + 1, max_cylinder + 1)
     }
@@ -342,16 +345,23 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     return Certificate("StableCertified", reports, stable_from_level=level)
 
 
-def _coordinate_unbounded(chain: ChainSpec, cylinder: int, coord: str) -> bool:
-    """Whether the kernel's coordinate lattice grows without bound in the
-    depth: some explicit prime's kernel exponent grows, or the family gives
-    a positive one to every prime it activates after the cylinder."""
-    if any(_kernel_eventual(s, cylinder, coord)[1] > 0 for s in chain.explicit):
-        return True
-    if chain.family is None:
-        return False
-    late = chain.family.schedule_at(cylinder + 1)
-    return _kernel_eventual(late, cylinder, coord)[0] >= 1
+def _kernel_limit(chain: ChainSpec, cylinder: int, coord: str) -> Optional[int]:
+    """The modulus at which the kernel's coordinate lattice settles in the
+    depth, by the kernel law: p to the eventual base, over the primes the
+    cylinder reads.  None when the lattice grows without bound: some kernel
+    exponent grows, or the family gives a positive base to the prime that
+    enters at cylinder + 1, and so to every later one; otherwise the later
+    ones add nothing."""
+    modulus = 1
+    for s in chain.schedules(cylinder):
+        base, slope = _kernel_eventual(s, cylinder, coord)
+        if slope > 0:
+            return None
+        modulus *= s.prime ** base
+    f = chain.family
+    if f is not None and _kernel_eventual(f.schedule_at(cylinder + 1), cylinder, coord)[0] >= 1:
+        return None
+    return modulus
 
 
 def freeness_certificate(
@@ -359,14 +369,12 @@ def freeness_certificate(
 ) -> Certificate:
     """Certify that no non-identity element fixes the cylinder pointwise.
 
-    NotFree: some coordinate lattice is certifiably bounded, and its
-    stabilized generator fixes the cylinder at every tested depth.  The
-    generator is read off the one kernel at depth `deep` >= `max_depth`,
-    where every schedule is affine, and needs no further check: each
-    kernel contains the deeper ones (kernel moduli divide the next
-    depth's), so the kernel at `deep` lies in every kernel at the depths
-    from the cylinder to `max_depth`, and so does its generator.  A
-    tier-1 property checks the witness at each of those depths.
+    NotFree: some coordinate lattice is certifiably bounded, and the
+    witness is its generator at the `_kernel_limit` modulus, read off the
+    kernel law with no kernel built.  Each kernel contains the deeper ones
+    (kernel moduli divide the next depth's), so the settled lattice, and
+    the witness with it, lies in every kernel from the cylinder on.
+    Tier-1 properties check it against the kernels themselves.
     FreeCertified: all three kernel lattices are certifiably unbounded, so
     the full intersection of the kernels is trivial, and `escape_depth` is
     the first depth by `max_depth` whose kernel's smallest modulus exceeds
@@ -380,13 +388,13 @@ def freeness_certificate(
         raise ContractError(
             "need ball_radius >= 1, cylinder >= 0 and max_depth >= max(cylinder, 1)"
         )
-    deep = max(chain.last_start() + 1, max_depth)  # where a NotFree witness is read
-    chain.check_depth_budget(deep, f"a freeness certificate to depth {max_depth}")
+    chain.check_depth_budget(max_depth, f"a freeness certificate to depth {max_depth}")
 
-    bounded = [x for x in COORDS if not _coordinate_unbounded(chain, cylinder, x)]
+    limits = {x: _kernel_limit(chain, cylinder, x) for x in COORDS}
+    bounded = [x for x in COORDS if limits[x] is not None]
     if bounded:
         coord = "c" if "c" in bounded else bounded[0]
-        witness = trivial_action_kernel(chain, cylinder, deep).generators()[COORDS.index(coord)]
+        witness = HeisenbergElement(*(limits[x] if x == coord else 0 for x in COORDS))
         return Certificate(
             "NotFree", witness=witness, reason=f"the {coord}-lattice of the kernel is bounded"
         )

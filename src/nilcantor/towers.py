@@ -211,11 +211,6 @@ class ChainSpec(Value):
 
     # -- structural validation -------------------------------------------
 
-    def last_start(self) -> int:
-        """The level from which every explicit schedule is affine (at
-        least 1): past it each exponent is base + slope*level."""
-        return max([1] + [s.coord(x).start for s in self.explicit for x in COORDS])
-
     def _validate_box_condition(self):
         # Per prime: e_c(l) <= e_a(l) + e_b(l), at the prime's breakpoints
         # and, past the last one, from the slopes.
@@ -248,10 +243,6 @@ class ChainSpec(Value):
                     f"chain is not properly descending at level {level} -> "
                     f"{level + 1}; it is eventually constant"
                 )
-        if not any(f.slope > 0 for f in scheds):
-            raise ContractError(
-                "chain is eventually constant: no growing schedule and no family"
-            )
 
     def _validate_trivial_intersection(self):
         for coord in COORDS:

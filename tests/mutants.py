@@ -117,13 +117,23 @@ MUTANTS = (
         ("tests/test_dynamics.py::test_wild_family_certificate",),
     ),
     Mutant(
-        "not-free-witness-from-box",
+        "kernel-limit-without-family",
         "dynamics.py",
-        "witness = trivial_action_kernel(chain, cylinder, deep).generators()",
-        "witness = chain.box_at(cylinder).generators()",
+        "if f is not None and _kernel_eventual(f.schedule_at(cylinder + 1), cylinder, coord)",
+        "if False and _kernel_eventual(f.schedule_at(cylinder + 1), cylinder, coord)",
         (
+            "tests/test_properties.py::test_not_free_witness_is_the_generator_past_every_start",
             "tests/test_properties.py::test_not_free_witness_lies_in_every_tested_kernel",
-            "tests/test_properties.py::test_freeness_verdict_is_the_fixing_scan_in_the_ball",
+        ),
+    ),
+    Mutant(
+        "kernel-limit-multiple",
+        "dynamics.py",
+        "modulus *= s.prime ** base",
+        "modulus *= s.prime ** (base + 1)",
+        (
+            "tests/test_properties.py::test_not_free_witness_is_the_generator_past_every_start",
+            "tests/test_dynamics.py::test_degenerate_chain_is_not_free",
         ),
     ),
     Mutant(

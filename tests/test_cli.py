@@ -348,20 +348,30 @@ LATE_START_CONFIG = (
     "prime=2 coord=c start=1 base=0 slope=1\n"
     "prime=3 coord=a start=1000000000000 base=1 slope=0\n"
 )
+# The same late prime on a chain whose c-lattice is pinched at 2: freeness
+# answers NotFree without building a kernel past the late start.
+LATE_START_NOT_FREE_CONFIG = (
+    "prime=2 coord=a start=1 base=0 slope=1\n"
+    "prime=2 coord=b start=1 base=0 slope=1\n"
+    "prime=2 coord=c start=1 base=1 slope=0\n"
+    "prime=3 coord=a start=1000000000000 base=1 slope=0\n"
+    "trivial_intersection=false\n"
+)
 
 
 @pytest.mark.parametrize(
-    "command",
+    "config,command",
     [
-        ["spectrum", "--depth", "3"],
-        ["discriminant", "--level", "1", "--depth", "3"],
-        ["wildness", "--lmax", "3", "--dmax", "5"],
+        (LATE_START_CONFIG, ["spectrum", "--depth", "3"]),
+        (LATE_START_CONFIG, ["discriminant", "--level", "1", "--depth", "3"]),
+        (LATE_START_CONFIG, ["wildness", "--lmax", "3", "--dmax", "5"]),
+        (LATE_START_NOT_FREE_CONFIG, ["freeness", "--level", "1", "--radius", "4", "--dmax", "5"]),
     ],
-    ids=["spectrum", "discriminant", "wildness"],
+    ids=["spectrum", "discriminant", "wildness", "freeness"],
 )
-def test_late_start_config_runs_without_walking_to_its_start(command, tmp_path, capsys):
+def test_late_start_config_runs_without_walking_to_its_start(config, command, tmp_path, capsys):
     cfg = tmp_path / "late.cfg"
-    cfg.write_text(LATE_START_CONFIG)
+    cfg.write_text(config)
     code, out, err = run_cli_within([command[0], str(cfg), *command[1:]], capsys, 1.0)
     assert (code, err) == (0, "")
     assert f"command: {command[0]}" in out

@@ -471,8 +471,8 @@ def test_degenerate_chain_is_not_free():
 
 
 def test_not_free_builds_the_same_kernels_at_every_max_depth(monkeypatch):
-    # The NotFree path reads its witness off one kernel, however deep the
-    # window: no walk over the depths and no second check.
+    # The NotFree path reads its witness off the kernel law, however deep
+    # the window: it builds no kernel at all.
     built = []
 
     def counting(chain, cylinder, depth):
@@ -487,7 +487,7 @@ def test_not_free_builds_the_same_kernels_at_every_max_depth(monkeypatch):
         cert = freeness_certificate(chain, 1, 10, max_depth)
         assert cert.verdict == "NotFree" and cert.witness == HeisenbergElement(0, 0, 4)
         counts.append(len(built))
-    assert counts == [1, 1]
+    assert counts == [0, 0]
 
 
 def test_freeness_inconclusive_when_depth_too_small():

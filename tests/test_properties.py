@@ -140,6 +140,12 @@ def chains(draw, family=st.none()):
     return chain
 
 
+def _last_start(chain) -> int:
+    """The level from which every explicit schedule is affine (at least 1):
+    past it each exponent is base + slope*level."""
+    return max([1] + [f.start for s in chain.explicit for f in (s.a, s.b, s.c)])
+
+
 PROPERTY_SETTINGS = settings(
     derandomize=True,
     max_examples=25,
@@ -438,17 +444,30 @@ def test_freeness_verdict_is_the_fixing_scan_in_the_ball(chain):
 @given(chains())
 @example(LATE_PINCHED)
 def test_not_free_witness_lies_in_every_tested_kernel(chain):
-    # A NotFree witness is a generator of one kernel at a depth at or past
-    # max_depth and is not checked again: each kernel contains the deeper
-    # ones, so the witness must lie in the kernel at every depth from the
-    # cylinder to max_depth, also where max_depth ends before the last
-    # schedule start and the witness is read deeper.
+    # A NotFree witness is read off the kernel law and is not checked
+    # against any kernel: each kernel contains the deeper ones, so the
+    # witness must lie in the kernel at every depth from the cylinder to
+    # max_depth, also where max_depth ends before the last schedule start.
     for cylinder in NOT_FREE_CYLINDERS:
         for max_depth in range(max(cylinder, 1), NOT_FREE_DEPTH + 1):
             cert = freeness_certificate(chain, cylinder, FREENESS_RADIUS, max_depth)
             if cert.verdict == "NotFree":
                 for depth in range(max(cylinder, 1), max_depth + 1):
                     assert trivial_action_kernel(chain, cylinder, depth).contains(cert.witness)
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+@example(LATE_PINCHED)
+def test_not_free_witness_is_the_generator_past_every_start(chain):
+    # The reference route: the kernel past every schedule start, where
+    # each exponent is affine, has settled, so the witness must be one of
+    # its generators.  Membership alone would also accept a multiple.
+    for cylinder in NOT_FREE_CYLINDERS:
+        cert = freeness_certificate(chain, cylinder, FREENESS_RADIUS, max(cylinder, 1))
+        if cert.verdict == "NotFree":
+            kernel = trivial_action_kernel(chain, cylinder, _last_start(chain) + 1)
+            assert cert.witness in kernel.generators()
 
 
 @PROPERTY_SETTINGS
@@ -479,7 +498,7 @@ def test_steinitz_limit_exponents_are_read_off_the_raw_orders(chain):
     # Past every schedule start a promoted prime's raw exponent grows at
     # each depth, and every other prime's raw exponent is its finite
     # limit exponent, family primes included.
-    depth = chain.last_start() + 1
+    depth = _last_start(chain) + 1
     order = chain.steinitz_order(depth)
     raws = [order.raw] + [chain.steinitz_order(depth + k).raw for k in (1, 2)]
     for p in (s.prime for s in chain.schedules(depth)):
@@ -499,14 +518,16 @@ def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
     # the two images is the gap that survives the inverse limit, and a
     # marked gap must be exactly that.
     for l2 in range(2, WINDOW[0] + 1):
-        d = max(l2, chain.last_start())
+        d = max(l2, _last_start(chain))
         quotient = chain.quotient_at(d)
         for l1 in range(1, l2):
             columns = {
                 l: {e: trivial_action_kernel(chain, l, e) for e in range(l2, WINDOW[1] + 1)}
                 for l in (l1, l2)
             }
-            report, limit_gap = _evaluate_pair(chain, l1, l2, columns, l2, WINDOW[1])
+            report, limit_gap = _evaluate_pair(
+                chain.schedules(WINDOW[0]), l1, l2, columns, l2, WINDOW[1]
+            )
             outer, inner = (
                 quotient.image(trivial_action_kernel(chain, l, d + LIMIT_LOOKAHEAD))
                 for l in (l1, l2)
