@@ -29,6 +29,7 @@ activations can certify.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Optional
 
 from ._value import Value, set_field
@@ -74,9 +75,10 @@ def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, 
         a: max(e_a(d), e_c(d) - min(e_c(d), e_b(cylinder)))
         b: max(e_b(d), e_c(d) - min(e_c(d), e_a(cylinder)))
         c: e_c(d)
-    so for a and b it is eventually the largest of three lines, compared
-    by (slope, base): the own schedule, the c-schedule shifted down by k,
-    and zero.
+    so for a and b it is eventually the larger of two lines, compared by
+    (slope, base): the own schedule and the c-schedule shifted down by k.
+    The own line is never below the zero line, as its slope and base are
+    non-negative, so zero needs no line of its own.
 
     In a and b the cylinder enters only through k = e_other(cylinder)
     (0 for the whole space), which never falls as the cylinder grows
@@ -91,8 +93,7 @@ def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, 
         return ec.base, ec.slope
     own, other = (s.a, s.b) if coord == "a" else (s.b, s.a)
     k = other.exponent(cylinder) if cylinder >= 1 else 0
-    lines = ((own.slope, own.base), (ec.slope, ec.base - k), (0, 0))
-    slope, base = max(lines)
+    slope, base = max((own.slope, own.base), (ec.slope, ec.base - k))
     return base, slope
 
 
@@ -112,22 +113,21 @@ def _stable_level(chain: ChainSpec) -> int:
     """Smallest cylinder level L such that no kernel gap survives the limit
     between any L <= l < l'.
 
-    Only primes whose a- and c-schedules (resp. b- and c-) are eventually
-    constant can leave a surviving gap, and by the box condition their
-    kernel exponent is pinned to the a-base once the level passes both
-    starts; below that the exact values decide.  By the kernel law the
-    base never rises with the cylinder, so the levels at the floor are
-    the ones from some first level on, found by bisection.
+    Only primes whose c-schedule is eventually constant can leave a
+    surviving gap.  Where the own schedule (a or b) grows, its line wins
+    the kernel law at every cylinder, so the base is constant and the
+    bisection below returns 1.  Where it is constant too, by the box
+    condition the kernel exponent is pinned to its base once the level
+    passes both starts; below that the exact values decide.  By the kernel
+    law the base never rises with the cylinder, so the levels at the floor
+    are the ones from some first level on, found by bisection.
     """
     level = 1
     for s in chain.explicit:
         if s.c.slope > 0:
             continue
         for coord in ("a", "b"):
-            own = s.coord(coord)
-            if own.slope > 0:
-                continue
-            lo, hi = 1, max(1, own.start, s.c.start)
+            lo, hi = 1, max(s.coord(coord).start, s.c.start)
             floor = _kernel_eventual(s, hi, coord)[0]
             while lo < hi:
                 mid = (lo + hi) // 2
@@ -231,7 +231,7 @@ def _evaluate_pair(rows: list, l1: int, l2: int, columns: dict, first: int, last
             ratio *= gap
             if slope == 0:
                 limit_gap *= gap
-    persistent = len(set(orders)) == 1 and ratio == limit_gap == orders[0]
+    persistent = set(orders) == {ratio} == {limit_gap}
     return KernelReport(l1, l2, first, inner[0], outer[0], persistent), limit_gap
 
 
@@ -345,36 +345,22 @@ def wildness_certificate(chain: ChainSpec, max_cylinder: int, max_depth: int) ->
     return Certificate("StableCertified", reports, stable_from_level=level)
 
 
-def _kernel_limit(chain: ChainSpec, cylinder: int, coord: str) -> Optional[int]:
-    """The modulus at which the kernel's coordinate lattice settles in the
-    depth, by the kernel law: p to the eventual base, over the primes the
-    cylinder reads.  None when the lattice grows without bound: some kernel
-    exponent grows, or the family gives a positive base to the prime that
-    enters at cylinder + 1, and so to every later one; otherwise the later
-    ones add nothing."""
-    modulus = 1
-    for s in chain.schedules(cylinder):
-        base, slope = _kernel_eventual(s, cylinder, coord)
-        if slope > 0:
-            return None
-        modulus *= s.prime ** base
-    f = chain.family
-    if f is not None and _kernel_eventual(f.schedule_at(cylinder + 1), cylinder, coord)[0] >= 1:
-        return None
-    return modulus
-
-
 def freeness_certificate(
     chain: ChainSpec, cylinder: int, ball_radius: int, max_depth: int
 ) -> Certificate:
     """Certify that no non-identity element fixes the cylinder pointwise.
 
-    NotFree: some coordinate lattice is certifiably bounded, and the
-    witness is its generator at the `_kernel_limit` modulus, read off the
-    kernel law with no kernel built.  Each kernel contains the deeper ones
-    (kernel moduli divide the next depth's), so the settled lattice, and
-    the witness with it, lies in every kernel from the cylinder on.
-    Tier-1 properties check it against the kernels themselves.
+    NotFree: the boxes' c-modulus settles (`ChainSpec.settled_factors`),
+    and the witness is the generator (0, 0, M) at the settled modulus M,
+    whatever the cylinder, with no kernel built.  By the kernel law the
+    kernel's c-exponent is e_c(d) itself, so its c-lattice is bounded
+    exactly then; each kernel contains the deeper ones (kernel moduli
+    divide the next depth's), so the witness lies in every kernel from the
+    cylinder on.  No a- or b-lattice is bounded alone: each holds the
+    c-line e_c(d) - k for a k fixed by the cylinder, and a family prime
+    entering past the cylinder has the kernel base max(a_exp or b_exp,
+    c_exp) there, so a growing c-modulus makes both grow.  Tier-1
+    properties check the witness against the kernels themselves.
     FreeCertified: all three kernel lattices are certifiably unbounded, so
     the full intersection of the kernels is trivial, and `escape_depth` is
     the first depth by `max_depth` whose kernel's smallest modulus exceeds
@@ -390,14 +376,11 @@ def freeness_certificate(
         )
     chain.check_depth_budget(max_depth, f"a freeness certificate to depth {max_depth}")
 
-    limits = {x: _kernel_limit(chain, cylinder, x) for x in COORDS}
-    bounded = [x for x in COORDS if limits[x] is not None]
-    if bounded:
-        coord = "c" if "c" in bounded else bounded[0]
-        witness = HeisenbergElement(*(limits[x] if x == coord else 0 for x in COORDS))
-        return Certificate(
-            "NotFree", witness=witness, reason=f"the {coord}-lattice of the kernel is bounded"
-        )
+    settled = chain.settled_factors("c")
+    if settled is not None:
+        witness = HeisenbergElement(0, 0, prod(p**e for p, e in settled))
+        reason = "the c-lattice of the kernel is bounded"
+        return Certificate("NotFree", witness=witness, reason=reason)
 
     for d in range(max(cylinder, 1), max_depth + 1):
         kernel = trivial_action_kernel(chain, cylinder, d)
@@ -462,19 +445,16 @@ def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> D
     images = [chain.stable_image(level, d) for d in depths]
     orders = tuple(img.order for img in images)
 
-    # The core's exponent at p is e_c in c and max(e_x, e_c) in x = a, b;
-    # a growing box exponent leaves it, a constant one caps it.
+    # The core's exponent at p is max(e_x, e_c) in every coordinate x (e_c
+    # in c itself); a growing box exponent leaves it, a constant one caps it.
     floor = []
     for coord in COORDS:
         lat = 1
         for s in chain.schedules(level):
             own = s.coord(coord)
-            core_exp = s.c.exponent(level)
-            if coord != "c":
-                core_exp = max(own.exponent(level), core_exp)
+            core_exp = max(own.exponent(level), s.c.exponent(level))
             lat *= s.prime ** (core_exp if own.slope > 0 else min(own.base, core_exp))
         floor.append(lat)
     symbolic = tuple(floor) == images[-1].lattice
-    numeric = len(images) >= 2 and images[-1] == images[-2]
-    stabilized = bool(symbolic and (numeric or len(images) == 1))
+    stabilized = symbolic and (len(images) == 1 or images[-1] == images[-2])
     return DiscriminantReport(level, depths, orders, stabilized)

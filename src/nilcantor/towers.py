@@ -137,7 +137,7 @@ class IndexedFamily(Value):
             raise ContractError(
                 "family violates the box condition: c exponent exceeds a+b"
             )
-        if a_exp + b_exp + c_exp == 0:
+        if a_exp + b_exp == 0:  # then c_exp is 0 too, by the check above
             raise ContractError("family must contribute at least one coordinate")
         set_field(self, "primes", primes)
         set_field(self, "a_exp", a_exp)
@@ -246,10 +246,7 @@ class ChainSpec(Value):
 
     def _validate_trivial_intersection(self):
         for coord in COORDS:
-            grows = any(s.coord(coord).slope > 0 for s in self.explicit)
-            if self.family is not None and getattr(self.family, f"{coord}_exp") > 0:
-                grows = True
-            if not grows:
+            if self.settled_factors(coord) is not None:
                 raise ContractError(
                     f"trivial intersection declared but the {coord}-modulus "
                     "is bounded; declare trivial_intersection=False "
@@ -257,6 +254,18 @@ class ChainSpec(Value):
                 )
 
     # -- evaluation ---------------------------------------------------------
+
+    def settled_factors(self, coord: str) -> Optional[tuple]:
+        """The value at which the boxes' `coord`-modulus settles as the level
+        grows, factored: (p, base) over the explicit primes.  None when it
+        grows without bound: some explicit slope, or the family exponent, in
+        `coord` is positive.  Factored, so that deciding costs no power."""
+        f = self.family
+        if f is not None and getattr(f, f"{coord}_exp") > 0:
+            return None
+        if any(s.coord(coord).slope > 0 for s in self.explicit):
+            return None
+        return tuple((s.prime, s.coord(coord).base) for s in self.explicit)
 
     def schedules(self, level: int) -> list[PrimeSchedule]:
         """The schedules a walk of the levels up to `level` reads, sorted by
@@ -347,9 +356,8 @@ class ChainSpec(Value):
             if total > 0:
                 promoted.append(s.prime)
             else:
-                e = sum(s.coord(x).base for x in COORDS)  # the constant limit
-                if e:
-                    limit_fp[s.prime] = e
+                # The constant limit, at least 1: no explicit prime is all zero.
+                limit_fp[s.prime] = sum(s.coord(x).base for x in COORDS)
         tail = None
         if self.family is not None:
             e = self.family.a_exp + self.family.b_exp + self.family.c_exp
@@ -600,7 +608,7 @@ def parse_chain_config(text: str) -> ChainSpec:
     label = "config"
     trivial = True
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
+        line = rawline.partition("#")[0].strip()
         if not line:
             continue
 
@@ -624,10 +632,8 @@ def parse_chain_config(text: str) -> ChainSpec:
             trivial = value == "true"
             continue
         tokens = line.split()
+        fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
         if tokens[0] == "family":
-            fields = dict(
-                tok.split("=", 1) for tok in tokens[1:] if "=" in tok
-            )
             if "exclude" in fields:
                 claim("exclude", "the family exclusions were already set")
                 try:
@@ -648,7 +654,6 @@ def parse_chain_config(text: str) -> ChainSpec:
             except (KeyError, ValueError):
                 fail("family lines need base=<int>")
             continue
-        fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
         if len(fields) != len(tokens):
             fail("expected key=value tokens")
         try:

@@ -6,11 +6,13 @@ once it is replaced.  Run it with
 
     python3 tests/mutants.py
 
-Each entry is applied to a fresh copy of the checkout in a temporary
-directory, and only that entry's tests run there.  A mutant is killed when
-every one of its tests fails; a test that passes, or a run that ends in a
-collection error, lets it survive.  The runner prints one line per entry
-and exits 1 naming every survivor.
+The checkout is copied once per run into a temporary directory (`Checkout`);
+each entry is written into that copy, only its tests run there, and the
+file is restored before the next entry.  A mutant is killed when every one
+of its tests fails; a test that passes, or a run that ends in a collection
+error, lets it survive.  The runner prints one line per entry and its wall
+time, and exits 1 naming every survivor.  `tests/sweep.py`, the mechanical
+sweep, runs its mutants through the same `Checkout`.
 
 The file is not named `test_*.py`, so pytest does not collect it;
 `tests/test_mutants.py` checks in tier-1 that every old text still occurs
@@ -19,15 +21,68 @@ change that adds a certificate or a property adds its mutants here.
 """
 
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIP = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__")
+MEMORY_LIMIT = 4 << 30  # address space of each test run, so a mutant cannot exhaust the host
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+class Checkout:
+    """One copy of the checkout in `tmp`, shared by every mutant of a run:
+    each is written into the copy, tested and restored."""
+
+    def __init__(self, tmp: str):
+        self.root = Path(tmp) / "repo"
+        shutil.copytree(ROOT, self.root, ignore=SKIP)
+        self.env = dict(
+            os.environ, PYTHONPATH=str(self.root / "src"), PYTHONDONTWRITEBYTECODE="1"
+        )
+
+    def source(self, file: str) -> str:
+        return (self.root / "src" / "nilcantor" / file).read_text()
+
+    def pytest(self, file: str, text: str, args, timeout: Optional[float] = None):
+        """Pytest's exit code and stdout for `args`, run in the copy with
+        src/nilcantor/`file` replaced by `text`; the exit code is None when
+        the run outlived `timeout` seconds and was killed."""
+        target = self.root / "src" / "nilcantor" / file
+        original = target.read_text()
+        target.write_text(text)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
+                cwd=self.root,
+                env=self.env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+                text=True,
+                start_new_session=True,
+                preexec_fn=_limit_memory,
+            )
+            try:
+                out, _ = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                return None, ""
+            return proc.returncode, out
+        finally:
+            target.write_text(original)
+            # Examples a failing run saved must not steer the next run.
+            shutil.rmtree(self.root / ".hypothesis", ignore_errors=True)
 
 
 class Mutant(NamedTuple):
@@ -52,8 +107,8 @@ MUTANTS = (
     Mutant(
         "persistent-without-limit-gap",
         "dynamics.py",
-        "ratio == limit_gap == orders[0]",
-        "ratio == orders[0]",
+        "set(orders) == {ratio} == {limit_gap}",
+        "set(orders) == {ratio}",
         ("tests/test_properties.py::test_persistent_gaps_are_the_gaps_the_limit_keeps",),
     ),
     Mutant(
@@ -80,8 +135,8 @@ MUTANTS = (
     Mutant(
         "stabilized-without-floor",
         "dynamics.py",
-        "stabilized = bool(symbolic and (numeric or len(images) == 1))",
-        "stabilized = bool(numeric or len(images) == 1)",
+        "stabilized = symbolic and (len(images) == 1 or images[-1] == images[-2])",
+        "stabilized = len(images) == 1 or images[-1] == images[-2]",
         ("tests/test_properties.py::test_stabilized_discriminant_keeps_its_limit_order",),
     ),
     Mutant(
@@ -117,22 +172,38 @@ MUTANTS = (
         ("tests/test_dynamics.py::test_wild_family_certificate",),
     ),
     Mutant(
-        "kernel-limit-without-family",
-        "dynamics.py",
-        "if f is not None and _kernel_eventual(f.schedule_at(cylinder + 1), cylinder, coord)",
-        "if False and _kernel_eventual(f.schedule_at(cylinder + 1), cylinder, coord)",
+        "settled-without-family",
+        "towers.py",
+        'if f is not None and getattr(f, f"{coord}_exp") > 0:',
+        "if False:",
         (
-            "tests/test_properties.py::test_not_free_witness_is_the_generator_past_every_start",
-            "tests/test_properties.py::test_not_free_witness_lies_in_every_tested_kernel",
+            # wild_chain is refused, so modules that build one at import
+            # do not collect; these tests build theirs inside.
+            "tests/test_towers.py::test_settled_factors_read_the_explicit_slopes_and_the_family",
+            "tests/test_towers.py::test_box_at_examples",
         ),
     ),
     Mutant(
-        "kernel-limit-multiple",
-        "dynamics.py",
-        "modulus *= s.prime ** base",
-        "modulus *= s.prime ** (base + 1)",
+        "settled-without-slope",
+        "towers.py",
+        "if any(s.coord(coord).slope > 0 for s in self.explicit):",
+        "if False:",
+        (
+            # ex41 is refused, so modules that build chains at import do
+            # not collect; these tests build theirs inside.
+            "tests/test_towers.py::test_settled_factors_read_the_explicit_slopes_and_the_family",
+            "tests/test_towers.py::test_box_at_examples",
+        ),
+    ),
+    Mutant(
+        "settled-multiple",
+        "towers.py",
+        "return tuple((s.prime, s.coord(coord).base) for s in self.explicit)",
+        "return tuple((s.prime, s.coord(coord).base + 1) for s in self.explicit)",
         (
             "tests/test_properties.py::test_not_free_witness_is_the_generator_past_every_start",
+            "tests/test_properties.py::test_not_free_exactly_when_the_c_modulus_settles",
+            "tests/test_towers.py::test_settled_factors_read_the_explicit_slopes_and_the_family",
             "tests/test_dynamics.py::test_degenerate_chain_is_not_free",
         ),
     ),
@@ -267,43 +338,361 @@ MUTANTS = (
             "tests/test_dynamics.py::test_late_start_chain_gets_honest_stable_level",
         ),
     ),
+    # Survivors of the mechanical sweep (tests/sweep.py), each killed by a
+    # test written for it.
+    Mutant(
+        "kernel-accepts-cylinder-minus-one",
+        "dynamics.py",
+        "if cylinder < 0 or depth < max(cylinder, 1):",
+        "if cylinder < -1 or depth < max(cylinder, 1):",
+        ("tests/test_dynamics.py::test_kernel_refuses_levels_out_of_order",),
+    ),
+    Mutant(
+        "kernel-depth-below-cylinder",
+        "dynamics.py",
+        "if cylinder < 0 or depth < max(cylinder, 1):",
+        "if cylinder < 0 or depth < min(cylinder, 1):",
+        ("tests/test_dynamics.py::test_kernel_refuses_levels_out_of_order",),
+    ),
+    Mutant(
+        "kernel-accepts-depth-zero",
+        "dynamics.py",
+        "if cylinder < 0 or depth < max(cylinder, 1):",
+        "if cylinder < 0 or depth < max(cylinder, 0):",
+        ("tests/test_dynamics.py::test_kernel_refuses_levels_out_of_order",),
+    ),
+    Mutant(
+        "lqa-accepts-cylinder-zero",
+        "dynamics.py",
+        "if not (depth >= refined > cylinder >= 1):",
+        "if not (depth >= refined > cylinder >= 0):",
+        ("tests/test_dynamics.py::test_lqa_witness_refuses_levels_out_of_order",),
+    ),
+    Mutant(
+        "freeness-refuses-radius-one",
+        "dynamics.py",
+        "if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        "if ball_radius <= 1 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        ("tests/test_dynamics.py::test_freeness_ball_radius_starts_at_one",),
+    ),
+    Mutant(
+        "freeness-accepts-radius-zero",
+        "dynamics.py",
+        "if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        "if ball_radius < 0 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        ("tests/test_dynamics.py::test_freeness_refuses_arguments_out_of_range",),
+    ),
+    Mutant(
+        "freeness-depth-below-cylinder",
+        "dynamics.py",
+        "if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        "if ball_radius < 1 or max_depth < min(cylinder, 1) or cylinder < 0:",
+        ("tests/test_dynamics.py::test_freeness_refuses_arguments_out_of_range",),
+    ),
+    Mutant(
+        "freeness-accepts-depth-zero",
+        "dynamics.py",
+        "if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        "if ball_radius < 1 or max_depth < max(cylinder, 0) or cylinder < 0:",
+        ("tests/test_dynamics.py::test_freeness_refuses_arguments_out_of_range",),
+    ),
+    Mutant(
+        "freeness-accepts-cylinder-minus-one",
+        "dynamics.py",
+        "if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < 0:",
+        "if ball_radius < 1 or max_depth < max(cylinder, 1) or cylinder < -1:",
+        ("tests/test_dynamics.py::test_freeness_refuses_arguments_out_of_range",),
+    ),
+    Mutant(
+        "escape-walk-below-cylinder",
+        "dynamics.py",
+        "depths = range(max(cylinder, 1), max_depth + 1)",
+        "depths = range(min(cylinder, 1), max_depth + 1)",
+        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
+    ),
+    Mutant(
+        "escape-walk-from-depth-zero",
+        "dynamics.py",
+        "depths = range(max(cylinder, 1), max_depth + 1)",
+        "depths = range(max(cylinder, 0), max_depth + 1)",
+        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
+    ),
+    Mutant(
+        "escape-walk-short-of-max-depth",
+        "dynamics.py",
+        "depths = range(max(cylinder, 1), max_depth + 1)",
+        "depths = range(max(cylinder, 1), max_depth)",
+        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
+    ),
+    Mutant(
+        "escape-walk-past-max-depth",
+        "dynamics.py",
+        "depths = range(max(cylinder, 1), max_depth + 1)",
+        "depths = range(max(cylinder, 1), max_depth + 2)",
+        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
+    ),
+    Mutant(
+        "escape-budget-on-empty-window",
+        "dynamics.py",
+        "    if depths:\n",
+        "    if True:\n",
+        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
+    ),
+    Mutant(
+        "discriminant-accepts-level-zero",
+        "dynamics.py",
+        "if not 1 <= level <= max_depth:",
+        "if not 0 <= level <= max_depth:",
+        ("tests/test_dynamics.py::test_discriminant_report_refuses_levels_out_of_order",),
+    ),
+    Mutant(
+        "discriminant-ignores-two-equal-images",
+        "dynamics.py",
+        "(len(images) == 1 or images[-1] == images[-2])",
+        "(len(images) == 1)",
+        ("tests/test_dynamics.py::test_discriminant_report_stabilizes_on_two_equal_images",),
+    ),
+    Mutant(
+        "schedule-default-start-one",
+        "towers.py",
+        "def __init__(self, start: int = 0, base: int = 0, slope: int = 0):",
+        "def __init__(self, start: int = 1, base: int = 0, slope: int = 0):",
+        ("tests/test_towers.py::test_schedule_parameters_are_non_negative_and_default_to_zero",),
+    ),
+    Mutant(
+        "schedule-accepts-negative-start",
+        "towers.py",
+        "if start < 0 or base < 0 or slope < 0:",
+        "if start < -1 or base < 0 or slope < 0:",
+        ("tests/test_towers.py::test_schedule_parameters_are_non_negative_and_default_to_zero",),
+    ),
+    Mutant(
+        "schedule-accepts-negative-base",
+        "towers.py",
+        "if start < 0 or base < 0 or slope < 0:",
+        "if start < 0 or base < -1 or slope < 0:",
+        ("tests/test_towers.py::test_schedule_parameters_are_non_negative_and_default_to_zero",),
+    ),
+    Mutant(
+        "schedule-accepts-negative-slope",
+        "towers.py",
+        "if start < 0 or base < 0 or slope < 0:",
+        "if start < 0 or base < 0 or slope < -1:",
+        ("tests/test_towers.py::test_schedule_parameters_are_non_negative_and_default_to_zero",),
+    ),
+    Mutant(
+        "family-sign-check-max",
+        "towers.py",
+        "if min(a_exp, b_exp, c_exp) < 0:",
+        "if max(a_exp, b_exp, c_exp) < 0:",
+        ("tests/test_towers.py::test_family_exponents_are_checked_one_by_one",),
+    ),
+    Mutant(
+        "family-sign-check-skips-a",
+        "towers.py",
+        "if min(a_exp, b_exp, c_exp) < 0:",
+        "if min(b_exp, b_exp, c_exp) < 0:",
+        ("tests/test_towers.py::test_family_exponents_are_checked_one_by_one",),
+    ),
+    Mutant(
+        "family-sign-check-skips-b",
+        "towers.py",
+        "if min(a_exp, b_exp, c_exp) < 0:",
+        "if min(a_exp, a_exp, c_exp) < 0:",
+        ("tests/test_towers.py::test_family_exponents_are_checked_one_by_one",),
+    ),
+    Mutant(
+        "family-accepts-minus-one",
+        "towers.py",
+        "if min(a_exp, b_exp, c_exp) < 0:",
+        "if min(a_exp, b_exp, c_exp) < -1:",
+        ("tests/test_towers.py::test_family_exponents_are_checked_one_by_one",),
+    ),
+    Mutant(
+        "box-accepts-level-zero",
+        "towers.py",
+        'if level < 1:\n            raise ContractError("level must be >= 1")',
+        'if level < 0:\n            raise ContractError("level must be >= 1")',
+        ("tests/test_towers.py::test_level_walks_start_at_level_one",),
+    ),
+    Mutant(
+        "steinitz-accepts-depth-zero",
+        "towers.py",
+        'if depth < 1:\n            raise ContractError("depth must be >= 1")',
+        'if depth < 0:\n            raise ContractError("depth must be >= 1")',
+        ("tests/test_towers.py::test_level_walks_start_at_level_one",),
+    ),
+    Mutant(
+        "quotient-positivity-max",
+        "towers.py",
+        "if min(A, B, C) < 1:",
+        "if max(A, B, C) < 1:",
+        ("tests/test_towers.py::test_quotient_moduli_must_be_positive",),
+    ),
+    Mutant(
+        "quotient-accepts-zero",
+        "towers.py",
+        "if min(A, B, C) < 1:",
+        "if min(A, B, C) < 0:",
+        ("tests/test_towers.py::test_quotient_moduli_must_be_positive",),
+    ),
+    Mutant(
+        "quotient-order-without-c",
+        "towers.py",
+        "* (self.ambient.C // lc)",
+        "",
+        ("tests/test_towers.py::test_quotient_subgroup_holds_exactly_its_lattice",),
+    ),
+    Mutant(
+        "contains-a-reads-c",
+        "towers.py",
+        "return x[0] % la == 0 and x[1] % lb == 0",
+        "return x[-1] % la == 0 and x[1] % lb == 0",
+        ("tests/test_towers.py::test_quotient_subgroup_holds_exactly_its_lattice",),
+    ),
+    Mutant(
+        "contains-b-reads-c",
+        "towers.py",
+        "return x[0] % la == 0 and x[1] % lb == 0",
+        "return x[0] % la == 0 and x[2] % lb == 0",
+        ("tests/test_towers.py::test_quotient_subgroup_holds_exactly_its_lattice",),
+    ),
+    Mutant(
+        "stable-chain-accepts-r-zero",
+        "towers.py",
+        "if not 1 <= ri <= ni:",
+        "if not 0 <= ri <= ni:",
+        ("tests/test_towers.py::test_built_in_chains_refuse_their_exponents_by_name",),
+    ),
+    Mutant(
+        "wild-chain-accepts-r-zero",
+        "towers.py",
+        "if not 1 <= r < n:",
+        "if not 0 <= r < n:",
+        ("tests/test_towers.py::test_built_in_chains_refuse_their_exponents_by_name",),
+    ),
+    Mutant(
+        "wild-chain-refuses-every-enumeration",
+        "towers.py",
+        "if enumeration.index_of(p) is not None:",
+        "if True:",
+        (
+            "tests/test_towers.py"
+            "::test_wild_chain_checks_a_given_enumeration_against_its_growing_primes",
+        ),
+    ),
+    Mutant(
+        "config-keeps-comments",
+        "towers.py",
+        'line = rawline.partition("#")[0].strip()',
+        "line = rawline.strip()",
+        ("tests/test_towers.py::test_parse_chain_config_strips_comments_and_keeps_whole_labels",),
+    ),
+    Mutant(
+        "config-label-cut-at-second-equals",
+        "towers.py",
+        'label = line.split("=", 1)[1].strip()',
+        'label = line.split("=", 2)[1].strip()',
+        ("tests/test_towers.py::test_parse_chain_config_strips_comments_and_keeps_whole_labels",),
+    ),
+    Mutant(
+        "config-flag-cut-at-second-equals",
+        "towers.py",
+        'value = line.split("=", 1)[1].strip().lower()',
+        'value = line.split("=", 2)[1].strip().lower()',
+        (
+            "tests/test_towers.py"
+            "::test_parse_chain_config_refuses_a_value_with_a_second_equals_sign",
+        ),
+    ),
+    Mutant(
+        "config-fields-cut-at-second-equals",
+        "towers.py",
+        'fields = dict(tok.split("=", 1) for tok in tokens if "=" in tok)',
+        'fields = dict(tok.split("=", 2) for tok in tokens if "=" in tok)',
+        (
+            "tests/test_towers.py"
+            "::test_parse_chain_config_refuses_a_value_with_a_second_equals_sign",
+        ),
+    ),
+    Mutant(
+        "config-default-start-minus-one",
+        "towers.py",
+        'start=int(fields.get("start", 0))',
+        'start=int(fields.get("start", -1))',
+        ("tests/test_towers.py::test_parse_chain_config_defaults_start_base_and_slope_to_zero",),
+    ),
+    Mutant(
+        "config-default-base-one",
+        "towers.py",
+        'base=int(fields.get("base", 0))',
+        'base=int(fields.get("base", 1))',
+        ("tests/test_towers.py::test_parse_chain_config_defaults_start_base_and_slope_to_zero",),
+    ),
+    Mutant(
+        "config-default-slope-one",
+        "towers.py",
+        'slope=int(fields.get("slope", 0))',
+        'slope=int(fields.get("slope", 1))',
+        ("tests/test_towers.py::test_parse_chain_config_defaults_start_base_and_slope_to_zero",),
+    ),
+    Mutant(
+        "config-b-reads-a",
+        "towers.py",
+        'b=coords.get("b", ZERO_SCHEDULE)',
+        'b=coords.get("a", ZERO_SCHEDULE)',
+        ("tests/test_towers.py::test_parse_chain_config_defaults_start_base_and_slope_to_zero",),
+    ),
+    Mutant(
+        "config-family-default-a-one",
+        "towers.py",
+        'a_exp=family_coords.get("a", 0)',
+        'a_exp=family_coords.get("a", 1)',
+        ("tests/test_towers.py::test_parse_chain_config_family_exponents_default_to_zero",),
+    ),
+    Mutant(
+        "config-family-default-b-one",
+        "towers.py",
+        'b_exp=family_coords.get("b", 0)',
+        'b_exp=family_coords.get("b", 1)',
+        ("tests/test_towers.py::test_parse_chain_config_family_exponents_default_to_zero",),
+    ),
+    Mutant(
+        "config-family-default-c-one",
+        "towers.py",
+        'c_exp=family_coords.get("c", 0)',
+        'c_exp=family_coords.get("c", 1)',
+        ("tests/test_towers.py::test_parse_chain_config_family_exponents_default_to_zero",),
+    ),
 )
 
 
-def run(mutant: Mutant) -> str:
-    """'killed' or why the mutant survived, from a fresh mutated copy."""
-    with tempfile.TemporaryDirectory(prefix="nilcantor-mutant-") as tmp:
-        copy = Path(tmp) / "repo"
-        shutil.copytree(ROOT, copy, ignore=SKIP)
-        target = copy / "src" / "nilcantor" / mutant.file
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            return "old text does not occur exactly once"
-        target.write_text(text.replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *mutant.tests],
-            cwd=copy,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-    failed = [line.split()[1] for line in done.stdout.splitlines() if line.startswith("FAILED ")]
+def run(mutant: Mutant, checkout: Checkout) -> str:
+    """'killed' or why the mutant survived, from the mutated copy."""
+    text = checkout.source(mutant.file)
+    if text.count(mutant.old) != 1:
+        return "old text does not occur exactly once"
+    code, out = checkout.pytest(mutant.file, text.replace(mutant.old, mutant.new), mutant.tests)
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAILED ")]
     passed = [t for t in mutant.tests if not any(f.split("[")[0] == t for f in failed)]
-    if done.returncode != 1:
-        return f"survived (pytest exit {done.returncode})"
+    if code != 1:
+        return f"survived (pytest exit {code})"
     if passed:
         return f"survived ({', '.join(passed)} passed)"
     return "killed"
 
 
 def main() -> int:
+    start = time.monotonic()
     survivors = []
-    for mutant in MUTANTS:
-        outcome = run(mutant)
-        print(f"{mutant.name}: {outcome}", flush=True)
-        if outcome != "killed":
-            survivors.append(mutant.name)
+    with tempfile.TemporaryDirectory(prefix="nilcantor-mutants-") as tmp:
+        checkout = Checkout(tmp)
+        for mutant in MUTANTS:
+            outcome = run(mutant, checkout)
+            print(f"{mutant.name}: {outcome}", flush=True)
+            if outcome != "killed":
+                survivors.append(mutant.name)
+    print(f"{len(MUTANTS)} mutants in {time.monotonic() - start:.0f} s")
     if survivors:
         print(f"surviving mutants: {', '.join(survivors)}", file=sys.stderr)
         return 1

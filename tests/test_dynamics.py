@@ -36,6 +36,13 @@ def test_kernel_examples():
     assert trivial_action_kernel(w, 0, 2) == w.core_at(2)
 
 
+@pytest.mark.parametrize("cylinder, depth", [(-1, 3), (3, 2), (0, 0)])
+def test_kernel_refuses_levels_out_of_order(cylinder, depth):
+    # Refused by the kernel's own contract, before any box is built.
+    with pytest.raises(ContractError, match="need depth >= cylinder >= 0"):
+        trivial_action_kernel(ex41(2), cylinder, depth)
+
+
 def test_kernel_contains_core_inside_box():
     for chain in (ex41(2), ex42(2, 3), wild_chain(2, 1)):
         for cyl in (1, 2):
@@ -95,6 +102,12 @@ def test_lqa_witness_example():
     assert report.persistent
     assert report.kernel_box == BoxSubgroup(6, 36, 36)
     assert report.comparison_box == BoxSubgroup(18, 36, 36)
+
+
+@pytest.mark.parametrize("cylinder, refined, depth", [(0, 1, 3), (2, 2, 3), (1, 3, 2)])
+def test_lqa_witness_refuses_levels_out_of_order(cylinder, refined, depth):
+    with pytest.raises(ContractError, match="need depth >= refined > cylinder >= 1"):
+        lqa_witness(wild_chain(2, 1), cylinder, refined, depth)
 
 
 def test_lqa_witness_contract():
@@ -413,6 +426,15 @@ def test_escape_depth_examples():
     assert element_escape_depth(chain, 1, HeisenbergElement(0, 0, 0), 6) is None
 
 
+def test_escape_depth_walks_from_the_cylinder_to_max_depth():
+    chain = ex41(2)
+    assert element_escape_depth(chain, 0, HeisenbergElement(1, 0, 0), 3) == 1
+    assert element_escape_depth(chain, 2, HeisenbergElement(4, 0, 0), 3) == 3
+    assert element_escape_depth(chain, 2, HeisenbergElement(4, 0, 0), 2) is None
+    # An empty window reads no level, so it asks no family prime either.
+    assert element_escape_depth(wild_chain(2, 1), 1, HeisenbergElement(1, 0, 0), 0) is None
+
+
 def test_every_small_element_escapes():
     chain = wild_chain(2, 1)
     kernel3 = trivial_action_kernel(chain, 1, 3)
@@ -461,6 +483,18 @@ def _pinched_chain(family=None):
     )
 
 
+def test_freeness_ball_radius_starts_at_one():
+    assert freeness_certificate(ex41(2), 1, 1, 5).verdict == "FreeCertified"
+
+
+@pytest.mark.parametrize(
+    "cylinder, radius, max_depth", [(1, 0, 5), (3, 10, 2), (0, 10, 0), (-1, 10, 3)]
+)
+def test_freeness_refuses_arguments_out_of_range(cylinder, radius, max_depth):
+    with pytest.raises(ContractError, match="need ball_radius >= 1, cylinder >= 0"):
+        freeness_certificate(ex41(2), cylinder, radius, max_depth)
+
+
 def test_degenerate_chain_is_not_free():
     pinched = _pinched_chain()
     cert = freeness_certificate(pinched, 1, 10, 5)
@@ -500,6 +534,12 @@ def test_freeness_inconclusive_when_depth_too_small():
 # -- discriminant limit reports -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("level, max_depth", [(0, 3), (3, 2)])
+def test_discriminant_report_refuses_levels_out_of_order(level, max_depth):
+    with pytest.raises(ContractError, match="need 1 <= level <= max_depth"):
+        discriminant_limit_report(ex41(2), level, max_depth)
+
+
 def test_discriminant_report_ex41():
     rep = discriminant_limit_report(ex41(2), 1, 4)
     assert rep.orders == (4, 1, 1, 1)
@@ -519,6 +559,12 @@ def test_discriminant_report_stable_family():
     rep = discriminant_limit_report(chain, 1, 3)
     assert rep.orders[-1] == 6
     assert rep.stabilized
+
+
+def test_discriminant_report_stabilizes_on_two_equal_images():
+    rep = discriminant_limit_report(ex42(2, 3), 1, 2)
+    assert rep.orders == (6, 6) and rep.stabilized and rep.limit_order == 6
+    assert not discriminant_limit_report(ex41(2), 1, 2).stabilized
 
 
 def test_discriminant_report_single_depth():

@@ -1,8 +1,10 @@
-"""The mutant catalogue cannot rot unseen: every entry still applies."""
+"""The mutant catalogue and the sweep's classifications cannot rot unseen:
+every entry still applies."""
 
 import ast
 from pathlib import Path
 
+import sweep
 from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,3 +34,12 @@ def test_each_mutant_names_tests_that_exist():
             if not defined:
                 missing.append((mutant.name, node))
     assert missing == []
+
+
+def test_each_equivalent_survivor_names_a_sweep_site():
+    keys = {
+        site.key
+        for file in sweep.FILES
+        for site, _text in sweep.sites(file, (SRC / "nilcantor" / file).read_text())
+    }
+    assert sorted(set(sweep.EQUIVALENT) - keys) == []

@@ -13,7 +13,7 @@ rejects.
 
 import re
 import sys
-from math import lcm
+from math import lcm, prod
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, reject, settings
@@ -32,7 +32,7 @@ from nilcantor.dynamics import (
     wildness_certificate,
 )
 from nilcantor.errors import ContractError
-from nilcantor.heisenberg import index_in
+from nilcantor.heisenberg import HeisenbergElement, index_in
 from nilcantor.primes import isprime
 from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivalent, type_leq
 from nilcantor.towers import (
@@ -69,6 +69,7 @@ FREENESS_RADIUS = 2  # small, so that drawn chains are FreeCertified and NotFree
 FREENESS_DEPTH = 4  # certificates walk to here; scans run within the benchmark's budgets
 NOT_FREE_CYLINDERS = (0, 1, 2)
 NOT_FREE_DEPTH = 6  # NotFree certificates at every max_depth up to here
+SETTLE_CYLINDERS = range(0, 4)
 DISCRIMINANT_LEVELS = (1, 2)  # reports at these levels, to depth level or level + 1 ...
 LIMIT_DEPTHS = 3  # ... and a stabilized one's limit order at this many further depths
 
@@ -468,6 +469,40 @@ def test_not_free_witness_is_the_generator_past_every_start(chain):
         if cert.verdict == "NotFree":
             kernel = trivial_action_kernel(chain, cylinder, _last_start(chain) + 1)
             assert cert.witness in kernel.generators()
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+@example(LATE_PINCHED)
+def test_not_free_exactly_when_the_c_modulus_settles(chain):
+    # The schedule rule, restated from the rows: a coordinate's box modulus
+    # settles when every explicit slope and the family exponent in it are
+    # 0.  NotFree exactly when c settles, with witness (0, 0, prod p^c.base)
+    # at every cylinder; trivial_intersection=True is refused exactly when
+    # some coordinate settles.
+    f = chain.family
+    settles = {
+        x: all(s.coord(x).slope == 0 for s in chain.explicit)
+        and (f is None or getattr(f, f"{x}_exp") == 0)
+        for x in "abc"
+    }
+    for cylinder in SETTLE_CYLINDERS:
+        cert = freeness_certificate(chain, cylinder, FREENESS_RADIUS, max(cylinder, 1))
+        assert (cert.verdict == "NotFree") == settles["c"]
+        if settles["c"]:
+            modulus = prod(s.prime**s.c.base for s in chain.explicit)
+            assert cert.witness == HeisenbergElement(0, 0, modulus)
+            assert cert.reason == "the c-lattice of the kernel is bounded"
+    try:
+        ChainSpec(chain.label, chain.explicit, chain.family)
+        refused = None
+    except ContractError as exc:
+        refused = str(exc)
+    if any(settles.values()):
+        x = next(x for x in "abc" if settles[x])
+        assert refused is not None and f"the {x}-modulus is bounded" in refused
+    else:
+        assert refused is None
 
 
 @PROPERTY_SETTINGS

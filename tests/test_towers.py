@@ -1,6 +1,7 @@
 """Chains, quotient towers, discriminant levels, Steinitz orders, cosets."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from nilcantor.towers import (
     FiniteQuotient,
     IndexedFamily,
     PrimeSchedule,
+    QuotientSubgroup,
     builtin_chain,
     ex41,
     ex42,
@@ -29,10 +31,37 @@ from helpers import steinitz_int
 # -- schedules and boxes ------------------------------------------------------------
 
 
+def test_schedule_parameters_are_non_negative_and_default_to_zero():
+    assert CoordSchedule() == CoordSchedule(0, 0, 0)
+    for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
+        with pytest.raises(ContractError, match="must be non-negative"):
+            CoordSchedule(*args)
+
+
+def test_family_exponents_are_checked_one_by_one():
+    for exps in ((-1, 2, 1), (2, -1, 1), (1, 1, -1)):
+        with pytest.raises(ContractError, match="must be non-negative"):
+            IndexedFamily(Primes(), *exps)
+    with pytest.raises(ContractError, match="c exponent exceeds a\\+b"):
+        IndexedFamily(Primes(), 1, 1, 3)
+    with pytest.raises(ContractError, match="at least one coordinate"):
+        IndexedFamily(Primes(), 0, 0, 0)
+    IndexedFamily(Primes(), 1, 1, 2)  # c = a + b is allowed
+    IndexedFamily(Primes(), 0, 1, 0)
+
+
 def test_box_at_examples():
     assert ex41(2).box_at(2) == BoxSubgroup(4, 4, 16)
     assert ex42(2, 3).box_at(1) == BoxSubgroup(2, 3, 6)
     assert wild_chain(2, 1).box_at(2) == BoxSubgroup(6, 36, 36)
+
+
+def test_level_walks_start_at_level_one():
+    chain = ex41(2)
+    with pytest.raises(ContractError, match="level must be >= 1"):
+        chain.box_at(0)
+    with pytest.raises(ContractError, match="depth must be >= 1"):
+        chain.steinitz_order(0)
 
 
 def test_wild_chain_matches_product_formulas():
@@ -110,11 +139,39 @@ def test_trivial_intersection_flag():
     ChainSpec("pinched", bounded, trivial_intersection=False)  # explicit opt-out
 
 
+def test_settled_factors_read_the_explicit_slopes_and_the_family():
+    rows = (
+        PrimeSchedule(2, a=CoordSchedule(1, 0, 1), b=CoordSchedule(1, 0, 1), c=CoordSchedule(1, 2, 0)),
+        PrimeSchedule(3, a=CoordSchedule(2, 1, 0), b=CoordSchedule(1, 0, 1), c=CoordSchedule(2, 1, 0)),
+    )
+    chain = ChainSpec("pinched", rows, trivial_intersection=False)
+    assert [chain.settled_factors(x) for x in "abc"] == [None, None, ((2, 2), (3, 1))]
+    family = IndexedFamily(Primes(exclude=(2, 3)), 1, 0, 1)
+    chain = ChainSpec("pinched", rows, family, trivial_intersection=False)
+    assert [chain.settled_factors(x) for x in "abc"] == [None, None, None]
+    chain = ChainSpec("pinched", rows, IndexedFamily(Primes(exclude=(2, 3)), 0, 1, 0), False)
+    assert chain.settled_factors("c") == ((2, 2), (3, 1))
+
+
 def test_wild_chain_rejects_degenerate_exponents():
     with pytest.raises(ContractError):
         wild_chain(2, 2)
     with pytest.raises(ContractError):
         wild_chain(1, 0)
+
+
+def test_built_in_chains_refuse_their_exponents_by_name():
+    with pytest.raises(ContractError, match="need 1 <= r < n"):
+        wild_chain(2, 0)
+    with pytest.raises(ContractError, match="need 1 <= r <= n"):
+        stable_chain((2,), (0,), (1,), (3,))
+
+
+def test_wild_chain_checks_a_given_enumeration_against_its_growing_primes():
+    chain = wild_chain(2, 1, pi_inf=(5,), enumeration=Primes(exclude=(5,)))
+    assert [s.prime for s in chain.schedules(3)] == [2, 3, 5, 7]
+    with pytest.raises(ContractError, match="family enumeration must exclude 5"):
+        wild_chain(2, 1, pi_inf=(5,), enumeration=Primes())
 
 
 def test_wild_chain_with_infinite_part_excludes_it_from_family():
@@ -138,6 +195,12 @@ def test_quotient_orders():
     assert ex41(2).quotient_at(1).order == 64
     q = FiniteQuotient(9, 9, 9)  # one-prime component shape
     assert q.order == 9**3
+
+
+def test_quotient_moduli_must_be_positive():
+    for moduli in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ContractError, match="must be positive"):
+            FiniteQuotient(*moduli)
 
 
 def test_quotient_requires_normal_moduli():
@@ -191,6 +254,17 @@ def test_connecting_map_example_and_section():
         down = target.reduce(g)
         lifted = source.reduce(g)  # same coordinates, deeper modulus
         assert target.reduce(lifted) == down
+
+
+def test_quotient_subgroup_holds_exactly_its_lattice():
+    # Lattices no image of a box takes: la != lb, and lc below C.
+    q = FiniteQuotient(4, 6, 2)
+    for lattice in ((2, 3, 1), (4, 2, 2), (1, 6, 1), (2, 1, 2)):
+        sub = QuotientSubgroup(q, lattice)
+        members = {x for x in product(range(4), range(6), range(2)) if sub.contains(x)}
+        la, lb, lc = lattice
+        assert members == set(product(range(0, 4, la), range(0, 6, lb), range(0, 2, lc)))
+        assert sub.order == len(members)
 
 
 def test_quotient_subgroup_order_divides_ambient():
@@ -411,6 +485,53 @@ def test_parse_chain_config_errors_carry_position():
     with pytest.raises(ContractError) as err:
         parse_chain_config("prime=2 coord=q start=1 base=0 slope=1")
     assert "line 1" in str(err.value)
+
+
+def test_parse_chain_config_strips_comments_and_keeps_whole_labels():
+    commented = parse_chain_config(
+        "# ex41 with comments\n"
+        + EX41_CONFIG.replace("label=ex41-by-hand", "label=ex41=by-hand  # keeps its '='")
+        .replace("slope=2", "slope=2  # c grows twice as fast")
+    )
+    assert commented.label == "ex41=by-hand"
+    assert commented.explicit == parse_chain_config(EX41_CONFIG).explicit
+
+
+def test_parse_chain_config_defaults_start_base_and_slope_to_zero():
+    chain = parse_chain_config(
+        "prime=2 coord=a slope=1\n"
+        "prime=2 coord=b start=1 slope=1\n"
+        "prime=2 coord=c start=1 base=0 slope=2\n"
+        "prime=3 coord=b start=1 base=1\n"
+    )
+    assert chain.explicit[1] == PrimeSchedule(3, b=CoordSchedule(1, 1, 0))
+    for level in (1, 2, 3):
+        assert chain.box_at(level) == BoxSubgroup(2**level, 3 * 2**level, 4**level)
+
+
+def test_parse_chain_config_family_exponents_default_to_zero():
+    cases = (
+        (("b base=2", "c base=1"), (0, 2, 1)),
+        (("a base=2", "c base=1"), (2, 0, 1)),
+        (("a base=1", "b base=1"), (1, 1, 0)),
+    )
+    for lines, exponents in cases:
+        config = "".join(f"family qi coord={x} start=i slope=0\n" for x in lines)
+        chain = parse_chain_config(config + "trivial_intersection=false\n")
+        assert chain.family == IndexedFamily(Primes(), *exponents)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("trivial_intersection=true=x", "expected true or false"),
+        ("family qi coord=a start=i base=1=2 slope=0", "family lines need base=<int>"),
+        ("prime=2 coord=a start=1 base=1=2 slope=0", "bad schedule line"),
+    ],
+)
+def test_parse_chain_config_refuses_a_value_with_a_second_equals_sign(line, message):
+    with pytest.raises(ContractError, match=message):
+        parse_chain_config(line)
 
 
 def test_builtin_chain_dispatch():
