@@ -12,11 +12,11 @@ from nilcantor.towers import ex41, ex42
 chain = ex41(2)
 print("chain:", chain.label)
 for level in (1, 2, 3):
-    box = chain.box_at(level)
+    box, core = chain.box_at(level), chain.core_at(level)
     print(
-        f"  level {level}: box={box}  core={chain.core_at(level)}  "
-        f"|X|={index_in(GAMMA, box)}  |Q|={chain.quotient_at(level).order}  "
-        f"|D|={chain.discriminant_level(level).order}"
+        f"  level {level}: box={box}  core={core}  "
+        f"|X|={index_in(GAMMA, box)}  |Q|={index_in(GAMMA, core)}  "
+        f"|D|={index_in(box, core)}"
     )
 
 # The discriminant levels are all nontrivial, yet their inverse limit is

@@ -7,8 +7,9 @@ The package computes, in exact integer arithmetic, with
   * the integer Heisenberg group and its box subgroups, with closed-form
     cores, relative cores, indices, canonical coset representatives and
     the left action on each coset space (:mod:`nilcantor.heisenberg`),
-  * symbolic descending chains of box subgroups, their finite quotient
-    towers, discriminant levels and Steinitz orders (:mod:`nilcantor.towers`),
+  * symbolic descending chains of box subgroups, their quotient towers
+    (every subgroup a box over the core) and Steinitz orders
+    (:mod:`nilcantor.towers`),
   * stability / wildness and topological-freeness certificates built from
     trivial-action kernels (:mod:`nilcantor.dynamics`),
   * dumb enumeration oracles that every closed form is validated against
@@ -23,7 +24,7 @@ __version__ = "0.1.0"
 from .errors import ContractError, ResourceError
 from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement
 from .steinitz import INF, PrimeSpectra, SteinitzNumber
-from .towers import ChainSpec, FiniteQuotient, builtin_chain
+from .towers import ChainSpec, builtin_chain
 from .dynamics import (
     Certificate,
     KernelReport,
@@ -43,7 +44,6 @@ __all__ = [
     "SteinitzNumber",
     "PrimeSpectra",
     "ChainSpec",
-    "FiniteQuotient",
     "builtin_chain",
     "Certificate",
     "KernelReport",

@@ -24,7 +24,7 @@ from .dynamics import (
     wildness_certificate,
 )
 from .errors import ContractError, ResourceError
-from .heisenberg import BoxSubgroup, HeisenbergElement, relative_core
+from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
 from .oracle import (
     OracleBudget,
     canonical_by_enumeration,
@@ -272,11 +272,11 @@ def _oracle_fixing(args, budget) -> tuple:
     chain = resolve_chain(args)
     found = fixing_scan(chain, args.cylinder, args.depth, budget)
     kernel = trivial_action_kernel(chain, args.cylinder, args.depth)
-    closed = chain.quotient_at(args.depth).image(kernel)
-    agree = len(found) == closed.order and all(closed.contains(x) for x in found)
+    size = index_in(kernel, chain.core_at(args.depth))
+    agree = len(found) == size and all(kernel.contains(HeisenbergElement(*x)) for x in found)
     return chain.label, [
         ("scanned_size", len(found)),
-        ("closed_form_size", closed.order),
+        ("closed_form_size", size),
         ("agree", "yes" if agree else "NO"),
     ]
 
@@ -306,15 +306,9 @@ def _reproduce_ex41(args) -> list:
     lines = [("chain", chain.label)]
     for level in range(1, 5):
         c = chain.core_at(level)
-        d = chain.discriminant_level(level)
-        lines.append(
-            (
-                f"level_{level}",
-                f"core={c} |D|={d.order}",
-            )
-        )
+        lines.append((f"level_{level}", f"core={c} |D|={index_in(chain.box_at(level), c)}"))
     img = chain.stable_image(1, 2)
-    lines.append(("stable_image_l1_d2_order", img.order))
+    lines.append(("stable_image_l1_d2_order", index_in(img, chain.core_at(1))))
     order = chain.steinitz_order(4)
     lines.append(("steinitz_order_limit", str(order.limit)))
     lines.append(("steinitz_order_raw", str(order.raw)))

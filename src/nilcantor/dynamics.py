@@ -35,7 +35,7 @@ from typing import Optional
 from ._value import Value, set_field
 from .errors import ContractError
 from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in, relative_core
-from .towers import COORDS, ChainSpec, PrimeSchedule
+from .towers import ChainSpec, PrimeSchedule
 
 __all__ = [
     "trivial_action_kernel",
@@ -433,28 +433,32 @@ class DiscriminantReport(Value):
 def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> DiscriminantReport:
     """Track the images of the deeper discriminant levels inside D_level.
 
-    The image orders are antitone in the depth.  `stabilized` is set when
-    two consecutive images coincide as subgroups *and* the schedule-level
-    floor of the image lattice equals the last computed one, so deeper
-    levels provably cannot shrink it further.
+    Each image is a box between Gamma_level and C_level, and its order is
+    its index over the core, computed once.  The orders are antitone in
+    the depth.  `stabilized` is set when two consecutive image boxes
+    coincide *and* the schedule-level floor box equals the last one, so
+    deeper levels provably cannot shrink it further.
     """
     if not 1 <= level <= max_depth:
         raise ContractError("need 1 <= level <= max_depth")
     chain.check_depth_budget(max_depth, f"a discriminant report to depth {max_depth}")
     depths = tuple(range(level, max_depth + 1))
+    core = chain.core_at(level)
     images = [chain.stable_image(level, d) for d in depths]
-    orders = tuple(img.order for img in images)
+    orders = tuple(index_in(img, core) for img in images)
 
-    # The core's exponent at p is max(e_x, e_c) in every coordinate x (e_c
-    # in c itself); a growing box exponent leaves it, a constant one caps it.
+    # An image's a- and b-exponents at p are the minimum of the box's at the
+    # depth and the core's, max(e_x, e_c), at the level: a growing box
+    # exponent reaches the core's, a constant one caps it.  The c-modulus
+    # is the core's at every depth (ChainSpec.stable_image).
     floor = []
-    for coord in COORDS:
+    for coord in ("a", "b"):
         lat = 1
         for s in chain.schedules(level):
             own = s.coord(coord)
             core_exp = max(own.exponent(level), s.c.exponent(level))
             lat *= s.prime ** (core_exp if own.slope > 0 else min(own.base, core_exp))
         floor.append(lat)
-    symbolic = tuple(floor) == images[-1].lattice
+    symbolic = BoxSubgroup(*floor, core.Mc) == images[-1]
     stabilized = symbolic and (len(images) == 1 or images[-1] == images[-2])
     return DiscriminantReport(level, depths, orders, stabilized)

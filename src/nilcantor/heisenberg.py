@@ -70,9 +70,6 @@ class HeisenbergElement(Value):
             self.a, self.b, self.c + by.a * self.b - by.b * self.a
         )
 
-    def is_identity(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0
-
     def __str__(self) -> str:
         return f"({self.a},{self.b},{self.c})"
 

@@ -17,7 +17,11 @@ they pass it.
 
 This module is the one home of enumeration: the heisenberg and towers
 modules hold closed forms only, and the generator closures and orbits
-that check their subgroups and the action on cosets live here.
+that check their subgroups and the action on cosets live here.  So does
+the one group law on residues, that of a finite quotient Gamma/N by a
+normal box (residue_law): the towers module names every subgroup of a
+quotient by the box it pulls back to, and only the closures multiply
+residues.
 Invariants of the scans are explicit checks that raise ContractError, so
 they hold under ``python -O`` too.  Every scan is plain Python over the
 group law.
@@ -28,13 +32,14 @@ from __future__ import annotations
 from ._value import Value, set_field
 from .errors import ContractError, ResourceError
 from .heisenberg import BoxSubgroup, HeisenbergElement
-from .towers import ChainSpec, FiniteQuotient
+from .towers import ChainSpec
 
 __all__ = [
     "OracleBudget",
     "core_by_enumeration",
     "relative_core_by_enumeration",
     "fixing_scan",
+    "residue_law",
     "subgroup_closure",
     "coset_orbit",
     "coset_partition",
@@ -160,21 +165,21 @@ def fixing_scan(
     coset list.  Conjugating the candidate by the coset representative is
     exactly the "does g fix h*Gamma_depth" test.
     """
-    q = chain.quotient_at(depth)
-    _refuse_above(q.order, f"elements of Q_{depth}", budget)
+    core = chain.core_at(depth)
+    _refuse_above(core.index(), f"elements of Q_{depth}", budget)
     box = chain.box_at(depth)
     outer = chain.box_at(cylinder) if cylinder >= 1 else None
 
     # Phase 1: stabilizers of the identity coset, i.e. residues lifting
     # into the depth box.
     survivors = []
-    for a in range(q.A):
+    for a in range(core.Ma):
         if a % box.Ma:
             continue
-        for b in range(q.B):
+        for b in range(core.Mb):
             if b % box.Mb:
                 continue
-            for c in range(q.C):
+            for c in range(core.Mc):
                 if c % box.Mc == 0:
                     survivors.append(HeisenbergElement(a, b, c))
 
@@ -222,15 +227,42 @@ def _orbit(start, act, moves, budget: OracleBudget, what: str) -> frozenset:
     return frozenset(seen)
 
 
+def residue_law(normal: BoxSubgroup):
+    """The group law of Gamma/normal on residue triples (a mod Ma, b mod Mb,
+    c mod Mc): the functions (reduce, mul, inv), reduce taking triples or
+    elements.  The Heisenberg law (a,b,c)(a',b',c') = (a+a', b+b',
+    c+c'+a*b') is well defined on residues exactly when Mc | Ma and
+    Mc | Mb, that is when the box is normal (changing a representative by
+    Ma or Mb moves the central coordinate by a multiple of Mc); cores
+    always qualify."""
+    ma, mb, mc = normal.Ma, normal.Mb, normal.Mc
+    if ma % mc or mb % mc:
+        raise ContractError(f"{normal} is not normal: no group law on its residues")
+
+    def reduce(g) -> tuple:
+        if isinstance(g, HeisenbergElement):
+            g = (g.a, g.b, g.c)
+        return (g[0] % ma, g[1] % mb, g[2] % mc)
+
+    def mul(x, y) -> tuple:
+        return ((x[0] + y[0]) % ma, (x[1] + y[1]) % mb, (x[2] + y[2] + x[0] * y[1]) % mc)
+
+    def inv(x) -> tuple:
+        return ((-x[0]) % ma, (-x[1]) % mb, (-x[2] + x[0] * x[1]) % mc)
+
+    return reduce, mul, inv
+
+
 def subgroup_closure(
-    quotient: FiniteQuotient, generators, budget: OracleBudget = DEFAULT_BUDGET
+    normal: BoxSubgroup, generators, budget: OracleBudget = DEFAULT_BUDGET
 ) -> frozenset:
-    """The subgroup of the quotient generated by `generators` (triples or
-    elements, reduced first): the orbit of the identity under left
-    multiplication by the generators and their inverses."""
-    gens = [quotient.reduce(g) for g in generators]
-    moves = gens + [quotient.inv(g) for g in gens]
-    return _orbit(quotient.identity, quotient.mul, moves, budget, "subgroup closure")
+    """The subgroup of Gamma/normal generated by `generators` (triples or
+    elements, reduced first), as residue triples: the orbit of the
+    identity under left multiplication by the generators and their
+    inverses."""
+    reduce, mul, inv = residue_law(normal)
+    gens = [reduce(g) for g in generators]
+    return _orbit((0, 0, 0), mul, gens + [inv(g) for g in gens], budget, "subgroup closure")
 
 
 def coset_orbit(box: BoxSubgroup, generators, budget: OracleBudget = DEFAULT_BUDGET) -> frozenset:

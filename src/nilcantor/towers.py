@@ -14,18 +14,19 @@ derived quantity is eventually affine in the level.
 From the chain the module builds, all in exact integer arithmetic:
 
   * box_at / core_at          -- Gamma_l and its normal core C_l,
-  * quotient_at               -- the finite group Q_l = Gamma/C_l,
-  * discriminant_level        -- the subgroup D_l = Gamma_l/C_l of Q_l,
   * stable_image              -- the image of D_depth inside D_level under
-                                 the connecting maps (coordinatewise
-                                 reduction Q_depth -> Q_level),
+                                 the connecting maps Q_depth -> Q_level,
   * steinitz_order            -- lcm of the coset-space sizes #(Gamma/Gamma_l),
                                  with schedule-certified infinity promotion.
 
-Every one of these is a closed form; the enumerations that check them
-(subgroup closures, orbits, fixing scans) live in the oracle module.  The
-coset space Gamma/Gamma_l and its left action are those of the box
-box_at(l) (BoxSubgroup.canonical and BoxSubgroup.act).
+Every subgroup of the tower is a box of Gamma taken modulo the core C_l:
+Q_l = Gamma/C_l has order C_l.index(), the discriminant D_l = Gamma_l/C_l
+has order index_in(box_at(l), core_at(l)), and an image in Q_l is the box
+it pulls back to, of order index_in(image, core_at(l)).  So no group law
+on residues is needed here; the one that checks these closed forms
+(subgroup_closure) lives in the oracle module, with the orbits and the
+fixing scans.  The coset space Gamma/Gamma_l and its left action are
+those of the box box_at(l) (BoxSubgroup.canonical and BoxSubgroup.act).
 
 Exponent infinity is never extrapolated: a prime is promoted to the
 infinite part of a Steinitz order only when its schedule provably grows
@@ -40,7 +41,7 @@ from typing import Optional
 
 from ._value import Value, set_field
 from .errors import ContractError, ResourceError
-from .heisenberg import BoxSubgroup, HeisenbergElement
+from .heisenberg import BoxSubgroup
 from .primes import SIEVE_CAP, isprime
 from .steinitz import Primes, SteinitzNumber, TailSchedule, TreeBranchPrimes, _check_enumeration
 
@@ -50,7 +51,6 @@ __all__ = [
     "IndexedFamily",
     "ChainSpec",
     "FiniteQuotient",
-    "QuotientSubgroup",
     "ChainSteinitzOrder",
     "ex41",
     "ex42",
@@ -315,20 +315,29 @@ class ChainSpec(Value):
         return self.box_at(level).core()
 
     def quotient_at(self, level: int) -> "FiniteQuotient":
+        """The moduli and the order of Q_level = Gamma/C_level."""
         c = self.core_at(level)
         return FiniteQuotient(c.Ma, c.Mb, c.Mc)
 
-    def discriminant_level(self, level: int) -> "QuotientSubgroup":
-        """D_level: the image of Gamma_level inside Q_level."""
-        return self.stable_image(level, level)
+    def stable_image(self, level: int, depth: int) -> BoxSubgroup:
+        """The image of D_depth in Q_level under the composed connecting
+        maps, as the box Gamma_depth*C_level it pulls back to: against
+        Gamma_depth = Box(Ma, Mb, Mc) and C_level = Box(A, B, C), the moduli
+        (gcd(Ma, A), gcd(Mb, B), C).  Its order is index_in(image,
+        core_at(level)); oracle.subgroup_closure is the independent route.
 
-    def stable_image(self, level: int, depth: int) -> "QuotientSubgroup":
-        """Image of D_depth in D_level under the composed connecting maps,
-        i.e. the image of Gamma_depth in Q_level (see FiniteQuotient.image);
-        oracle.subgroup_closure is the independent route."""
+        C_level is normal in Gamma, so the product is a subgroup, and its a-
+        and b-coordinates, which add, fill the gcd lattices.  Its central
+        coordinate takes every multiple of C and nothing else: for h in
+        Gamma_depth and n in C_level, h*n has central coordinate
+        h.c + n.c + h.a*n.b, where C divides n.c, n.b (as C | B) and h.c
+        (as C = Mc_level divides Mc_depth: the chain descends).  So the
+        c-modulus is always C.
+        """
         if depth < level:
             raise ContractError("depth must be >= level")
-        return self.quotient_at(level).image(self.box_at(depth))
+        core, box = self.core_at(level), self.box_at(depth)
+        return BoxSubgroup(gcd(box.Ma, core.Ma), gcd(box.Mb, core.Mb), core.Mc)
 
     def steinitz_order(self, depth: int) -> "ChainSteinitzOrder":
         """lcm of the coset-space sizes #(Gamma/Gamma_l), l <= depth.
@@ -389,14 +398,10 @@ class ChainSteinitzOrder(Value):
 
 
 class FiniteQuotient(Value):
-    """The group of triples (a mod A, b mod B, c mod C) under the twisted
-    law (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b').
-
-    Well-defined on residues exactly when C | A and C | B (changing a
-    representative by A or B moves the central coordinate by a multiple
-    of C); these are the moduli of a normal box, so quotients by cores
-    always qualify.
-    """
+    """The moduli of a finite quotient Gamma/N by a normal box N = Box(A, B, C),
+    and its order A*B*C.  A box is normal exactly when C | A and C | B
+    (conjugation shears the central coordinate by multiples of A and B),
+    so quotients by cores always qualify."""
 
     __slots__ = ("A", "B", "C")
 
@@ -405,7 +410,7 @@ class FiniteQuotient(Value):
             raise ContractError("quotient moduli must be positive")
         if A % C or B % C:
             raise ContractError(
-                f"twisted product not well defined: {C} must divide both {A} and {B}"
+                f"Box({A},{B},{C}) is not normal: {C} must divide both {A} and {B}"
             )
         set_field(self, "A", A)
         set_field(self, "B", B)
@@ -414,60 +419,6 @@ class FiniteQuotient(Value):
     @property
     def order(self) -> int:
         return self.A * self.B * self.C
-
-    @property
-    def identity(self) -> tuple[int, int, int]:
-        return (0, 0, 0)
-
-    def reduce(self, g) -> tuple[int, int, int]:
-        if isinstance(g, HeisenbergElement):
-            g = (g.a, g.b, g.c)
-        return (g[0] % self.A, g[1] % self.B, g[2] % self.C)
-
-    def mul(self, x, y) -> tuple[int, int, int]:
-        return (
-            (x[0] + y[0]) % self.A,
-            (x[1] + y[1]) % self.B,
-            (x[2] + y[2] + x[0] * y[1]) % self.C,
-        )
-
-    def inv(self, x) -> tuple[int, int, int]:
-        return ((-x[0]) % self.A, (-x[1]) % self.B, (-x[2] + x[0] * x[1]) % self.C)
-
-    def image(self, box: BoxSubgroup) -> "QuotientSubgroup":
-        """The image of a box under coordinatewise reduction: the product
-        of the reduced coordinate lattices."""
-        return QuotientSubgroup(
-            self, (gcd(box.Ma, self.A), gcd(box.Mb, self.B), gcd(box.Mc, self.C))
-        )
-
-
-class QuotientSubgroup(Value):
-    """The subgroup (La*Z/A) x (Lb*Z/B) x (Lc*Z/C) of a finite quotient,
-    given by its coordinate lattice.  Images of boxes have this shape, and
-    a lattice dividing the moduli names exactly one subgroup, so equal
-    values are equal subgroups."""
-
-    __slots__ = ("ambient", "lattice")
-
-    def __init__(self, ambient: FiniteQuotient, lattice: tuple[int, int, int]):
-        la, lb, lc = lattice
-        if ambient.A % la or ambient.B % lb or ambient.C % lc:
-            raise ContractError("lattice parameters must divide the moduli")
-        if (la * lb) % gcd(lc, ambient.C):
-            raise ContractError("lattice is not closed under the product")
-        set_field(self, "ambient", ambient)
-        set_field(self, "lattice", lattice)
-
-    @property
-    def order(self) -> int:
-        la, lb, lc = self.lattice
-        return (self.ambient.A // la) * (self.ambient.B // lb) * (self.ambient.C // lc)
-
-    def contains(self, x) -> bool:
-        la, lb, lc = self.lattice
-        x = self.ambient.reduce(x)
-        return x[0] % la == 0 and x[1] % lb == 0 and x[2] % lc == 0
 
 
 # -- built-in chains ----------------------------------------------------------

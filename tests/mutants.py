@@ -537,25 +537,90 @@ MUTANTS = (
         ("tests/test_towers.py::test_quotient_moduli_must_be_positive",),
     ),
     Mutant(
-        "quotient-order-without-c",
+        "image-a-without-gcd",
         "towers.py",
-        "* (self.ambient.C // lc)",
-        "",
-        ("tests/test_towers.py::test_quotient_subgroup_holds_exactly_its_lattice",),
+        "gcd(box.Ma, core.Ma)",
+        "box.Ma",
+        (
+            "tests/test_properties.py::test_stable_image_is_the_oracle_closure",
+            "tests/test_towers.py::test_stable_image_examples",
+        ),
     ),
     Mutant(
-        "contains-a-reads-c",
+        "image-b-reads-ma",
         "towers.py",
-        "return x[0] % la == 0 and x[1] % lb == 0",
-        "return x[-1] % la == 0 and x[1] % lb == 0",
-        ("tests/test_towers.py::test_quotient_subgroup_holds_exactly_its_lattice",),
+        "gcd(box.Mb, core.Mb)",
+        "gcd(box.Ma, core.Mb)",
+        (
+            "tests/test_properties.py::test_stable_image_is_the_oracle_closure",
+            "tests/test_towers.py::test_stable_image_examples",
+        ),
     ),
     Mutant(
-        "contains-b-reads-c",
+        "image-c-from-depth-box",
         "towers.py",
-        "return x[0] % la == 0 and x[1] % lb == 0",
-        "return x[0] % la == 0 and x[2] % lb == 0",
-        ("tests/test_towers.py::test_quotient_subgroup_holds_exactly_its_lattice",),
+        "gcd(box.Mb, core.Mb), core.Mc)",
+        "gcd(box.Mb, core.Mb), box.Mc)",
+        (
+            "tests/test_properties.py::test_stable_image_is_the_oracle_closure",
+            "tests/test_towers.py::test_stable_image_examples",
+        ),
+    ),
+    Mutant(
+        "quotient-refuses-modulus-one",
+        "towers.py",
+        "if min(A, B, C) < 1:",
+        "if min(A, B, C) <= 1:",
+        ("tests/test_towers.py::test_quotient_orders",),
+    ),
+    Mutant(
+        "quotient-b-reads-ma",
+        "towers.py",
+        "FiniteQuotient(c.Ma, c.Mb, c.Mc)",
+        "FiniteQuotient(c.Ma, c.Ma, c.Mc)",
+        ("tests/test_towers.py::test_quotient_orders",),
+    ),
+    Mutant(
+        "element-check-skips-a",
+        "heisenberg.py",
+        "for v in (a, b, c):",
+        "for v in (b, b, c):",
+        ("tests/test_heisenberg.py::test_elements_and_boxes_check_each_coordinate",),
+    ),
+    Mutant(
+        "box-check-skips-ma",
+        "heisenberg.py",
+        "for v in (Ma, Mb, Mc):",
+        "for v in (Mb, Mb, Mc):",
+        ("tests/test_heisenberg.py::test_elements_and_boxes_check_each_coordinate",),
+    ),
+    Mutant(
+        "element-key-reads-b-for-a",
+        "heisenberg.py",
+        "return (self.a, self.b, self.c)",
+        "return (self.b, self.b, self.c)",
+        ("tests/test_heisenberg.py::test_value_semantics",),
+    ),
+    Mutant(
+        "act-accepts-a-at-ma",
+        "heisenberg.py",
+        "0 <= x[0] < self.Ma",
+        "0 <= x[0] <= self.Ma",
+        ("tests/test_towers.py::test_act_examples_and_axioms",),
+    ),
+    Mutant(
+        "act-b-reads-ma",
+        "heisenberg.py",
+        "0 <= x[1] < self.Mb",
+        "0 <= x[1] < self.Ma",
+        ("tests/test_towers.py::test_act_examples_and_axioms",),
+    ),
+    Mutant(
+        "act-accepts-negative-c",
+        "heisenberg.py",
+        "0 <= x[2] < self.Mc",
+        "-1 <= x[2] < self.Mc",
+        ("tests/test_towers.py::test_act_examples_and_axioms",),
     ),
     Mutant(
         "stable-chain-accepts-r-zero",

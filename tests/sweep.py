@@ -1,7 +1,7 @@
-"""The mechanical mutant sweep over the closed forms of `dynamics.py` and
-`towers.py`.  Run it with
+"""The mechanical mutant sweep over the closed forms of `dynamics.py`,
+`towers.py` and `heisenberg.py`.  Run it with
 
-    python3 tests/sweep.py [dynamics.py|towers.py ...]
+    python3 tests/sweep.py [dynamics.py|towers.py|heisenberg.py ...]
 
 Every site of six operators becomes one mutant, generated with `ast`:
 
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from mutants import Checkout
 
-FILES = ("dynamics.py", "towers.py")
+FILES = ("dynamics.py", "towers.py", "heisenberg.py")
 ORDER = tuple(
     f"tests/{name}.py"
     for name in (

@@ -570,13 +570,13 @@ def test_discriminant_report_stabilizes_on_two_equal_images():
 def test_discriminant_report_single_depth():
     chain = ex42(2, 3)
     rep = discriminant_limit_report(chain, 2, 2)
-    assert rep.orders == (chain.discriminant_level(2).order,)
+    assert rep.orders == (index_in(chain.box_at(2), chain.core_at(2)),)
 
 
 def test_wild_family_discriminant_grows():
     # each activation contributes q^(n-r) to |D_l|: 2, 6, 30, ...
     chain = wild_chain(2, 1)
-    assert [chain.discriminant_level(l).order for l in (1, 2, 3)] == [2, 6, 30]
+    assert [index_in(chain.box_at(l), chain.core_at(l)) for l in (1, 2, 3)] == [2, 6, 30]
     rep = discriminant_limit_report(chain, 1, 4)
     assert rep.stabilized  # image inside the fixed level stabilizes
 

@@ -19,7 +19,7 @@ from nilcantor.heisenberg import (
 )
 from nilcantor.oracle import coset_partition
 from nilcantor.steinitz import Primes
-from nilcantor.towers import FiniteQuotient
+from nilcantor.towers import CoordSchedule
 
 
 # -- matrix oracle -----------------------------------------------------------
@@ -100,8 +100,11 @@ def test_value_semantics():
     assert g == HeisenbergElement(1, 2, 3) and hash(g) == hash(HeisenbergElement(1, 2, 3))
     assert box == BoxSubgroup(2, 3, 6) and hash(box) == hash(BoxSubgroup(2, 3, 6))
     assert g != HeisenbergElement(1, 2, 4) and box != BoxSubgroup(2, 3, 3)
+    # every field counts: changing one alone gives a different value
+    assert g != HeisenbergElement(0, 2, 3) and g != HeisenbergElement(1, 0, 3)
+    assert box != BoxSubgroup(4, 3, 6) and box != BoxSubgroup(2, 6, 6)
     # equality needs the same class, not just the same fields
-    assert BoxSubgroup(2, 2, 2) != FiniteQuotient(2, 2, 2)
+    assert BoxSubgroup(2, 2, 2) != CoordSchedule(2, 2, 2)
     assert len({g, HeisenbergElement(1, 2, 3), box, BoxSubgroup(2, 3, 6)}) == 2
     for value, field in ((g, "a"), (box, "Ma"), (Primes((5,)), "exclude")):
         with pytest.raises(AttributeError):
@@ -128,6 +131,17 @@ def test_box_closure_condition():
         BoxSubgroup(2, 2, 8)  # 8 does not divide 4
     with pytest.raises(ContractError):
         BoxSubgroup(1, 1, 0)
+
+
+def test_elements_and_boxes_check_each_coordinate():
+    # A bad value is refused in whichever coordinate it stands.
+    for i in range(3):
+        coords, moduli = [1, 2, 3], [2, 3, 6]
+        coords[i], moduli[i] = 1.5, 0
+        with pytest.raises(ContractError, match="integers"):
+            HeisenbergElement(*coords)
+        with pytest.raises(ContractError, match="positive integers"):
+            BoxSubgroup(*moduli)
 
 
 def test_membership():

@@ -25,15 +25,10 @@ from nilcantor.oracle import (
     coset_partition,
     fixing_scan,
     relative_core_by_enumeration,
+    residue_law,
     subgroup_closure,
 )
-from nilcantor.towers import (
-    ChainSpec,
-    CoordSchedule,
-    FiniteQuotient,
-    PrimeSchedule,
-    wild_chain,
-)
+from nilcantor.towers import ChainSpec, CoordSchedule, PrimeSchedule, wild_chain
 from nilcantor.dynamics import trivial_action_kernel
 
 
@@ -89,22 +84,22 @@ def test_relative_core_oracle_handles_coarse_outer_moduli():
     assert relative_core_by_enumeration(outer, inner) == relative_core(outer, inner)
 
 
+def _residues(box, core) -> frozenset:
+    """The residues mod the core of a box that contains it: its lattice."""
+    return frozenset(
+        (a, b, c)
+        for a in range(0, core.Ma, box.Ma)
+        for b in range(0, core.Mb, box.Mb)
+        for c in range(0, core.Mc, box.Mc)
+    )
+
+
 def test_fixing_scan_matches_kernel():
     chain = wild_chain(2, 1)
     for cyl, depth in ((1, 1), (1, 2), (2, 2), (0, 1)):
         scanned = fixing_scan(chain, cyl, depth)
         kernel = trivial_action_kernel(chain, cyl, depth) if cyl else chain.core_at(depth)
-        q = chain.quotient_at(depth)
-        from math import gcd
-
-        steps = (gcd(kernel.Ma, q.A), gcd(kernel.Mb, q.B), gcd(kernel.Mc, q.C))
-        expected = frozenset(
-            (a, b, c)
-            for a in range(0, q.A, steps[0])
-            for b in range(0, q.B, steps[1])
-            for c in range(0, q.C, steps[2])
-        )
-        assert scanned == expected
+        assert scanned == _residues(kernel, chain.core_at(depth))
 
 
 def test_fixing_scan_example_size():
@@ -137,27 +132,32 @@ def test_fixing_scan_on_seeded_random_small_chains():
         except ContractError:
             continue
         built += 1
-        q = chain.quotient_at(2)
-        if q.order > 5000:
+        core = chain.core_at(2)
+        if core.index() > 5000:
             continue
         scanned = fixing_scan(chain, 1, 2)
-        kernel = trivial_action_kernel(chain, 1, 2)
-        from math import gcd
-
-        steps = (gcd(kernel.Ma, q.A), gcd(kernel.Mb, q.B), gcd(kernel.Mc, q.C))
-        expected = frozenset(
-            (a, b, c)
-            for a in range(0, q.A, steps[0])
-            for b in range(0, q.B, steps[1])
-            for c in range(0, q.C, steps[2])
-        )
-        assert scanned == expected
+        assert scanned == _residues(trivial_action_kernel(chain, 1, 2), core)
 
 
 def test_subgroup_closure_cap():
-    q = FiniteQuotient(64, 64, 64)
+    core = BoxSubgroup(64, 64, 64)
     with pytest.raises(ResourceError):
-        subgroup_closure(q, ((1, 0, 0), (0, 1, 0)), OracleBudget(max_group_order=100))
+        subgroup_closure(core, ((1, 0, 0), (0, 1, 0)), OracleBudget(max_group_order=100))
+
+
+def test_quotient_well_defined_on_representatives():
+    reduce, mul, inv = residue_law(BoxSubgroup(12, 6, 3))
+    rng = random.Random(23)
+    for _ in range(300):
+        x = (rng.randrange(-50, 50), rng.randrange(-50, 50), rng.randrange(-50, 50))
+        y = (rng.randrange(-50, 50), rng.randrange(-50, 50), rng.randrange(-50, 50))
+        shifted_x = (x[0] + 12 * rng.randrange(-3, 4), x[1] + 6 * rng.randrange(-3, 4), x[2] + 3 * rng.randrange(-3, 4))
+        assert mul(reduce(x), reduce(y)) == mul(reduce(shifted_x), reduce(y))
+        assert mul(reduce(x), inv(reduce(x))) == (0, 0, 0)
+    # the law is defined on the residues of normal boxes only
+    for box in (BoxSubgroup(2, 2, 4), BoxSubgroup(4, 2, 4), BoxSubgroup(2, 4, 4)):
+        with pytest.raises(ContractError, match="not normal"):
+            residue_law(box)
 
 
 def test_partition_examples():

@@ -13,7 +13,7 @@ rejects.
 
 import re
 import sys
-from math import lcm, prod
+from math import gcd, lcm, prod
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, reject, settings
@@ -32,7 +32,7 @@ from nilcantor.dynamics import (
     wildness_certificate,
 )
 from nilcantor.errors import ContractError
-from nilcantor.heisenberg import HeisenbergElement, index_in
+from nilcantor.heisenberg import BoxSubgroup, HeisenbergElement, index_in
 from nilcantor.primes import isprime
 from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivalent, type_leq
 from nilcantor.towers import (
@@ -168,14 +168,14 @@ def test_finite_spectrum_is_never_wild(chain):
 def test_kernel_closed_form_equals_fixing_scan(chain):
     budget = oracle.OracleBudget(max_group_order=MAX_QUOTIENT)
     for depth in range(1, SCAN_DEPTH + 1):
-        quotient = chain.quotient_at(depth)
-        if quotient.order > MAX_QUOTIENT:
+        core = chain.core_at(depth)
+        if core.index() > MAX_QUOTIENT:
             continue
         for cylinder in range(0, depth + 1):
             scanned = oracle.fixing_scan(chain, cylinder, depth, budget)
-            closed = quotient.image(trivial_action_kernel(chain, cylinder, depth))
-            assert len(scanned) == closed.order
-            assert all(closed.contains(x) for x in scanned)
+            kernel = trivial_action_kernel(chain, cylinder, depth)
+            assert len(scanned) == index_in(kernel, core)
+            assert all(kernel.contains(HeisenbergElement(*x)) for x in scanned)
 
 
 @PROPERTY_SETTINGS
@@ -214,20 +214,25 @@ def test_raw_steinitz_order_is_lcm_of_box_indices(chain):
 @PROPERTY_SETTINGS
 @given(chains())
 def test_stable_image_is_the_oracle_closure(chain):
+    # The image box's residues mod the core are the closure of the deeper
+    # box's generators in Q_level, its order is their count, and its
+    # c-modulus is the core's whatever the depth.
     for level in range(1, SCAN_DEPTH + 1):
-        quotient = chain.quotient_at(level)
-        if quotient.order > MAX_QUOTIENT:
+        core = chain.core_at(level)
+        if core.index() > MAX_QUOTIENT:
             continue
         for depth in range(level, SCAN_DEPTH + 1):
-            la, lb, lc = chain.stable_image(level, depth).lattice
-            lattice = {
+            image = chain.stable_image(level, depth)
+            assert image.Mc == core.Mc
+            residues = {
                 (a, b, c)
-                for a in range(0, quotient.A, la)
-                for b in range(0, quotient.B, lb)
-                for c in range(0, quotient.C, lc)
+                for a in range(0, core.Ma, image.Ma)
+                for b in range(0, core.Mb, image.Mb)
+                for c in range(0, core.Mc, image.Mc)
             }
-            closure = oracle.subgroup_closure(quotient, chain.box_at(depth).generators())
-            assert closure == lattice
+            closure = oracle.subgroup_closure(core, chain.box_at(depth).generators())
+            assert closure == residues
+            assert index_in(image, core) == len(closure)
 
 
 def _valuation(n: int, p: int) -> int:
@@ -394,25 +399,25 @@ def test_kernel_moduli_divide_the_next_depths(chain):
 
 
 def _scan(chain, cylinder, depth):
-    """`oracle.fixing_scan` and Q_depth, or None past the budgets of
-    `gen_chains.py` (|Q_d| and the cosets inside the cylinder)."""
+    """`oracle.fixing_scan` and the core C_depth, or None past the budgets
+    of `gen_chains.py` (|Q_d| and the cosets inside the cylinder)."""
     if depth < max(cylinder, 1):
         return None
-    quotient = chain.quotient_at(depth)
-    if quotient.order > SCAN_QUOTIENT:
+    core = chain.core_at(depth)
+    if core.index() > SCAN_QUOTIENT:
         return None
-    if quotient.order // chain.box_at(cylinder).index() > MAX_SCAN_CELLS:
+    if core.index() // chain.box_at(cylinder).index() > MAX_SCAN_CELLS:
         return None
     budget = oracle.OracleBudget(max_group_order=SCAN_QUOTIENT * MAX_SCAN_CELLS)
-    return oracle.fixing_scan(chain, cylinder, depth, budget), quotient
+    return oracle.fixing_scan(chain, cylinder, depth, budget), core
 
 
-def _ball_reaches(residue, quotient, radius) -> bool:
+def _ball_reaches(residue, core, radius) -> bool:
     """Whether a non-identity element with coordinates in [-radius, radius]
-    reduces to `residue` in the quotient.  Per coordinate, r mod M has a
+    reduces to `residue` modulo the core.  Per coordinate, r mod M has a
     lift in the ball exactly when min(r, M - r) <= radius; for r = 0 the
     lifts +-M are the non-identity ones."""
-    moduli = (quotient.A, quotient.B, quotient.C)
+    moduli = (core.Ma, core.Mb, core.Mc)
     near = [min(r, m - r) <= radius for r, m in zip(residue, moduli)]
     nonzero = [m <= radius if r == 0 else ok for r, m, ok in zip(residue, moduli, near)]
     return all(near) and any(nonzero)
@@ -430,15 +435,15 @@ def test_freeness_verdict_is_the_fixing_scan_in_the_ball(chain):
             for depth, reached in ((cert.escape_depth, False), (cert.escape_depth - 1, True)):
                 found = _scan(chain, cylinder, depth)
                 if found is not None:
-                    scanned, quotient = found
-                    assert any(_ball_reaches(x, quotient, FREENESS_RADIUS) for x in scanned) == reached
+                    scanned, core = found
+                    assert any(_ball_reaches(x, core, FREENESS_RADIUS) for x in scanned) == reached
         elif cert.verdict == "NotFree":
             w = cert.witness
             for depth in range(cylinder, FREENESS_DEPTH + 1):
                 found = _scan(chain, cylinder, depth)
                 if found is not None:
-                    scanned, q = found
-                    assert (w.a % q.A, w.b % q.B, w.c % q.C) in scanned
+                    scanned, core = found
+                    assert (w.a % core.Ma, w.b % core.Mb, w.c % core.Mc) in scanned
 
 
 @PROPERTY_SETTINGS
@@ -513,17 +518,17 @@ def test_stabilized_discriminant_keeps_its_limit_order(chain):
     # benchmark's scan budget, the oracle's closure of the deeper boxes.
     budget = oracle.OracleBudget(max_group_order=SCAN_QUOTIENT)
     for level in DISCRIMINANT_LEVELS:
-        quotient = chain.quotient_at(level)
+        core = chain.core_at(level)
         for max_depth in (level, level + 1):
             rep = discriminant_limit_report(chain, level, max_depth)
             if not rep.stabilized:
                 continue
             assert rep.limit_order == rep.orders[-1]
             for depth in range(max_depth + 1, max_depth + 1 + LIMIT_DEPTHS):
-                assert chain.stable_image(level, depth).order == rep.limit_order
-                if quotient.order <= SCAN_QUOTIENT:
+                assert index_in(chain.stable_image(level, depth), core) == rep.limit_order
+                if core.index() <= SCAN_QUOTIENT:
                     gens = chain.box_at(depth).generators()
-                    assert len(oracle.subgroup_closure(quotient, gens, budget)) == rep.limit_order
+                    assert len(oracle.subgroup_closure(core, gens, budget)) == rep.limit_order
 
 
 @PROPERTY_SETTINGS
@@ -544,6 +549,12 @@ def test_steinitz_limit_exponents_are_read_off_the_raw_orders(chain):
             assert exponents == [order.limit.multiplicity(p)] * 3
 
 
+def _image(box, core):
+    """The image of `box` in Gamma/core, as the box box*core it pulls back
+    to: a gcd per coordinate (see ChainSpec.stable_image)."""
+    return BoxSubgroup(gcd(box.Ma, core.Ma), gcd(box.Mb, core.Mb), gcd(box.Mc, core.Mc))
+
+
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(chains())
 def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
@@ -554,7 +565,7 @@ def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
     # marked gap must be exactly that.
     for l2 in range(2, WINDOW[0] + 1):
         d = max(l2, _last_start(chain))
-        quotient = chain.quotient_at(d)
+        core = chain.core_at(d)
         for l1 in range(1, l2):
             columns = {
                 l: {e: trivial_action_kernel(chain, l, e) for e in range(l2, WINDOW[1] + 1)}
@@ -564,10 +575,10 @@ def test_persistent_gaps_are_the_gaps_the_limit_keeps(chain):
                 chain.schedules(WINDOW[0]), l1, l2, columns, l2, WINDOW[1]
             )
             outer, inner = (
-                quotient.image(trivial_action_kernel(chain, l, d + LIMIT_LOOKAHEAD))
+                _image(trivial_action_kernel(chain, l, d + LIMIT_LOOKAHEAD), core)
                 for l in (l1, l2)
             )
-            surviving = inner.order // outer.order
+            surviving = index_in(inner, core) // index_in(outer, core)
             assert surviving == limit_gap
             if report.persistent:
                 assert report.kernel_order == surviving

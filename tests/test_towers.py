@@ -7,7 +7,7 @@ import pytest
 
 from nilcantor.errors import ContractError, ResourceError
 from nilcantor.heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in
-from nilcantor.oracle import coset_orbit, subgroup_closure
+from nilcantor.oracle import coset_orbit, residue_law, subgroup_closure
 from nilcantor.primes import SIEVE_CAP
 from nilcantor.steinitz import INF, Primes, TreeBranchPrimes, spectra
 from nilcantor.towers import (
@@ -16,7 +16,6 @@ from nilcantor.towers import (
     FiniteQuotient,
     IndexedFamily,
     PrimeSchedule,
-    QuotientSubgroup,
     builtin_chain,
     ex41,
     ex42,
@@ -195,6 +194,14 @@ def test_quotient_orders():
     assert ex41(2).quotient_at(1).order == 64
     q = FiniteQuotient(9, 9, 9)  # one-prime component shape
     assert q.order == 9**3
+    assert FiniteQuotient(1, 1, 1).order == 1  # the trivial quotient Gamma/Gamma
+    # the moduli are the core's, coordinate by coordinate
+    skew = ChainSpec(
+        "skew", (PrimeSchedule(2, CoordSchedule(1, 0, 2), CoordSchedule(1, 0, 1), CoordSchedule(1, 0, 1)),)
+    )
+    core = skew.core_at(2)
+    assert core == BoxSubgroup(16, 4, 4)
+    assert skew.quotient_at(2) == FiniteQuotient(core.Ma, core.Mb, core.Mc)
 
 
 def test_quotient_moduli_must_be_positive():
@@ -208,98 +215,95 @@ def test_quotient_requires_normal_moduli():
         FiniteQuotient(2, 2, 4)
 
 
-def test_quotient_well_defined_on_representatives():
-    q = FiniteQuotient(12, 6, 3)
-    rng = random.Random(23)
-    for _ in range(300):
-        x = (rng.randrange(-50, 50), rng.randrange(-50, 50), rng.randrange(-50, 50))
-        y = (rng.randrange(-50, 50), rng.randrange(-50, 50), rng.randrange(-50, 50))
-        shifted_x = (x[0] + q.A * rng.randrange(-3, 4), x[1] + q.B * rng.randrange(-3, 4), x[2] + q.C * rng.randrange(-3, 4))
-        assert q.mul(q.reduce(x), q.reduce(y)) == q.mul(q.reduce(shifted_x), q.reduce(y))
-        assert q.mul(q.reduce(x), q.inv(q.reduce(x))) == q.identity
-
-
 def test_connecting_map_is_surjective_homomorphism():
     # the connecting map Q_{l+1} -> Q_l is the target's residue reduction
     for chain in (ex41(2), ex42(2, 3), wild_chain(2, 1)):
         for level in (1, 2):
-            source, target = chain.quotient_at(level + 1), chain.quotient_at(level)
-            assert source.A % target.A == source.B % target.B == source.C % target.C == 0
+            source, target = chain.core_at(level + 1), chain.core_at(level)
+            assert source.Ma % target.Ma == source.Mb % target.Mb == source.Mc % target.Mc == 0
+            _, source_mul, _ = residue_law(source)
+            reduce, mul, _ = residue_law(target)
             rng = random.Random(29)
-            moduli = (source.A, source.B, source.C)
+            moduli = (source.Ma, source.Mb, source.Mc)
             for _ in range(1000):
                 x = tuple(rng.randrange(m) for m in moduli)
                 y = tuple(rng.randrange(m) for m in moduli)
-                assert target.reduce(source.mul(x, y)) == target.mul(
-                    target.reduce(x), target.reduce(y)
-                )
-            assert target.reduce(source.identity) == target.identity
+                assert reduce(source_mul(x, y)) == mul(reduce(x), reduce(y))
             # surjective: coordinatewise reduction hits every target triple
             img = {
-                target.reduce((a, b, c))
-                for a in range(target.A)
-                for b in range(target.B)
-                for c in range(target.C)
+                reduce((a, b, c))
+                for a in range(target.Ma)
+                for b in range(target.Mb)
+                for c in range(target.Mc)
             }
-            assert len(img) == target.order
+            assert len(img) == target.index()
 
 
 def test_connecting_map_example_and_section():
     # element (4,0,0) of the level-2 quotient reduces to (4,0,0) at level 1
     chain = ex42(2, 3)
-    source, target = chain.quotient_at(2), chain.quotient_at(1)
-    assert target.reduce((4, 0, 0)) == (4 % 6, 0, 0) == (4, 0, 0)
+    source_reduce, _, _ = residue_law(chain.core_at(2))
+    reduce, _, _ = residue_law(chain.core_at(1))
+    assert reduce((4, 0, 0)) == (4 % 6, 0, 0) == (4, 0, 0)
     # the coordinate section is a one-sided inverse on generator images
     for g in chain.box_at(1).generators():
-        down = target.reduce(g)
-        lifted = source.reduce(g)  # same coordinates, deeper modulus
-        assert target.reduce(lifted) == down
+        assert reduce(source_reduce(g)) == reduce(g)
 
 
 def test_quotient_subgroup_holds_exactly_its_lattice():
-    # Lattices no image of a box takes: la != lb, and lc below C.
-    q = FiniteQuotient(4, 6, 2)
+    # A box between Gamma and a core names the subgroup of the quotient
+    # whose residues lie on its lattice, of order its index over the core.
+    # Lattices no image of a chain's box takes: la != lb, and lc below C.
+    core = BoxSubgroup(4, 6, 2)
     for lattice in ((2, 3, 1), (4, 2, 2), (1, 6, 1), (2, 1, 2)):
-        sub = QuotientSubgroup(q, lattice)
-        members = {x for x in product(range(4), range(6), range(2)) if sub.contains(x)}
+        sub = BoxSubgroup(*lattice)
+        members = {
+            x for x in product(range(4), range(6), range(2)) if sub.contains(HeisenbergElement(*x))
+        }
         la, lb, lc = lattice
         assert members == set(product(range(0, 4, la), range(0, 6, lb), range(0, 2, lc)))
-        assert sub.order == len(members)
+        assert members == subgroup_closure(core, sub.generators())
+        assert index_in(sub, core) == len(members)
 
 
 def test_quotient_subgroup_order_divides_ambient():
     for chain in (ex41(2), ex42(2, 3), wild_chain(2, 1)):
         for level in (1, 2, 3):
-            d = chain.discriminant_level(level)
-            assert chain.quotient_at(level).order % d.order == 0
+            core = chain.core_at(level)
+            assert core.index() % index_in(chain.box_at(level), core) == 0
             for depth in (level, level + 1):
                 img = chain.stable_image(level, depth)
-                assert chain.quotient_at(level).order % img.order == 0
-                closure = subgroup_closure(img.ambient, chain.box_at(depth).generators())
-                assert img.order == len(closure)
-                assert all(img.contains(x) for x in closure)
+                assert core.index() % index_in(img, core) == 0
+                closure = subgroup_closure(core, chain.box_at(depth).generators())
+                assert index_in(img, core) == len(closure)
+                assert all(img.contains(HeisenbergElement(*x)) for x in closure)
 
 
 # -- discriminant levels ---------------------------------------------------------------
 
 
+def _discriminant_order(chain, level):
+    """|D_level|: D_level = Gamma_level/C_level is the box Gamma_level over the core."""
+    return index_in(chain.box_at(level), chain.core_at(level))
+
+
 def test_discriminant_orders_examples():
-    assert ex41(2).discriminant_level(1).order == 4
-    assert ex42(2, 3).discriminant_level(1).order == 6
+    assert _discriminant_order(ex41(2), 1) == 4
+    assert _discriminant_order(ex42(2, 3), 1) == 6
     chain = stable_chain((2, 3), (1, 1), (2, 2), (5,))
-    assert chain.discriminant_level(1).order == 6  # prod q_i^(n_i - r_i)
+    assert _discriminant_order(chain, 1) == 6  # prod q_i^(n_i - r_i)
 
 
 def test_discriminant_closure_confirms_lattice_order():
     for chain, level in ((ex41(2), 1), (ex42(2, 3), 1), (ex42(2, 3), 2)):
-        d = chain.discriminant_level(level)
-        assert len(subgroup_closure(d.ambient, chain.box_at(level).generators())) == d.order
+        closure = subgroup_closure(chain.core_at(level), chain.box_at(level).generators())
+        assert len(closure) == _discriminant_order(chain, level)
 
 
 def test_discriminant_level_scaling():
     chain = ex41(2)
     for level in range(1, 5):
-        assert chain.discriminant_level(level).order == 2 ** (2 * level)
+        assert _discriminant_order(chain, level) == 2 ** (2 * level)
 
 
 def test_lagrange_identity_at_finite_levels():
@@ -307,7 +311,7 @@ def test_lagrange_identity_at_finite_levels():
         for level in range(1, 5):
             q = chain.quotient_at(level).order
             x = index_in(GAMMA, chain.box_at(level))
-            d = chain.discriminant_level(level).order
+            d = _discriminant_order(chain, level)
             assert q == x * d
 
 
@@ -316,29 +320,33 @@ def test_lagrange_identity_as_steinitz_product():
     for level in range(1, 5):
         q = steinitz_int(chain.quotient_at(level).order)
         x = steinitz_int(index_in(GAMMA, chain.box_at(level)))
-        d = steinitz_int(chain.discriminant_level(level).order)
+        d = steinitz_int(_discriminant_order(chain, level))
         assert x.product(d) == q
 
 
 def test_stable_image_examples():
-    assert ex41(2).stable_image(1, 2).order == 1
-    img = ex42(2, 3).stable_image(1, 2)
-    assert img.order == 6
-    closure = subgroup_closure(img.ambient, ex42(2, 3).box_at(2).generators())
+    chain = ex42(2, 3)
+    core = chain.core_at(1)
+    assert index_in(ex41(2).stable_image(1, 2), ex41(2).core_at(1)) == 1
+    img = chain.stable_image(1, 2)
+    assert img == BoxSubgroup(2, 3, 6) and index_in(img, core) == 6
+    closure = subgroup_closure(core, chain.box_at(2).generators())
     assert len(closure) == 6
     # Z/3 x Z/2 shape: the a-part has order 3, the b-part order 2
     assert {x[0] for x in closure} == {0, 2, 4}
     assert {x[1] for x in closure} == {0, 3}
-    d1 = ex42(2, 3).discriminant_level(1)
-    assert ex42(2, 3).stable_image(1, 1) == d1
+    # the image of D_1 in Q_1 is D_1 itself: Gamma_1 over the core
+    assert chain.stable_image(1, 1) == chain.box_at(1)
 
 
 def test_stable_image_descending():
     for chain in (ex41(2), ex42(2, 3), wild_chain(2, 1)):
+        core = chain.core_at(1)
         for d in (1, 2, 3):
             big = chain.stable_image(1, d)
             small = chain.stable_image(1, d + 1)
-            assert big.order % small.order == 0
+            assert index_in(big, core) % index_in(small, core) == 0
+            assert big.contains_box(small)
             assert all(big.contains(g) for g in chain.box_at(d + 1).generators())
 
 
@@ -424,8 +432,15 @@ def test_canonical_constant_on_cosets():
 def test_act_examples_and_axioms():
     box = BoxSubgroup(2, 2, 4)
     assert box.act(HeisenbergElement(1, 0, 0), (0, 0, 0)) == (1, 0, 0)
-    with pytest.raises(ContractError):
-        box.act(HeisenbergElement(1, 0, 0), (5, 0, 0))
+    # act takes exactly the canonical representatives, coordinate by coordinate
+    g, corner = HeisenbergElement(1, 0, 0), BoxSubgroup(2, 3, 6)
+    assert corner.act(g, (1, 2, 5)) == corner.canonical(g * HeisenbergElement(1, 2, 5))
+    for i, m in enumerate((2, 3, 6)):
+        for bad in (-1, m):
+            x = [0, 0, 0]
+            x[i] = bad
+            with pytest.raises(ContractError, match="not a canonical representative"):
+                corner.act(g, tuple(x))
     rng = random.Random(37)
     for _ in range(1000):
         g = HeisenbergElement(rng.randrange(-9, 9), rng.randrange(-9, 9), rng.randrange(-9, 9))
