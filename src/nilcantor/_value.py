@@ -8,7 +8,9 @@ pickling through ``__init__``, and instances that refuse assignment.  A
 ``"__dict__"`` slot (room for ``functools.cached_property``) is not a
 field.  A subclass that derives quantities from its fields as properties
 may name, in ``_shown``, the fields and properties its repr prints, in
-order; equality and hashing read the fields alone.  Importing
+order; equality and hashing read the fields alone.  A subclass whose
+fields spell one value in several ways overrides ``_key``, which equality
+and hashing compare; copies and pickles keep the stored fields.  Importing
 ``dataclasses`` would load ``inspect`` and ``ast`` in every CLI call and
 build each class's methods with ``exec`` at import.
 """
@@ -43,7 +45,7 @@ class Value:
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):
-        return (type(self), self._key())
+        return (type(self), Value._key(self))  # the stored fields, whatever `_key` compares
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")

@@ -16,7 +16,9 @@ The three parts are pairwise disjoint.  All operations are exact: the two
 prime sets decide every comparison, so equivalence and the type order
 answer for every pair of numbers, and an exponent is reported as oo only
 when the caller supplies schedule-level certification (see the towers
-module), never by extrapolating finite data.
+module), never by extrapolating finite data.  Product and lcm are
+pointwise and take tail-free numbers only; a chain's order is an lcm
+taken prime by prime in the towers module, so no caller combines tails.
 
 Two Steinitz numbers are *asymptotically equivalent* when m*xi = m'*xi'
 for some positive integers m, m'; concretely, when their multiplicities
@@ -54,30 +56,15 @@ __all__ = [
 # -- the exponent oo ------------------------------------------------------
 
 
-@functools.total_ordering
 class _Infinity:
-    """Exact sentinel for exponent oo: greater than every integer."""
+    """The exponent oo.  `INF` is its one instance and is compared by
+    identity; nothing orders or adds it, since product and lcm combine
+    finite exponents only and the text form sorts by distinct primes."""
 
-    _instance = None
+    __slots__ = ()
 
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other):
-        return other is self
-
-    def __lt__(self, other):
-        return False  # nothing exceeds oo
-
-    def __hash__(self):
-        return hash("steinitz-infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
+    def __reduce__(self):
+        return "INF"  # copies and pickles are INF itself
 
     def __repr__(self):
         return "inf"
@@ -97,8 +84,7 @@ def _check_prime(p) -> int:
 # Every prime (Theorem 1.5's family) and one branch of the binary tree
 # (Corollary 1.6).  Each enumerates strictly increasingly with decidable
 # membership: `prime(i)` (0-indexed), its inverse `index_of(p)` or None,
-# the identity string `key()` of serialized tails, and `excluding(p)`,
-# the same set without p or None when that is not expressible.
+# and the identity string `key()` of serialized tails.
 
 
 class Primes(Value):
@@ -134,9 +120,6 @@ class Primes(Value):
         if not self.exclude:
             return "primes"
         return "primes{excl=%s}" % ",".join(str(q) for q in self.exclude)
-
-    def excluding(self, p: int) -> "Primes":
-        return Primes(self.exclude + (p,))
 
 
 def _branch_bits(branch: int, width: int, n: int) -> int:
@@ -188,9 +171,6 @@ class TreeBranchPrimes(Value):
     def key(self) -> str:
         return f"branch{{{self.branch}/{self.width}}}"
 
-    def excluding(self, p: int) -> None:
-        return None  # a branch has no exclusion set; a tail starts past p instead
-
 
 def _check_enumeration(primes) -> None:
     if not isinstance(primes, (Primes, TreeBranchPrimes)):
@@ -226,10 +206,6 @@ class TailSchedule(Value):
         i = self.primes.index_of(p)
         return self.exponent if i is not None and i >= self.start else 0
 
-    def dropped_prefix(self) -> tuple[int, ...]:
-        """The enumerated primes below the start index."""
-        return tuple(self.primes.prime(i) for i in range(self.start))
-
     def iter_upto(self, bound: int) -> Iterator[int]:
         i = self.start
         while True:
@@ -261,15 +237,6 @@ def _covers(t1: TailSchedule, t2: TailSchedule) -> bool:
     """Whether t1 enumerates all but finitely many primes of t2."""
     base = _base(t1.primes)
     return base == "primes" or base == _base(t2.primes)
-
-
-def _one_sided(t1: TailSchedule, t2: TailSchedule) -> set[int]:
-    """The dropped primes that exactly one of the two tails enumerates."""
-    dropped = set(t1.dropped_prefix()) | set(t2.dropped_prefix())
-    for t in (t1, t2):
-        if isinstance(t.primes, Primes):
-            dropped |= set(t.primes.exclude)
-    return {p for p in dropped if bool(t1.member_exponent(p)) != bool(t2.member_exponent(p))}
 
 
 # -- the numbers -----------------------------------------------------------
@@ -321,9 +288,6 @@ class SteinitzNumber(Value):
             return self.tail.member_exponent(p)
         return 0
 
-    def explicit_primes(self) -> tuple[int, ...]:
-        return tuple(sorted({p for p, _ in self.finite_part} | set(self.infinite_primes)))
-
     def as_int(self) -> int:
         """The value, when it is an ordinary integer."""
         if self.infinite_primes or self.tail is not None:
@@ -359,47 +323,13 @@ class SteinitzNumber(Value):
 
 
 def _combine(x1: SteinitzNumber, x2: SteinitzNumber, op) -> SteinitzNumber:
-    """Pointwise exponent combination with oo absorbing.
-
-    Two tails combine only when each enumerates all but finitely many
-    primes of the other.  Every prime that is explicit on either side, or
-    enumerated by only one tail, is explicit in the result with the
-    combined multiplicity, and the combined tail drops it: through the
-    enumeration's exclusion set where it has one, else by starting past it.
-    """
-    t1, t2 = x1.tail, x2.tail
-    tail = t1 if t1 is not None else t2
-    sided = set()
-    if t1 is not None and t2 is not None:
-        if not (_covers(t1, t2) and _covers(t2, t1)):
-            raise ContractError(
-                "cannot combine numbers with unrelated tail schedules "
-                f"({t1.primes.key()} vs {t2.primes.key()})"
-            )
-        sided = _one_sided(t1, t2)
-        # Keep the side that enumerates fewer one-sided primes: it has the
-        # fewest to exclude, and none when one side covers the other.
-        on_t2 = [p for p in sided if t2.member_exponent(p)]
-        if 2 * len(on_t2) < len(sided):
-            tail = t2
-        tail = TailSchedule(tail.primes, op(t1.exponent, t2.exponent), tail.start)
-
+    """Pointwise exponent combination of two tail-free numbers, oo absorbing."""
+    if x1.tail is not None or x2.tail is not None:
+        raise ContractError("product and lcm take numbers without a tail")
     infs = set(x1.infinite_primes) | set(x2.infinite_primes)
-    explicit = set(x1.explicit_primes()) | set(x2.explicit_primes()) | sided
-    for p in sorted(explicit):
-        if tail is None or not tail.member_exponent(p):
-            continue
-        narrowed = tail.primes.excluding(p)
-        if narrowed is not None:
-            # p lies past the dropped prefix, so the prefix is unchanged.
-            tail = TailSchedule(narrowed, tail.exponent, tail.start)
-        else:
-            # Start the tail past p; the primes it skips become explicit.
-            end = tail.primes.index_of(p) + 1
-            explicit |= {tail.primes.prime(i) for i in range(tail.start, end)}
-            tail = TailSchedule(tail.primes, tail.exponent, end)
-    fp = {p: op(x1.multiplicity(p), x2.multiplicity(p)) for p in explicit if p not in infs}
-    return SteinitzNumber(tuple(sorted(fp.items())), tuple(sorted(infs)), tail)
+    fp1, fp2 = dict(x1.finite_part), dict(x2.finite_part)
+    fp = {p: op(fp1.get(p, 0), fp2.get(p, 0)) for p in (fp1.keys() | fp2.keys()) - infs}
+    return SteinitzNumber(fp, infs)
 
 
 # -- spectra ---------------------------------------------------------------

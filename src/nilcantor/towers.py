@@ -87,6 +87,12 @@ class CoordSchedule(Value):
     def is_zero(self) -> bool:
         return self.base == 0 and self.slope == 0
 
+    def _key(self) -> tuple:
+        # Levels count from 1, so starts 0 and 1 give one schedule, and a
+        # zero schedule is zero from any start.
+        start = 1 if self.is_zero() else max(self.start, 1)
+        return (start, self.base, self.slope)
+
 
 ZERO_SCHEDULE = CoordSchedule()
 

@@ -150,14 +150,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "one-sided-tail-twice",
-        "steinitz.py",
-        "fp = {p: op(x1.multiplicity(p), x2.multiplicity(p)) for p",
-        "fp = {p: op(x1.multiplicity(p), x2.multiplicity(p))"
-        " + (tail.exponent if p in sided else 0) for p",
-        ("tests/test_steinitz.py::test_tails_agree_with_multiplicities",),
-    ),
-    Mutant(
         "kernel-column-one-depth",
         "dynamics.py",
         "range(first, last + 1)",
@@ -277,18 +269,116 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "combine-accepts-one-tail",
+        "steinitz.py",
+        "if x1.tail is not None or x2.tail is not None:",
+        "if x1.tail is not None and x2.tail is not None:",
+        ("tests/test_steinitz.py::test_product_and_lcm_refuse_a_tail_on_either_side",),
+    ),
+    Mutant(
+        "infinity-repr-oo",
+        "steinitz.py",
+        'return "inf"',
+        'return "oo"',
+        ("tests/test_steinitz.py::test_text_form_examples",),
+    ),
+    Mutant(
+        "infinity-copies-a-fresh-instance",
+        "steinitz.py",
+        'return "INF"',
+        "return (_Infinity, ())",
+        ("tests/test_steinitz.py::test_multiplicity_examples",),
+    ),
+    Mutant(
+        "branch-accepts-width-zero",
+        "steinitz.py",
+        "if not (width >= 1 and 0 <= branch < 2**width):",
+        "if not (width >= 0 and 0 <= branch < 2**width):",
+        ("tests/test_steinitz.py::test_branch_labels_fit_their_width",),
+    ),
+    Mutant(
+        "branch-accepts-label-two-to-the-width",
+        "steinitz.py",
+        "if not (width >= 1 and 0 <= branch < 2**width):",
+        "if not (width >= 1 and 0 <= branch <= 2**width):",
+        ("tests/test_steinitz.py::test_branch_labels_fit_their_width",),
+    ),
+    Mutant(
+        "tail-accepts-exponent-zero",
+        "steinitz.py",
+        "isinstance(exponent, int) and exponent >= 1",
+        "isinstance(exponent, int) and exponent >= 0",
+        ("tests/test_steinitz.py::test_tail_exponents_are_positive_and_starts_default_to_zero",),
+    ),
+    Mutant(
+        "tail-accepts-negative-start",
+        "steinitz.py",
+        "isinstance(start, int) and start >= 0",
+        "isinstance(start, int) and start >= -1",
+        ("tests/test_steinitz.py::test_tail_exponents_are_positive_and_starts_default_to_zero",),
+    ),
+    Mutant(
+        "tail-default-start-one",
+        "steinitz.py",
+        "exponent: int, start: int = 0):",
+        "exponent: int, start: int = 1):",
+        ("tests/test_steinitz.py::test_tail_exponents_are_positive_and_starts_default_to_zero",),
+    ),
+    Mutant(
+        "number-accepts-exponent-zero",
+        "steinitz.py",
+        "isinstance(e, int) and e >= 1",
+        "isinstance(e, int) and e >= 0",
+        ("tests/test_steinitz.py::test_disjointness_invariants",),
+    ),
+    Mutant(
+        "tail-overlap-skips-infinite-primes",
+        "steinitz.py",
+        "for p in list(fp) + list(inf):",
+        "for p in list(fp):",
+        ("tests/test_steinitz.py::test_disjointness_invariants",),
+    ),
+    Mutant(
+        "spectra-repr-without-pi",
+        "steinitz.py",
+        '_shown = ("pi",) + __slots__',
+        "_shown = __slots__",
+        ("tests/test_steinitz.py::test_spectra_examples",),
+    ),
+    Mutant(
+        "spectra-accepts-bound-one",
+        "steinitz.py",
+        "if bound < 2:",
+        "if bound < 1:",
+        ("tests/test_steinitz.py::test_spectra_examples",),
+    ),
+    Mutant(
+        "spectra-drops-finite-prime-at-bound",
+        "steinitz.py",
+        "xi.finite_part if p <= bound)",
+        "xi.finite_part if p < bound)",
+        ("tests/test_steinitz.py::test_spectra_examples",),
+    ),
+    Mutant(
+        "spectra-incomplete-at-bound",
+        "steinitz.py",
+        "all(p <= bound for p in xi.infinite_primes)",
+        "all(p < bound for p in xi.infinite_primes)",
+        ("tests/test_steinitz.py::test_spectra_examples",),
+    ),
+    Mutant(
+        "almost-disjoint-width-two",
+        "steinitz.py",
+        "width = max(1, (count - 1).bit_length())",
+        "width = max(2, (count - 1).bit_length())",
+        ("tests/test_steinitz.py::test_almost_disjoint_width_is_the_label_length",),
+    ),
+    Mutant(
         "branch-keeps-trailing-zeros",
         "steinitz.py",
         '.rstrip("0")',
         "",
         ("tests/test_steinitz.py::test_branches_with_one_stripped_word_are_one_set",),
-    ),
-    Mutant(
-        "combine-keeps-left-tail",
-        "steinitz.py",
-        "if 2 * len(on_t2) < len(sided):",
-        "if False:",
-        ("tests/test_steinitz.py::test_tailed_product_same_schedule",),
     ),
     Mutant(
         "coset-table-short-window",
@@ -451,6 +541,27 @@ MUTANTS = (
         "(len(images) == 1 or images[-1] == images[-2])",
         "(len(images) == 1)",
         ("tests/test_dynamics.py::test_discriminant_report_stabilizes_on_two_equal_images",),
+    ),
+    Mutant(
+        "schedule-key-reads-stored-start",
+        "towers.py",
+        "start = 1 if self.is_zero() else max(self.start, 1)",
+        "start = 1 if self.is_zero() else self.start",
+        (
+            "tests/test_towers.py"
+            "::test_schedules_equal_exactly_when_their_exponents_agree_from_level_1",
+            "tests/test_towers.py::test_config_chain_starting_at_level_0_equals_the_builtin",
+        ),
+    ),
+    Mutant(
+        "pickle-reads-key",
+        "_value.py",
+        "return (type(self), Value._key(self))",
+        "return (type(self), self._key())",
+        (
+            "tests/test_towers.py"
+            "::test_schedules_equal_exactly_when_their_exponents_agree_from_level_1",
+        ),
     ),
     Mutant(
         "schedule-default-start-one",

@@ -1,7 +1,7 @@
 """The mechanical mutant sweep over the closed forms of `dynamics.py`,
-`towers.py` and `heisenberg.py`.  Run it with
+`towers.py`, `heisenberg.py` and `steinitz.py`.  Run it with
 
-    python3 tests/sweep.py [dynamics.py|towers.py|heisenberg.py ...]
+    python3 tests/sweep.py [dynamics.py|towers.py|heisenberg.py|steinitz.py ...]
 
 Every site of six operators becomes one mutant, generated with `ast`:
 
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from mutants import Checkout
 
-FILES = ("dynamics.py", "towers.py", "heisenberg.py")
+FILES = ("dynamics.py", "towers.py", "heisenberg.py", "steinitz.py")
 ORDER = tuple(
     f"tests/{name}.py"
     for name in (
@@ -186,7 +186,13 @@ def sites(file: str, source: str) -> list:
 _START_ZERO_IS_ONE = (
     "a schedule starting at level 0 or 1 has the exponent base + slope*level "
     "at every level >= 1, and the one level-0 read, _kernel_eventual at "
-    "cylinder 0, takes k = 0 whatever the start"
+    "cylinder 0, takes k = 0 whatever the start; CoordSchedule._key reads "
+    "both starts as 1"
+)
+_ZERO_SCHEDULE_START = (
+    "a zero schedule keys as (k, 0, 0) and every other schedule has base or "
+    "slope > 0, so any constant k keeps zero schedules equal to each other "
+    "and apart from the rest"
 )
 EQUIVALENT = {
     ("dynamics.py", "_family_activation_gap", "int", "0", "(-1)", 0): (
@@ -216,6 +222,11 @@ EQUIVALENT = {
     **{("towers.py", "ex42", "int", "1", "(0)", n): _START_ZERO_IS_ONE for n in (0, 2, 4, 6)},
     **{("towers.py", "stable_chain", "int", "1", "(0)", n): _START_ZERO_IS_ONE for n in (1, 2, 3)},
     ("towers.py", "parse_chain_config", "int", "0", "(1)", 2): _START_ZERO_IS_ONE,
+    ("steinitz.py", "Primes.index_of", "cmp", "q < p", "((q) <= (p))", 0): (
+        "an excluded p returned None above, so no excluded q equals p"
+    ),
+    ("towers.py", "CoordSchedule._key", "int", "1", "(0)", 0): _ZERO_SCHEDULE_START,
+    ("towers.py", "CoordSchedule._key", "int", "1", "(2)", 0): _ZERO_SCHEDULE_START,
 }
 
 

@@ -1,5 +1,7 @@
 """Supernatural arithmetic: pointwise laws, equivalence, spectra, tails."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from nilcantor.errors import ContractError, ResourceError
 from nilcantor.steinitz import (
     INF,
     Primes,
+    PrimeSet,
     SteinitzNumber,
     TailSchedule,
     TreeBranchPrimes,
@@ -45,6 +48,8 @@ def test_multiplicity_examples():
     assert xi.multiplicity(3) == 1
     assert xi.multiplicity(5) == 0
     assert xi.multiplicity(2) is INF
+    # INF is compared by identity, so a copy must be INF itself
+    assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
 
 
 def test_multiplicity_rejects_nonprime():
@@ -69,9 +74,29 @@ def test_non_integer_primes_are_contract_violations(build):
         build()
 
 
+def test_branch_labels_fit_their_width():
+    for branch, width in ((0, 1), (1, 1), (3, 2)):
+        TreeBranchPrimes(branch, width)
+    for branch, width in ((0, 0), (-1, 1), (2, 1), (4, 2)):
+        with pytest.raises(ContractError, match="does not fit"):
+            TreeBranchPrimes(branch, width)
+
+
+def test_tail_exponents_are_positive_and_starts_default_to_zero():
+    assert TailSchedule(Primes(), 1).start == 0
+    with pytest.raises(ContractError, match="positive integer"):
+        TailSchedule(Primes(), 0)
+    with pytest.raises(ContractError, match="must be >= 0"):
+        TailSchedule(Primes(), 1, -1)
+
+
 def test_disjointness_invariants():
+    with pytest.raises(ContractError, match="must be >= 1"):
+        SteinitzNumber({2: 0})
     with pytest.raises(ContractError):
         SteinitzNumber({2: 1}, infinite_primes=(2,))
+    with pytest.raises(ContractError, match="appears explicitly and in the tail"):
+        SteinitzNumber(infinite_primes=(3,), tail=TailSchedule(Primes(), 1))
     with pytest.raises(ContractError):
         SteinitzNumber({3: 1}, tail=TailSchedule(Primes(), 1, 0))
     # Excluding the explicit prime from the tail makes it fine.
@@ -132,42 +157,13 @@ def test_integer_embedding():
         assert steinitz_int(a).product(steinitz_int(b)).as_int() == a * b
 
 
-def test_tailed_product_same_schedule():
-    t1 = SteinitzNumber(tail=TailSchedule(Primes(), 1, 0))
-    t2 = SteinitzNumber(tail=TailSchedule(Primes(), 2, 1))
-    prod = t1.product(t2)
-    # index 0 (prime 2) is only in t1; beyond, exponents add.
-    assert prod.multiplicity(2) == 1
-    assert prod.multiplicity(3) == 3
-    assert prod.multiplicity(97) == 3
-    # The combined tail keeps the later start rather than excluding 2.
-    assert str(prod) == "2 [tail:primes^3@1]"
-
-
-def test_tailed_product_unrelated_schedules_rejected():
-    t1 = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(0, 1), 1))
-    t2 = SteinitzNumber(tail=TailSchedule(TreeBranchPrimes(1, 1), 1))
-    with pytest.raises(ContractError):
-        t1.product(t2)
-
-
-def test_tailed_product_over_one_set_up_to_finitely_many_primes():
-    # Only the left tail enumerates 3: it keeps that side's exponent 1.
-    every = SteinitzNumber(tail=TailSchedule(Primes(), 1))
-    but_three = SteinitzNumber(tail=TailSchedule(Primes(exclude=(3,)), 2))
-    assert str(every.product(but_three)) == "3 [tail:primes{excl=3}^3@0]"
-    assert str(every.lcm(but_three)) == "3 [tail:primes{excl=3}^2@0]"
-
-
-def test_tailed_times_explicit_collision_is_absorbed():
-    tail = SteinitzNumber(tail=TailSchedule(Primes(), 2, 0))
-    expl = SteinitzNumber({5: 3})
-    prod = tail.product(expl)
-    assert prod.multiplicity(5) == 5
-    assert prod.multiplicity(7) == 2
-    join = tail.lcm(expl)
-    assert join.multiplicity(5) == 3
-    assert join.multiplicity(3) == 2
+def test_product_and_lcm_refuse_a_tail_on_either_side():
+    tailed = SteinitzNumber({3: 1}, tail=TailSchedule(Primes(exclude=(3,)), 2))
+    plain = SteinitzNumber({2: 1})
+    for x, y in ((tailed, plain), (plain, tailed), (tailed, tailed)):
+        for combine in (x.product, x.lcm):
+            with pytest.raises(ContractError, match="numbers without a tail"):
+                combine(y)
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -180,6 +176,19 @@ def test_spectra_examples():
     sp1 = spectra(SteinitzNumber(), 100)
     assert sp1.pi.primes == ()
     assert sp1.pi.complete
+    # a prime at the bound is listed, and completes its set
+    xi = SteinitzNumber({7: 1}, infinite_primes=(5,))
+    assert spectra(xi, 7).pi_f == PrimeSet((7,), True)
+    assert spectra(xi, 5).pi_inf == PrimeSet((5,), True)
+    assert spectra(xi, 5).pi_f == PrimeSet((), False)
+    with pytest.raises(ContractError, match="at least 2"):
+        spectra(xi, 1)
+    # the repr shows the union first, then the stored fields
+    assert repr(spectra(SteinitzNumber(infinite_primes=(2,)), 3)) == (
+        "PrimeSpectra(pi=PrimeSet(primes=(2,), complete=True), "
+        "pi_f=PrimeSet(primes=(), complete=True), "
+        "pi_inf=PrimeSet(primes=(2,), complete=True), enumeration_bound=3)"
+    )
 
 
 def test_spectra_truncation_flags():
@@ -422,19 +431,6 @@ def test_tails_agree_with_multiplicities(x, y):
     assert asymptotically_equivalent(x, y) == (
         inf_x == inf_y and below(x, y, far) and below(y, x, far)
     )
-    covering = x.tail is None or y.tail is None or all(
-        bool(x.tail.member_exponent(p)) == bool(y.tail.member_exponent(p)) for p in far
-    )
-    near = [p for p in range(2, 60) if all(p % q for q in range(2, p))]
-    for op, combine in ((lambda a, b: a + b, x.product), (max, x.lcm)):
-        if not covering:
-            with pytest.raises(ContractError):
-                combine(y)
-            continue
-        z = combine(y)
-        for p in sorted(far | set(near)):
-            ex, ey = x.multiplicity(p), y.multiplicity(p)
-            assert z.multiplicity(p) == (INF if INF in (ex, ey) else op(ex, ey))
 
 
 # -- almost-disjoint spectra ----------------------------------------------------------
@@ -479,6 +475,11 @@ def test_almost_disjoint_membership_is_decidable():
                 continue
             shared = {s.prime(i) for i in range(8)} & {other.prime(i) for i in range(8)}
             assert len(shared) < 2  # width-2 labels share at most the root prefix
+
+
+def test_almost_disjoint_width_is_the_label_length():
+    for count, width in ((1, 1), (2, 1), (3, 2), (4, 2), (5, 3)):
+        assert almost_disjoint_spectra(count) == [TreeBranchPrimes(k, width) for k in range(count)]
 
 
 def test_almost_disjoint_count_contract():

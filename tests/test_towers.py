@@ -1,5 +1,7 @@
 """Chains, quotient towers, discriminant levels, Steinitz orders, cosets."""
 
+import copy
+import pickle
 import random
 from itertools import product
 
@@ -31,10 +33,35 @@ from helpers import steinitz_int
 
 
 def test_schedule_parameters_are_non_negative_and_default_to_zero():
-    assert CoordSchedule() == CoordSchedule(0, 0, 0)
+    default = CoordSchedule()
+    assert (default.start, default.base, default.slope) == (0, 0, 0)
     for args in ((-1, 0, 0), (0, -1, 0), (0, 0, -1)):
         with pytest.raises(ContractError, match="must be non-negative"):
             CoordSchedule(*args)
+
+
+def test_schedules_equal_exactly_when_their_exponents_agree_from_level_1():
+    # Starts 0 and 1 define one schedule; a zero schedule is zero from any start.
+    assert CoordSchedule(0, 2, 1) == CoordSchedule(1, 2, 1)
+    assert hash(CoordSchedule(0, 2, 1)) == hash(CoordSchedule(1, 2, 1))
+    assert CoordSchedule(5, 0, 0) == CoordSchedule(0, 0, 0) == CoordSchedule(1, 0, 0)
+    assert CoordSchedule(1, 2, 1) != CoordSchedule(2, 2, 1)
+    assert CoordSchedule(0, 2, 1) != CoordSchedule(2, 2, 1)
+    assert CoordSchedule(3, 2, 1) != CoordSchedule(2, 2, 1)
+    # A copy keeps the start it was built with.
+    for start in (0, 1, 5):
+        schedule = CoordSchedule(start)
+        for twin in (copy.copy(schedule), pickle.loads(pickle.dumps(schedule))):
+            assert twin.start == start
+
+
+def test_config_chain_starting_at_level_0_equals_the_builtin():
+    config = parse_chain_config(
+        "prime=2 coord=a slope=1\nprime=2 coord=b slope=1\nprime=2 coord=c slope=2"
+    )
+    assert config.explicit[0].a.start == 0  # the stored start is the one written
+    assert config.explicit == ex41(2).explicit
+    assert hash(config.explicit) == hash(ex41(2).explicit)
 
 
 def test_family_exponents_are_checked_one_by_one():
