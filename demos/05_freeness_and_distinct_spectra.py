@@ -3,7 +3,7 @@
 Run:  python3 demos/05_freeness_and_distinct_spectra.py
 """
 
-from nilcantor.dynamics import element_escape_depth, freeness_certificate, wildness_certificate
+from nilcantor.dynamics import freeness_certificate, trivial_action_kernel, wildness_certificate
 from nilcantor.heisenberg import HeisenbergElement
 from nilcantor.steinitz import almost_disjoint_spectra, asymptotically_equivalent
 from nilcantor.towers import wild_chain
@@ -16,7 +16,8 @@ cert = freeness_certificate(chain, 1, 100, 6)
 print("freeness verdict:", cert.verdict)
 print("every |coordinate| <= 100 escapes by depth", cert.escape_depth)
 g = HeisenbergElement(0, 0, 4)
-print("example: (0,0,4) escapes at depth", element_escape_depth(chain, 1, g, 6))
+escape = next(d for d in range(1, 7) if not trivial_action_kernel(chain, 1, d).contains(g))
+print("example: (0,0,4) escapes at depth", escape)
 
 # Almost-disjoint infinite prime sets, one per branch of a binary tree:
 # each pair shares only the primes of the common label prefix.

@@ -393,20 +393,6 @@ def freeness_certificate(
     )
 
 
-def element_escape_depth(
-    chain: ChainSpec, cylinder: int, g: HeisenbergElement, max_depth: int
-) -> Optional[int]:
-    """First depth at which g stops fixing the cylinder pointwise, or None
-    if it survives every tested depth."""
-    depths = range(max(cylinder, 1), max_depth + 1)
-    if depths:
-        chain.check_depth_budget(max_depth, f"an escape-depth walk to depth {max_depth}")
-    for d in depths:
-        if not trivial_action_kernel(chain, cylinder, d).contains(g):
-            return d
-    return None
-
-
 class DiscriminantReport(Value):
     """Orders of the stabilized images of D_depth inside D_level.  A
     stabilized report's `limit_order` is its last order, certified by the
@@ -433,18 +419,19 @@ class DiscriminantReport(Value):
 def discriminant_limit_report(chain: ChainSpec, level: int, max_depth: int) -> DiscriminantReport:
     """Track the images of the deeper discriminant levels inside D_level.
 
-    Each image is a box between Gamma_level and C_level, and its order is
-    its index over the core, computed once.  The orders are antitone in
-    the depth.  `stabilized` is set when two consecutive image boxes
-    coincide *and* the schedule-level floor box equals the last one, so
-    deeper levels provably cannot shrink it further.
+    Each image is a box between Gamma_level and C_level, read over the
+    level core built once (ChainSpec.image_over), and its order is its
+    index over that core.  The orders are antitone in the depth.
+    `stabilized` is set when two consecutive image boxes coincide *and*
+    the schedule-level floor box equals the last one, so deeper levels
+    provably cannot shrink it further.
     """
     if not 1 <= level <= max_depth:
         raise ContractError("need 1 <= level <= max_depth")
     chain.check_depth_budget(max_depth, f"a discriminant report to depth {max_depth}")
     depths = tuple(range(level, max_depth + 1))
     core = chain.core_at(level)
-    images = [chain.stable_image(level, d) for d in depths]
+    images = [chain.image_over(core, d) for d in depths]
     orders = tuple(index_in(img, core) for img in images)
 
     # An image's a- and b-exponents at p are the minimum of the box's at the

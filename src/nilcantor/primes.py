@@ -1,8 +1,8 @@
 """Exact prime arithmetic: the one place the package asks prime questions.
 
-A sieve of Eratosthenes is kept for the process and extended segment by
-segment, only as far as a call needs and never past ``SIEVE_CAP``.  Above
-the sieve:
+A sieve of Eratosthenes is kept for the process and extended by doubling,
+to less than twice as far as a call needs and never past ``SIEVE_CAP``.
+Above the sieve:
 
   * ``isprime`` runs Miller-Rabin with the first 13 prime bases, which is
     exact below ``MR_BOUND`` (Sorenson & Webster 2015); from ``MR_BOUND``
@@ -36,12 +36,14 @@ _WINDOW = 1 << 18  # numbers per segmented-sieve window above the sieve
 
 
 def _segment(lo: int, hi: int, base) -> bytearray:
-    """Primality flags of lo..hi-1; `base` must hold every prime <= sqrt(hi-1)."""
+    """Primality flags of lo..hi-1; `base` must hold every prime <= sqrt(hi-1),
+    and hi <= lo*lo, so that each prime p it strikes with lies below lo and
+    its multiples from lo on are all composite."""
     flags = bytearray([1]) * (hi - lo)
     for p in base:
         if p * p >= hi:
             break
-        start = max(p * p, -(-lo // p) * p) - lo
+        start = -(-lo // p) * p - lo
         flags[start::p] = bytes(len(range(start, hi - lo, p)))
     return flags
 
@@ -59,8 +61,9 @@ class _Sieve:
     def grow(self, need: int) -> None:
         """Extend the sieve past `need`, or to SIEVE_CAP if that is less."""
         while self.limit <= need and self.limit < SIEVE_CAP:
-            # the next segment needs base primes up to its square root
-            hi = min(max(2 * self.limit, need + 1), self.limit * self.limit, SIEVE_CAP)
+            # Doubling keeps the segment's square root below the limit, so
+            # the primes already sieved are its base primes.
+            hi = min(2 * self.limit, SIEVE_CAP)
             seg = _segment(self.limit, hi, self.primes)
             self.flags += seg
             self.primes.extend(compress(range(self.limit, hi), seg))
@@ -135,8 +138,6 @@ def _lucy(x: int) -> int:
 def primepi(x: int) -> int:
     """The number of primes <= x."""
     x = _check_int(x, "x")
-    if x < 2:
-        return 0
     if x < SIEVE_CAP:
         _SIEVE.grow(x)
         return bisect_right(_SIEVE.primes, x)

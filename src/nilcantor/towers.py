@@ -154,10 +154,6 @@ class IndexedFamily(Value):
         """The prime activated at level i (1-indexed)."""
         return self.primes.prime(i - 1)
 
-    def activation_of(self, p: int) -> Optional[int]:
-        i = self.primes.index_of(p)
-        return None if i is None else i + 1
-
     def schedule_at(self, i: int) -> PrimeSchedule:
         """The schedule of q_i: the constant family exponents from level i
         on."""
@@ -206,7 +202,7 @@ class ChainSpec(Value):
                 raise ContractError(f"prime {s.prime} has an all-zero schedule")
         if self.family is not None:
             for p in seen:
-                if self.family.activation_of(p) is not None:
+                if self.family.primes.index_of(p) is not None:
                     raise ContractError(
                         f"prime {p} is both explicit and in the indexed family"
                     )
@@ -283,20 +279,6 @@ class ChainSpec(Value):
             rows += [self.family.schedule_at(i) for i in range(1, level + 1)]
         return sorted(rows, key=lambda s: s.prime)
 
-    def schedule(self, p: int) -> PrimeSchedule:
-        """Prime p's exponent schedules, found from p alone: its explicit
-        entry, the family's constant exponents from p's activation level
-        on, or zero.  The symbolic answer that `schedules` is checked
-        against."""
-        for s in self.explicit:
-            if s.prime == p:
-                return s
-        f = self.family
-        i = None if f is None else f.activation_of(p)
-        if i is not None:
-            return f.schedule_at(i)
-        return PrimeSchedule(p)
-
     def check_depth_budget(self, level: int, what: str) -> None:
         """Refuse `what`, whose deepest level read is `level`, when the
         family prime activated there lies past the sieve cap: past the
@@ -342,7 +324,13 @@ class ChainSpec(Value):
         """
         if depth < level:
             raise ContractError("depth must be >= level")
-        core, box = self.core_at(level), self.box_at(depth)
+        return self.image_over(self.core_at(level), depth)
+
+    def image_over(self, core: BoxSubgroup, depth: int) -> BoxSubgroup:
+        """stable_image(level, depth) from the level's core = core_at(level),
+        so that a walk over the depths builds that core once.  The depth is
+        not checked against the level."""
+        box = self.box_at(depth)
         return BoxSubgroup(gcd(box.Ma, core.Ma), gcd(box.Mb, core.Mb), core.Mc)
 
     def steinitz_order(self, depth: int) -> "ChainSteinitzOrder":

@@ -494,46 +494,18 @@ MUTANTS = (
         ("tests/test_dynamics.py::test_freeness_refuses_arguments_out_of_range",),
     ),
     Mutant(
-        "escape-walk-below-cylinder",
-        "dynamics.py",
-        "depths = range(max(cylinder, 1), max_depth + 1)",
-        "depths = range(min(cylinder, 1), max_depth + 1)",
-        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
-    ),
-    Mutant(
-        "escape-walk-from-depth-zero",
-        "dynamics.py",
-        "depths = range(max(cylinder, 1), max_depth + 1)",
-        "depths = range(max(cylinder, 0), max_depth + 1)",
-        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
-    ),
-    Mutant(
-        "escape-walk-short-of-max-depth",
-        "dynamics.py",
-        "depths = range(max(cylinder, 1), max_depth + 1)",
-        "depths = range(max(cylinder, 1), max_depth)",
-        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
-    ),
-    Mutant(
-        "escape-walk-past-max-depth",
-        "dynamics.py",
-        "depths = range(max(cylinder, 1), max_depth + 1)",
-        "depths = range(max(cylinder, 1), max_depth + 2)",
-        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
-    ),
-    Mutant(
-        "escape-budget-on-empty-window",
-        "dynamics.py",
-        "    if depths:\n",
-        "    if True:\n",
-        ("tests/test_dynamics.py::test_escape_depth_walks_from_the_cylinder_to_max_depth",),
-    ),
-    Mutant(
         "discriminant-accepts-level-zero",
         "dynamics.py",
         "if not 1 <= level <= max_depth:",
         "if not 0 <= level <= max_depth:",
         ("tests/test_dynamics.py::test_discriminant_report_refuses_levels_out_of_order",),
+    ),
+    Mutant(
+        "discriminant-core-per-depth",
+        "dynamics.py",
+        "images = [chain.image_over(core, d) for d in depths]",
+        "images = [chain.stable_image(level, d) for d in depths]",
+        ("tests/test_dynamics.py::test_discriminant_report_builds_its_level_core_once",),
     ),
     Mutant(
         "discriminant-ignores-two-equal-images",
@@ -758,6 +730,76 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "count-cap-two-to-the-31",
+        "primes.py",
+        "COUNT_CAP = 1 << 32",
+        "COUNT_CAP = 1 << 31",
+        ("tests/test_primes.py::test_caps_refuse_before_any_work",),
+    ),
+    Mutant(
+        "nth-cap-ten-to-the-9",
+        "primes.py",
+        "NTH_CAP = 10**8",
+        "NTH_CAP = 10**9",
+        ("tests/test_primes.py::test_caps_refuse_before_any_work",),
+    ),
+    Mutant(
+        "count-cap-refuses-at-the-cap",
+        "primes.py",
+        "if x > COUNT_CAP:",
+        "if x >= COUNT_CAP:",
+        ("tests/test_primes.py::test_caps_refuse_before_any_work",),
+    ),
+    Mutant(
+        "nth-cap-refuses-at-the-cap",
+        "primes.py",
+        "if n > NTH_CAP:",
+        "if n >= NTH_CAP:",
+        ("tests/test_primes.py::test_caps_refuse_before_any_work",),
+    ),
+    Mutant(
+        "mr-base-four-for-three",
+        "primes.py",
+        "MR_BASES = (2, 3, 5,",
+        "MR_BASES = (2, 4, 5,",
+        ("tests/test_primes.py::test_mr_bound_is_where_the_bases_fail",),
+    ),
+    Mutant(
+        "nth-sieve-path-misses-its-last-prime",
+        "primes.py",
+        "    if n <= len(_SIEVE.primes):",
+        "    if n < len(_SIEVE.primes):",
+        ("tests/test_primes.py::test_nth_prime_on_a_fresh_sieve",),
+    ),
+    Mutant(
+        "nth-count-includes-the-start",
+        "primes.py",
+        "first = primepi(lo - 1) + 1",
+        "first = primepi(lo) + 1",
+        ("tests/test_primes.py::test_nth_prime_counts_up_to_its_window",),
+    ),
+    Mutant(
+        "nth-count-stops-two-below-the-start",
+        "primes.py",
+        "first = primepi(lo - 1) + 1",
+        "first = primepi(lo - 2) + 1",
+        ("tests/test_primes.py::test_nth_prime_counts_up_to_its_window",),
+    ),
+    Mutant(
+        "nth-window-stops-one-late",
+        "primes.py",
+        "if n < first + len(window):",
+        "if n <= first + len(window):",
+        ("tests/test_primes.py::test_nth_prime_counts_up_to_its_window",),
+    ),
+    Mutant(
+        "nth-next-window-keeps-the-count",
+        "primes.py",
+        "first, lo = first + len(window), hi",
+        "first, lo = first, hi",
+        ("tests/test_primes.py::test_nth_prime_counts_up_to_its_window",),
+    ),
+    Mutant(
         "config-keeps-comments",
         "towers.py",
         'line = rawline.partition("#")[0].strip()',
@@ -797,6 +839,13 @@ MUTANTS = (
         'start=int(fields.get("start", 0))',
         'start=int(fields.get("start", -1))',
         ("tests/test_towers.py::test_parse_chain_config_defaults_start_base_and_slope_to_zero",),
+    ),
+    Mutant(
+        "config-default-start-one",
+        "towers.py",
+        'start=int(fields.get("start", 0))',
+        'start=int(fields.get("start", 1))',
+        ("tests/test_towers.py::test_config_chain_starting_at_level_0_equals_the_builtin",),
     ),
     Mutant(
         "config-default-base-one",

@@ -1,7 +1,8 @@
 """The mechanical mutant sweep over the closed forms of `dynamics.py`,
-`towers.py`, `heisenberg.py` and `steinitz.py`.  Run it with
+`towers.py`, `heisenberg.py` and `steinitz.py`, and over the prime layer,
+`primes.py`.  Run it with
 
-    python3 tests/sweep.py [dynamics.py|towers.py|heisenberg.py|steinitz.py ...]
+    python3 tests/sweep.py [dynamics.py|towers.py|heisenberg.py|steinitz.py|primes.py ...]
 
 Every site of six operators becomes one mutant, generated with `ast`:
 
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 from mutants import Checkout
 
-FILES = ("dynamics.py", "towers.py", "heisenberg.py", "steinitz.py")
+FILES = ("dynamics.py", "towers.py", "heisenberg.py", "steinitz.py", "primes.py")
 ORDER = tuple(
     f"tests/{name}.py"
     for name in (
@@ -194,6 +195,21 @@ _ZERO_SCHEDULE_START = (
     "slope > 0, so any constant k keeps zero schedules equal to each other "
     "and apart from the rest"
 )
+_SPEED_ONLY = "the constant sets only how much work a call does, not what it returns"
+_NO_SQUARE_ROOT_OF_MINUS_ONE = (
+    "the extra squarings reach x = a^(2^j*d) with j >= s, where n - 1 = 2^s*d, "
+    "d odd, and no base divides n; x = -1 (mod n) there would need "
+    "2^(j+1) | p - 1 for every prime p | n, so 2^(j+1) | n - 1"
+)
+_LARGE_UNUSED = "large[0] is never read: large[i] is read for 1 <= i <= r only"
+_DUSART_PLACES_THE_WINDOW = (
+    "the Dusart bound only places the first window: every start from 513 "
+    "(so that hi <= lo*lo) up to p_n sieves forward to p_n, and over the "
+    "indices above the sieve "
+    "(295,948 to NTH_CAP) p_n exceeds the bound by more than 10^4, far past "
+    "the float error and the margin of 2"
+)
+_WINDOW_IS_A_CACHE = "the window is a cache: a miss sieves the same window again"
 EQUIVALENT = {
     ("dynamics.py", "_family_activation_gap", "int", "0", "(-1)", 0): (
         "with no family the one reader, wildness_certificate, compares the gap "
@@ -221,12 +237,97 @@ EQUIVALENT = {
     **{("towers.py", "ex41", "int", "1", "(0)", n): _START_ZERO_IS_ONE for n in (0, 2, 4)},
     **{("towers.py", "ex42", "int", "1", "(0)", n): _START_ZERO_IS_ONE for n in (0, 2, 4, 6)},
     **{("towers.py", "stable_chain", "int", "1", "(0)", n): _START_ZERO_IS_ONE for n in (1, 2, 3)},
-    ("towers.py", "parse_chain_config", "int", "0", "(1)", 2): _START_ZERO_IS_ONE,
     ("steinitz.py", "Primes.index_of", "cmp", "q < p", "((q) <= (p))", 0): (
         "an excluded p returned None above, so no excluded q equals p"
     ),
     ("towers.py", "CoordSchedule._key", "int", "1", "(0)", 0): _ZERO_SCHEDULE_START,
     ("towers.py", "CoordSchedule._key", "int", "1", "(2)", 0): _ZERO_SCHEDULE_START,
+    **{("primes.py", "<module>", "int", old, new, n): _SPEED_ONLY
+       for old, new, n in (("1", "(2)", 2), ("18", "(17)", 0), ("18", "(19)", 0))},
+    ("primes.py", "_segment", "int", "1", "(2)", 0): (
+        "every reader of the flags tests their truth: compress and bool"
+    ),
+    ("primes.py", "_segment", "cmp", "p * p >= hi", "((p * p) > (hi))", 0): (
+        "a prime with p*p == hi lies below lo, since hi <= lo*lo and hi is not "
+        "lo*lo for lo > 2, so it strikes only its multiples k*p >= lo, k >= 2: "
+        "composites"
+    ),
+    **{("primes.py", "_Sieve.__init__", "int", "0", new, 0): (
+        "an empty window holds no index, whatever its first index"
+    ) for new in ("(-1)", "(1)")},
+    (
+        "primes.py",
+        "_Sieve.grow",
+        "cmp",
+        "self.limit < SIEVE_CAP",
+        "((self.limit) <= (SIEVE_CAP))",
+        0,
+    ): (
+        "no caller asks for need >= SIEVE_CAP: primepi grows to x < SIEVE_CAP, "
+        "nth_prime to a limit below it, _nth_above_sieve to isqrt(hi) < 2^16; "
+        "so limit <= need already implies limit < SIEVE_CAP"
+    ),
+    ("primes.py", "isprime", "int", "2", "(1)", 0): (
+        "1 is below the sieve's limit from the start, and flags[1] is 0"
+    ),
+    ("primes.py", "_miller_rabin", "int", "0", "(1)", 1): _NO_SQUARE_ROOT_OF_MINUS_ONE,
+    ("primes.py", "_miller_rabin", "int", "1", "(2)", 1): _NO_SQUARE_ROOT_OF_MINUS_ONE,
+    ("primes.py", "_miller_rabin", "drop", "s - 1", "(s)", 0): _NO_SQUARE_ROOT_OF_MINUS_ONE,
+    ("primes.py", "_miller_rabin", "int", "1", "(0)", 4): _NO_SQUARE_ROOT_OF_MINUS_ONE,
+    ("primes.py", "_lucy", "int", "256", "(255)", 0): _SPEED_ONLY,
+    ("primes.py", "_lucy", "int", "256", "(257)", 0): _SPEED_ONLY,
+    ("primes.py", "_lucy", "int", "0", "(-1)", 0): _LARGE_UNUSED,
+    ("primes.py", "_lucy", "int", "0", "(1)", 0): _LARGE_UNUSED,
+    ("primes.py", "_lucy", "int", "1", "(2)", 3): (
+        "large gains an entry at index r + 1, which no i <= r reads"
+    ),
+    ("primes.py", "_lucy", "int", "1", "(0)", 7): (
+        "the pass at i = 0 writes large[0] only; " + _LARGE_UNUSED
+    ),
+    ("primes.py", "_lucy", "int", "1", "(2)", 9): (
+        "the extra v = p*p - 1 subtracts small[p - 1] - below, which is 0"
+    ),
+    ("primes.py", "primepi", "cmp", "x < SIEVE_CAP", "((x) <= (SIEVE_CAP))", 0): (
+        "2^22 is not a prime, and the sieve at its cap holds every prime below it"
+    ),
+    (
+        "primes.py",
+        "_nth_above_sieve",
+        "cmp",
+        "first <= n < first + len(window)",
+        "((first) < (n) < (first + len(window)))",
+        0,
+    ): _WINDOW_IS_A_CACHE,
+    (
+        "primes.py",
+        "_nth_above_sieve",
+        "drop",
+        "int(n * (log(n) + log(log(n)) - 1)) - 2",
+        "(int(n * (log(n) + log(log(n)) - 1)))",
+        0,
+    ): _DUSART_PLACES_THE_WINDOW,
+    **{
+        ("primes.py", "_nth_above_sieve", "drop", "log(n) + log(log(n))", new, 0): (
+            _DUSART_PLACES_THE_WINDOW
+        )
+        for new in ("(log(log(n)))", "(log(n))")
+    },
+    **{("primes.py", "_nth_above_sieve", "int", old, new, 0): _DUSART_PLACES_THE_WINDOW
+       for old, new in (("1", "(2)"), ("2", "(1)"), ("2", "(3)"))},
+    (
+        "primes.py",
+        "nth_prime",
+        "cmp",
+        "0 < n <= len(_SIEVE.primes)",
+        "((0) < (n) < (len(_SIEVE.primes)))",
+        0,
+    ): "the path past the checks returns the same sieve entry",
+    ("primes.py", "nth_prime", "int", "0", "(1)", 0): (
+        "the path past the checks returns the same sieve entry"
+    ),
+    ("primes.py", "nth_prime", "cmp", "len(_SIEVE.primes) < n", "((len(_SIEVE.primes)) <= (n))", 0): (
+        "the loop grows the sieve once more, and the answer is read from it the same"
+    ),
 }
 
 

@@ -33,7 +33,6 @@ from nilcantor.towers import (
     wild_chain,
 )
 from nilcantor.dynamics import (
-    element_escape_depth,
     freeness_certificate,
     trivial_action_kernel,
     wildness_certificate,
@@ -47,7 +46,7 @@ from nilcantor.oracle import (
 )
 from nilcantor.errors import ContractError
 
-from helpers import steinitz_int
+from helpers import escape_depth, steinitz_int
 
 
 class _Budget:
@@ -142,7 +141,7 @@ def test_criterion_5_topological_freeness():
                 for c in range(-6, 7):
                     if (a, b, c) == (0, 0, 0):
                         continue
-                    d = element_escape_depth(chain, 1, HeisenbergElement(a, b, c), 6)
+                    d = escape_depth(chain, 1, HeisenbergElement(a, b, c), 6)
                     assert d is not None and d <= 6
         rng = random.Random(20260810)
         for _ in range(2000):
@@ -151,7 +150,7 @@ def test_criterion_5_topological_freeness():
             )
             if g == HeisenbergElement(0, 0, 0):
                 continue
-            d = element_escape_depth(chain, 1, g, 6)
+            d = escape_depth(chain, 1, g, 6)
             assert d is not None and d <= 6
 
 

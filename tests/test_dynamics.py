@@ -7,7 +7,6 @@ from nilcantor.errors import ContractError, ResourceError
 from nilcantor.heisenberg import BoxSubgroup, HeisenbergElement, index_in
 from nilcantor.dynamics import (
     discriminant_limit_report,
-    element_escape_depth,
     freeness_certificate,
     lqa_witness,
     trivial_action_kernel,
@@ -24,6 +23,8 @@ from nilcantor.towers import (
     stable_chain,
     wild_chain,
 )
+
+from helpers import escape_depth
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -421,18 +422,18 @@ def test_wild_family_is_topologically_free():
 
 def test_escape_depth_examples():
     chain = wild_chain(2, 1)
-    assert element_escape_depth(chain, 1, HeisenbergElement(0, 0, 4), 6) == 2
-    assert element_escape_depth(chain, 1, HeisenbergElement(1, 0, 0), 6) == 1
-    assert element_escape_depth(chain, 1, HeisenbergElement(0, 0, 0), 6) is None
+    assert escape_depth(chain, 1, HeisenbergElement(0, 0, 4), 6) == 2
+    assert escape_depth(chain, 1, HeisenbergElement(1, 0, 0), 6) == 1
+    assert escape_depth(chain, 1, HeisenbergElement(0, 0, 0), 6) is None
 
 
 def test_escape_depth_walks_from_the_cylinder_to_max_depth():
     chain = ex41(2)
-    assert element_escape_depth(chain, 0, HeisenbergElement(1, 0, 0), 3) == 1
-    assert element_escape_depth(chain, 2, HeisenbergElement(4, 0, 0), 3) == 3
-    assert element_escape_depth(chain, 2, HeisenbergElement(4, 0, 0), 2) is None
-    # An empty window reads no level, so it asks no family prime either.
-    assert element_escape_depth(wild_chain(2, 1), 1, HeisenbergElement(1, 0, 0), 0) is None
+    assert escape_depth(chain, 0, HeisenbergElement(1, 0, 0), 3) == 1
+    assert escape_depth(chain, 2, HeisenbergElement(4, 0, 0), 3) == 3
+    assert escape_depth(chain, 2, HeisenbergElement(4, 0, 0), 2) is None
+    # An empty window reads no level.
+    assert escape_depth(wild_chain(2, 1), 1, HeisenbergElement(1, 0, 0), 0) is None
 
 
 def test_every_small_element_escapes():
@@ -446,7 +447,7 @@ def test_every_small_element_escapes():
         HeisenbergElement(-36, 36, 36),
         HeisenbergElement(90, 90, 90),
     ):
-        assert element_escape_depth(chain, 1, g, 6) <= 3
+        assert escape_depth(chain, 1, g, 6) <= 3
 
 
 @pytest.mark.parametrize("call,kernels", [((3, 10**9, 400), 5), ((1, 100, 6), 3)])
@@ -581,6 +582,20 @@ def test_wild_family_discriminant_grows():
     assert rep.stabilized  # image inside the fixed level stabilizes
 
 
+def test_discriminant_report_builds_its_level_core_once(monkeypatch):
+    # Every image is read over the one level core; a core per depth would
+    # rebuild the same box at every depth.
+    chain = wild_chain(2, 1)
+    levels = []
+    core_at = ChainSpec.core_at
+    monkeypatch.setattr(
+        ChainSpec, "core_at", lambda self, level: levels.append(level) or core_at(self, level)
+    )
+    rep = discriminant_limit_report(chain, 5, 40)
+    assert levels == [5]
+    assert rep.orders[-1] == index_in(chain.stable_image(5, 40), chain.core_at(5))
+
+
 def test_level_walks_count_no_primes(monkeypatch):
     # Once the chain is built, every level walk reads the family primes by
     # index: none of these may find a prime's index by counting primes.
@@ -610,7 +625,6 @@ def test_certificates_refuse_family_primes_past_the_sieve():
         (lambda d: wildness_certificate(branch, 2, d), 17),
         (lambda d: lqa_witness(branch, 1, 2, d), 17),
         (lambda d: freeness_certificate(branch, 1, 10, d), 17),
-        (lambda d: element_escape_depth(branch, 1, HeisenbergElement(0, 0, 0), d), 17),
         (lambda d: discriminant_limit_report(branch, 1, d), 17),
     ):
         certify(deepest_ok)

@@ -7,9 +7,8 @@ import pytest
 from nilcantor import primes
 from nilcantor.errors import ContractError, ResourceError
 from nilcantor.primes import (
-    COUNT_CAP,
+    MR_BASES,
     MR_BOUND,
-    NTH_CAP,
     SIEVE_CAP,
     isprime,
     nth_prime,
@@ -68,20 +67,58 @@ def test_nth_prime_matches_sympy_up_to_the_tree_branch_codes():
     assert run == list(sympy.primerange(run[0], run[-1] + 1))
 
 
-def test_caps_refuse_before_any_work():
+def test_nth_prime_on_a_fresh_sieve(monkeypatch):
+    # The sieve lives for the process, so the other tests meet it grown.
+    # From empty, nth_prime(4) grows it to exactly four primes.
+    expected = list(sympy.primerange(2, 200))
+    for n in range(1, len(expected) + 1):
+        monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+        assert nth_prime(n) == expected[n - 1], n
+    monkeypatch.setattr(primes, "_SIEVE", primes._Sieve())
+    assert [primepi(x) for x in range(-3, 200)] == [
+        sum(p <= x for p in expected) for x in range(-3, 200)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        295949,  # the window starts at 4,182,194, just above the prime 4,182,193
+        295950,  # the window starts at the prime 4,182,209
+        5801512,  # p_n is the first prime of the second window
+    ],
+)
+def test_nth_prime_counts_up_to_its_window(n, monkeypatch):
+    # Above the sieve the count must stop just below the window's start,
+    # and a window that ends before p_n hands its count on to the next.
+    monkeypatch.setattr(primes._SIEVE, "window", (0, ()))
+    assert nth_prime(n) == sympy.prime(n)
+
+
+def test_caps_refuse_before_any_work(monkeypatch):
+    # The caps are where the README puts them: a count up to 2^32 and the
+    # 10^8-th prime.  The work past the sieve is replaced by stubs, so a cap
+    # moved outward fails fast instead of counting.
+    monkeypatch.setattr(primes, "_lucy", lambda x: -x)
+    monkeypatch.setattr(primes, "_nth_above_sieve", lambda n: -n)
     limit = primes._SIEVE.limit
     with pytest.raises(ResourceError):
-        nth_prime(NTH_CAP + 1)
+        nth_prime(10**8 + 1)
     with pytest.raises(ResourceError):
-        primepi(COUNT_CAP + 1)
+        primepi(2**32 + 1)
     for n in (MR_BOUND, MR_BOUND + 2, 10**30):
         with pytest.raises(ResourceError):
             isprime(n)
     assert primes._SIEVE.limit == limit
+    assert primepi(2**32) == -(2**32)
+    assert nth_prime(10**8) == -(10**8)
 
 
 def test_mr_bound_is_where_the_bases_fail():
-    # the least composite that passes all 13 bases: guessing there is wrong
+    # The bound is a theorem about the first 13 primes as bases
+    # (Sorenson & Webster 2015): the least composite that passes all of
+    # them, so guessing there is wrong.
+    assert MR_BASES == tuple(sympy.primerange(2, 42))
     assert MR_BOUND == 1287836182261 * 2575672364521
     assert primes._miller_rabin(MR_BOUND)
 

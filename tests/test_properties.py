@@ -44,6 +44,8 @@ from nilcantor.towers import (
     wild_chain,
 )
 
+from helpers import schedule
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from gen_chains import MAX_QUOTIENT as SCAN_QUOTIENT, MAX_SCAN_CELLS, draw_chain  # noqa: E402
 
@@ -369,7 +371,7 @@ def test_breakpoints_decide_what_the_level_walk_decides(rows):
 @example(wild_chain(2, 1))
 @example(wild_chain(3, 2, enumeration=TreeBranchPrimes(2, 3)))
 def test_level_walk_lists_the_schedule_of_each_prime(chain):
-    # The walk finds the family primes by index, `schedule(p)` by counting
+    # The walk finds the family primes by index, `schedule` by counting
     # primes.  A listed prime is explicit or has support by the level, and
     # both routes give it the same schedule.  The family enumerates
     # increasingly, so no prime past the last listed one has support.
@@ -378,9 +380,9 @@ def test_level_walk_lists_the_schedule_of_each_prime(chain):
         rows = chain.schedules(level)
         listed = [s.prime for s in rows]
         assert listed == sorted(set(listed))
-        assert all(s == chain.schedule(s.prime) for s in rows)
+        assert all(s == schedule(chain, s.prime) for s in rows)
         for p in filter(isprime, range(listed[-1] + 1)):
-            s = chain.schedule(p)
+            s = schedule(chain, p)
             supported = any(s.coord(x).exponent(level) for x in "abc")
             assert (p in listed) == (p in explicit or supported)
 

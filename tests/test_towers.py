@@ -203,7 +203,7 @@ def test_wild_chain_checks_a_given_enumeration_against_its_growing_primes():
 def test_wild_chain_with_infinite_part_excludes_it_from_family():
     chain = wild_chain(2, 1, pi_inf=(5,))
     assert [s.prime for s in chain.explicit] == [5]
-    assert chain.family.activation_of(5) is None
+    assert chain.family.primes.index_of(5) is None
     assert [s.prime for s in chain.schedules(3)] == [2, 3, 5, 7]
     order = chain.steinitz_order(3)
     assert order.limit.multiplicity(5) is INF
