@@ -24,11 +24,10 @@ from .dynamics import (
     wildness_certificate,
 )
 from .errors import ContractError, ResourceError
-from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
+from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in, relative_core
 from .oracle import (
     OracleBudget,
     canonical_by_enumeration,
-    core_by_enumeration,
     coset_partition,
     fixing_scan,
     relative_core_by_enumeration,
@@ -237,7 +236,7 @@ def _agreement(found, closed) -> tuple:
 
 def _oracle_core(args, budget) -> tuple:
     box = BoxSubgroup.parse(_oracle_flag(args, "box"))
-    return _agreement(core_by_enumeration(box, budget), box.core())
+    return _agreement(relative_core_by_enumeration(GAMMA, box, budget), box.core())
 
 
 def _oracle_relative_core(args, budget) -> tuple:
@@ -270,8 +269,8 @@ def _oracle_fixing(args, budget) -> tuple:
             "oracle fixing needs a chain reference: a built-in name or a config file"
         )
     chain = resolve_chain(args)
-    found = fixing_scan(chain, args.cylinder, args.depth, budget)
     kernel = trivial_action_kernel(chain, args.cylinder, args.depth)
+    found = fixing_scan(chain, args.cylinder, args.depth, budget)
     size = index_in(kernel, chain.core_at(args.depth))
     agree = len(found) == size and all(kernel.contains(HeisenbergElement(*x)) for x in found)
     return chain.label, [

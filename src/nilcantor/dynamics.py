@@ -34,7 +34,7 @@ from typing import Optional
 
 from ._value import Value, set_field
 from .errors import ContractError
-from .heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in, relative_core
+from .heisenberg import BoxSubgroup, HeisenbergElement, index_in, relative_core
 from .towers import ChainSpec, PrimeSchedule
 
 __all__ = [
@@ -52,12 +52,11 @@ __all__ = [
 def trivial_action_kernel(chain: ChainSpec, cylinder: int, depth: int) -> BoxSubgroup:
     """Elements acting trivially on every depth-`depth` coset inside the
     level-`cylinder` cylinder: the relative core of Gamma_depth over
-    Gamma_cylinder.  `cylinder`=0 means the whole space, so the outer group
-    is GAMMA and the kernel is the normal core."""
+    Gamma_cylinder.  The level-0 cylinder is the whole space: box_at(0) is
+    GAMMA, so there the kernel is the normal core core_at(depth)."""
     if cylinder < 0 or depth < max(cylinder, 1):
         raise ContractError("need depth >= cylinder >= 0 and depth >= 1")
-    outer = chain.box_at(cylinder) if cylinder else GAMMA
-    return relative_core(outer, chain.box_at(depth))
+    return relative_core(chain.box_at(cylinder), chain.box_at(depth))
 
 
 # -- symbolic kernel analysis -------------------------------------------------
@@ -66,7 +65,8 @@ def trivial_action_kernel(chain: ChainSpec, cylinder: int, depth: int) -> BoxSub
 def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, int]:
     """Eventual (base, slope) in the depth of the kernel's lattice exponent
     at the prime of schedule s in the given coordinate, for a fixed
-    cylinder level (cylinder 0 is the whole space).  This is the one home
+    cylinder level (cylinder 0, the whole space, has every exponent 0, as
+    CoordSchedule.exponent says).  This is the one home
     of the kernel law; every schedule-level statement below reads it from
     here.
 
@@ -81,7 +81,7 @@ def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, 
     non-negative, so zero needs no line of its own.
 
     In a and b the cylinder enters only through k = e_other(cylinder)
-    (0 for the whole space), which never falls as the cylinder grows
+    (0 at cylinder 0), which never falls as the cylinder grows
     because every schedule is monotone, and k is subtracted from the
     c-line's base.  So the winning slope is the largest slope, whatever k
     is, and the winning base cannot rise: a smaller cylinder's exponent
@@ -92,7 +92,7 @@ def _kernel_eventual(s: PrimeSchedule, cylinder: int, coord: str) -> tuple[int, 
     if coord == "c":
         return ec.base, ec.slope
     own, other = (s.a, s.b) if coord == "a" else (s.b, s.a)
-    k = other.exponent(cylinder) if cylinder >= 1 else 0
+    k = other.exponent(cylinder)
     slope, base = max((own.slope, own.base), (ec.slope, ec.base - k))
     return base, slope
 

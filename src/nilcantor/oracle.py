@@ -1,11 +1,12 @@
 """Brute-force reference implementations for every closed form.
 
 Nothing here shares logic with the fast paths beyond the element
-arithmetic itself: cores and relative cores are found by scanning
-conjugators, coset structure by walking each grid point's coset through
-the box, and trivial-action kernels by checking every group element
-against every coset.  The coset partition of a grid is the fibres of its
-canonical table.  The closed forms are trusted only because they agree
+arithmetic itself: relative cores (the normal core is the one over
+GAMMA) are found by scanning conjugators, coset structure by walking
+each grid point's coset through the box, and trivial-action kernels by
+checking every group element against every coset of the cylinder (the
+whole space at level 0).  The coset partition of a grid is the fibres of
+its canonical table.  The closed forms are trusted only because they agree
 with these scans on every input within budget; that equivalence is this
 module's entire contract and runs in the regular test suite.
 
@@ -36,7 +37,6 @@ from .towers import ChainSpec
 
 __all__ = [
     "OracleBudget",
-    "core_by_enumeration",
     "relative_core_by_enumeration",
     "fixing_scan",
     "residue_law",
@@ -80,37 +80,33 @@ def _refuse_above(demand: int, what: str, budget: OracleBudget, factor: int = 1)
         )
 
 
-def core_by_enumeration(box: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET) -> BoxSubgroup:
-    """Intersect the conjugates g B g^-1 over conjugator representatives.
+def relative_core_by_enumeration(
+    outer: BoxSubgroup, inner: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET
+) -> BoxSubgroup:
+    """Intersect the conjugates g B g^-1 of B = `inner` over the conjugators
+    g of `outer`; with GAMMA as `outer` this is the normal core.
 
     Conjugation by (x, y, z) shifts the central coordinate by x*b - y*a,
-    which only depends on (x, y) mod Mc, so scanning (x, y) in [0, Mc)^2
-    is exhaustive in effect.  The Mc^2 conjugators meet 2(Mc+1)
-    candidates and then at most (Mc+1)^2 pairs of survivors.
+    which only depends on (x, y) mod Mc', so the conjugators are the outer
+    box's (x, y) residues mod Mc': at most Mc'^2 of them, each tested
+    against 2(Mc'+1) candidates.  The candidates are the elements (a, 0, 0)
+    and (0, b, 0) of B over one period of the coarsest possible answer
+    (a = Ma'*Mc') plus the endpoint, so a positive survivor always exists
+    in the window, and the survivors must be exactly the lattices their
+    minima generate.  The shift is linear in (a, b), so (a, b) survives
+    when a and b do: the answer is the box those minima span.
     """
-    mc, window = box.Mc, box.Mc + 1
+    if not outer.contains_box(inner):
+        raise ContractError(f"{inner} is not contained in {outer}")
+    ma, mb, mc = inner.Ma, inner.Mb, inner.Mc
     _refuse_above(
-        mc * mc * (2 * window + window * window),
-        f"conjugation tests of the core scan of {box}",
+        mc * mc * 2 * (mc + 1),
+        f"conjugation tests of the relative core scan of {inner} in {outer}",
         budget,
         PAIRS_FACTOR,
     )
-    survives, surviving_a, surviving_b, found = _conjugation_scan(box, range(mc), range(mc))
-    # The two coordinates must be independent (product structure).
-    for a in surviving_a:
-        for b in surviving_b:
-            _check(survives(a, b), f"scan of {box}: ({a}, {b}) breaks the product structure")
-    return found
-
-
-def _conjugation_scan(box: BoxSubgroup, xs, ys):
-    """Scan the elements (a, 0, 0) and (0, b, 0) of the box whose conjugates
-    by every (x, y) in xs x ys stay in the box, per coordinate over one
-    period of the coarsest possible answer (a = Ma*Mc) plus the endpoint,
-    so a positive survivor always exists in the window.  The survivors
-    must be exactly the lattices their minima generate; returns the test,
-    the survivors and the box those minima span."""
-    ma, mb, mc = box.Ma, box.Mb, box.Mc
+    xs = {(k * outer.Ma) % mc for k in range(mc)}
+    ys = {(k * outer.Mb) % mc for k in range(mc)}
     conjugators = [(x, y) for x in xs for y in ys]
 
     def survives(a: int, b: int) -> bool:
@@ -122,35 +118,13 @@ def _conjugation_scan(box: BoxSubgroup, xs, ys):
     rb = min(b for b in surviving_b if b > 0)
     _check(
         surviving_a == [a for a in range(0, ma * mc + ma, ra) if a <= ma * mc],
-        f"scan of {box}: the surviving a-values are not the multiples of {ra}",
+        f"scan of {inner}: the surviving a-values are not the multiples of {ra}",
     )
     _check(
         surviving_b == [b for b in range(0, mb * mc + mb, rb) if b <= mb * mc],
-        f"scan of {box}: the surviving b-values are not the multiples of {rb}",
+        f"scan of {inner}: the surviving b-values are not the multiples of {rb}",
     )
-    return survives, surviving_a, surviving_b, BoxSubgroup(ra, rb, mc)
-
-
-def relative_core_by_enumeration(
-    outer: BoxSubgroup, inner: BoxSubgroup, budget: OracleBudget = DEFAULT_BUDGET
-) -> BoxSubgroup:
-    """Same scan as core_by_enumeration, with conjugators restricted to
-    representatives of the outer box: at most Mc'^2 of them, each tested
-    against 2(Mc'+1) candidates."""
-    if not outer.contains_box(inner):
-        raise ContractError(f"{inner} is not contained in {outer}")
-    mc = inner.Mc
-    _refuse_above(
-        mc * mc * 2 * (mc + 1),
-        f"conjugation tests of the relative core scan of {inner} in {outer}",
-        budget,
-        PAIRS_FACTOR,
-    )
-    # The outer box's (x, y) values, reduced mod Mc': the shift x*b - y*a
-    # only depends on these residues.
-    xs = sorted({(k * outer.Ma) % mc for k in range(mc)})
-    ys = sorted({(k * outer.Mb) % mc for k in range(mc)})
-    return _conjugation_scan(inner, xs, ys)[3]
+    return BoxSubgroup(ra, rb, mc)
 
 
 def fixing_scan(
@@ -168,7 +142,7 @@ def fixing_scan(
     core = chain.core_at(depth)
     _refuse_above(core.index(), f"elements of Q_{depth}", budget)
     box = chain.box_at(depth)
-    outer = chain.box_at(cylinder) if cylinder >= 1 else None
+    outer = chain.box_at(cylinder)
 
     # Phase 1: stabilizers of the identity coset, i.e. residues lifting
     # into the depth box.
@@ -183,17 +157,13 @@ def fixing_scan(
                 if c % box.Mc == 0:
                     survivors.append(HeisenbergElement(a, b, c))
 
-    # Phase 2: representatives of the cosets inside the cylinder.
-    if outer is None:
-        reps_a = range(0, box.Ma)
-        reps_b = range(0, box.Mb)
-        reps_c = range(0, box.Mc)
-    else:
-        reps_a = range(0, box.Ma, outer.Ma)
-        reps_b = range(0, box.Mb, outer.Mb)
-        reps_c = range(0, box.Mc, outer.Mc)
+    # Phase 2: representatives of the cosets inside the cylinder, the
+    # whole space at cylinder 0 (box_at(0) is GAMMA).
     reps = [
-        HeisenbergElement(a, b, c) for a in reps_a for b in reps_b for c in reps_c
+        HeisenbergElement(a, b, c)
+        for a in range(0, box.Ma, outer.Ma)
+        for b in range(0, box.Mb, outer.Mb)
+        for c in range(0, box.Mc, outer.Mc)
     ]
     _refuse_above(
         len(survivors) * len(reps), "stabilizer-coset pairs of the fixing scan", budget, PAIRS_FACTOR

@@ -3,13 +3,17 @@
 A chain Gamma = Gamma_0 > Gamma_1 > ... of finite-index box subgroups is
 described by per-prime, per-coordinate exponent schedules
 
-    e_p(level) = 0 if level < start else base + slope*level,
+    e_p(level) = 0 if level < max(start, 1) else base + slope*level,
 
 optionally together with an *indexed family*: a prime enumeration q_1,
 q_2, ... where q_i enters the chain at level i with constant exponents
 (one per coordinate).  Every chain used by this package fits this class;
 it is closed under the questions the dynamics module asks because every
 derived quantity is eventually affine in the level.
+
+Every exponent is 0 at level 0, so Gamma_0 = Gamma: box_at(0) is GAMMA,
+the level-0 cylinder is the whole Cantor set, and no caller decides
+level 0 for itself.
 
 From the chain the module builds, all in exact integer arithmetic:
 
@@ -67,8 +71,8 @@ COORDS = ("a", "b", "c")
 
 
 class CoordSchedule(Value):
-    """One prime's exponent in one coordinate: 0 below `start`, then
-    base + slope*level.  Monotone because slope >= 0."""
+    """One prime's exponent in one coordinate: 0 below `start` and at
+    level 0, then base + slope*level.  Monotone because slope >= 0."""
 
     __slots__ = ("start", "base", "slope")
 
@@ -80,7 +84,7 @@ class CoordSchedule(Value):
         set_field(self, "slope", slope)
 
     def exponent(self, level: int) -> int:
-        if level < self.start:
+        if level < 1 or level < self.start:
             return 0
         return self.base + self.slope * level
 
@@ -88,8 +92,8 @@ class CoordSchedule(Value):
         return self.base == 0 and self.slope == 0
 
     def _key(self) -> tuple:
-        # Levels count from 1, so starts 0 and 1 give one schedule, and a
-        # zero schedule is zero from any start.
+        # Every exponent is 0 at level 0, so starts 0 and 1 give one
+        # schedule, and a zero schedule is zero from any start.
         start = 1 if self.is_zero() else max(self.start, 1)
         return (start, self.base, self.slope)
 
@@ -289,8 +293,8 @@ class ChainSpec(Value):
             raise ResourceError(f"{what} reaches family primes past the sieve cap {SIEVE_CAP}")
 
     def box_at(self, level: int) -> BoxSubgroup:
-        if level < 1:
-            raise ContractError("level must be >= 1")
+        if level < 0:
+            raise ContractError("level must be >= 0")
         ma = mb = mc = 1
         for s in self.schedules(level):
             p = s.prime

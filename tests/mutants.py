@@ -592,11 +592,28 @@ MUTANTS = (
         ("tests/test_towers.py::test_family_exponents_are_checked_one_by_one",),
     ),
     Mutant(
-        "box-accepts-level-zero",
+        "box-refuses-level-zero",
         "towers.py",
-        'if level < 1:\n            raise ContractError("level must be >= 1")',
-        'if level < 0:\n            raise ContractError("level must be >= 1")',
+        'if level < 0:\n            raise ContractError("level must be >= 0")',
+        'if level < 1:\n            raise ContractError("level must be >= 0")',
+        (
+            "tests/test_towers.py::test_level_walks_start_at_level_one",
+            "tests/test_properties.py::test_level_zero_is_the_whole_group",
+        ),
+    ),
+    Mutant(
+        "box-accepts-level-minus-one",
+        "towers.py",
+        'if level < 0:\n            raise ContractError("level must be >= 0")',
+        'if level < -1:\n            raise ContractError("level must be >= 0")',
         ("tests/test_towers.py::test_level_walks_start_at_level_one",),
+    ),
+    Mutant(
+        "exponent-nonzero-at-level-zero",
+        "towers.py",
+        "if level < 1 or level < self.start:",
+        "if level < self.start:",
+        ("tests/test_properties.py::test_level_zero_is_the_whole_group",),
     ),
     Mutant(
         "steinitz-accepts-depth-zero",
@@ -898,8 +915,10 @@ def run(mutant: Mutant, checkout: Checkout) -> str:
     if text.count(mutant.old) != 1:
         return "old text does not occur exactly once"
     code, out = checkout.pytest(mutant.file, text.replace(mutant.old, mutant.new), mutant.tests)
-    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAILED ")]
-    passed = [t for t in mutant.tests if not any(f.split("[")[0] == t for f in failed)]
+    failed = {line.split()[1] for line in out.splitlines() if line.startswith("FAILED ")}
+    # A named case fails by its own id; a named test, when one of its cases does.
+    failed |= {f.split("[")[0] for f in failed}
+    passed = [t for t in mutant.tests if t not in failed]
     if code != 1:
         return f"survived (pytest exit {code})"
     if passed:

@@ -22,8 +22,11 @@ one copy of the checkout (`mutants.Checkout`), tier-1 runs there with `-x`
 over the files of `ORDER`, fast unit tests first, and the file is
 restored.  `ORDER` leaves out `tests/test_mutants.py`: it checks the
 catalogue's texts, so it would fail on every mutant of a catalogue line
-whatever the mutant does.  A mutant is killed when the run fails, does
-not import, or outlives `TIMEOUT`.
+whatever the mutant does.  Before the first mutant, one clean run of the
+same files is timed in the copy; a mutant is killed when its run fails,
+does not import, or outlives `SLOWDOWN` times that clean run, so a
+mutant that loops forever costs a few suite runs, not a fixed wait.  The
+sweep prints both times.
 
 A survivor is classified in `EQUIVALENT`, keyed by its file, enclosing
 function, operator and replaced text, with the argument that no input
@@ -59,7 +62,7 @@ ORDER = tuple(
         "test_properties",
     )
 )
-TIMEOUT = 75  # seconds; tier-1 passes in about 25
+SLOWDOWN = 3  # a mutant's run is stopped at this multiple of the clean run's time
 SWAP = {"a": "b", "b": "a", "Ma": "Mb", "Mb": "Ma", "a_exp": "b_exp", "b_exp": "a_exp"}
 FLIP = {ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">"}
 OPS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!="}
@@ -185,10 +188,9 @@ def sites(file: str, source: str) -> list:
 
 # Survivors that no input tells apart from the code, with the argument.
 _START_ZERO_IS_ONE = (
-    "a schedule starting at level 0 or 1 has the exponent base + slope*level "
-    "at every level >= 1, and the one level-0 read, _kernel_eventual at "
-    "cylinder 0, takes k = 0 whatever the start; CoordSchedule._key reads "
-    "both starts as 1"
+    "a schedule starting at level 0 or 1 has the exponent 0 at level 0 and "
+    "base + slope*level at every level >= 1; CoordSchedule._key reads both "
+    "starts as 1"
 )
 _ZERO_SCHEDULE_START = (
     "a zero schedule keys as (k, 0, 0) and every other schedule has base or "
@@ -216,7 +218,8 @@ EQUIVALENT = {
         "with 1, and 0 and -1 both fall below it"
     ),
     ("dynamics.py", "_family_activation_gap", "int", "0", "(-1)", 1): (
-        "_kernel_eventual reads every cylinder below 1 as the whole space, k = 0"
+        "every exponent is 0 below level 1, so _kernel_eventual takes k = 0 at "
+        "cylinders 0 and -1 alike"
     ),
     ("dynamics.py", "_family_activation_gap", "int", "1", "(2)", 1): (
         "q_1's exponents are constant from level 1 on, so its kernel base is the "
@@ -338,11 +341,21 @@ def main(argv) -> int:
     unclassified, wrong = [], []
     with tempfile.TemporaryDirectory(prefix="nilcantor-sweep-") as tmp:
         checkout = Checkout(tmp)
+        began = time.monotonic()
+        code, _out = checkout.pytest(files[0], checkout.source(files[0]), ["-x", *ORDER])
+        clean = time.monotonic() - began
+        if code != 0:
+            print(f"the clean run fails (pytest exit {code}); no mutant can be judged",
+                  file=sys.stderr)
+            return 1
+        timeout = SLOWDOWN * clean
+        print(f"clean run {clean:.1f} s; each mutant is stopped after {timeout:.1f} s",
+              flush=True)
         for file in files:
             for site, text in sites(file, checkout.source(file)):
                 compile(text, file, "exec")  # a mutant that cannot parse proves nothing
                 began = time.monotonic()
-                code, _out = checkout.pytest(file, text, ["-x", *ORDER], timeout=TIMEOUT)
+                code, _out = checkout.pytest(file, text, ["-x", *ORDER], timeout=timeout)
                 took = time.monotonic() - began
                 if code == 0:
                     outcome = "equivalent" if site.key in EQUIVALENT else "SURVIVED"

@@ -40,7 +40,6 @@ from nilcantor.dynamics import (
 from nilcantor.oracle import (
     OracleBudget,
     canonical_table_by_enumeration,
-    core_by_enumeration,
     fixing_scan,
     relative_core_by_enumeration,
 )
@@ -166,11 +165,10 @@ def test_criterion_6_oracle_equivalence_suite():
     with _Budget("ACCEPTANCE-6 oracle equivalence", 60.0):
         budget = OracleBudget()
         boxes = list(_all_boxes(8))
-        # core and the trivial-action kernel of the whole space
+        # the core, the relative core over GAMMA: the trivial-action
+        # kernel of the whole space
         for box in boxes:
-            found = core_by_enumeration(box, budget)
-            assert found == box.core()
-            assert found == relative_core(GAMMA, box)
+            assert relative_core_by_enumeration(GAMMA, box, budget) == box.core()
         # canonical coset representatives over a doubled grid
         for box in boxes:
             table = canonical_table_by_enumeration(box, span=2)

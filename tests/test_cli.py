@@ -175,6 +175,7 @@ def test_contract_violation_exits_2(capsys):
         (["spectrum", "ex41", "--p", "2"], None),
         (["oracle", "fixing", "--depth", "2"], None),
         (["freeness", "ex41", "--p", "2", "--level", "-1", "--radius", "1", "--dmax", "2"], None),
+        (["oracle", "fixing", "ex41", "--p", "2", "--cylinder", "0", "--depth", "0"], None),
         (["spectrum", "{dir}", "--depth", "2"], None),
         (["spectrum", "{config}", "--depth", "2"], b"\xff\n"),
         (["oracle", "partition", "--box", "Box(2,2,4)", "--max-group-order", "0"], None),
@@ -186,7 +187,7 @@ def test_contract_violation_exits_2(capsys):
     ids=["wild-n-list", "wild-n-text", "stable-pi_f-text", "oracle-no-box",
          "family-no-base", "argparse-bad-int",
          "argparse-unknown-command", "argparse-missing-depth", "oracle-fixing-no-chain",
-         "freeness-negative-cylinder", "config-is-directory", "config-not-utf8",
+         "freeness-negative-cylinder", "oracle-fixing-depth-zero", "config-is-directory", "config-not-utf8",
          "budget-flag-zero", "budget-flag-negative",
          "family-exclude-without-family"],
 )
@@ -321,6 +322,20 @@ def test_resource_exhaustion_exits_3(capsys):
         code, out, err = run_cli(deep, capsys)
         assert code == 3 and out == "" and err.count("\n") == 1
         assert f"depth {depth}" in err and "sieve cap 4194304" in err
+
+
+def test_core_oracle_refuses_on_the_relative_scan_demand(capsys):
+    # The core is the relative core over GAMMA: Mc^2 * 2(Mc + 1) tests.
+    argv = ["oracle", "core", "--box", "Box(1,13,13)", "--max-group-order", "1000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert (
+        "relative core scan of Box(1,13,13) in Box(1,1,1): 4732 exceeds budget 4000 "
+        "(max_group_order 1000 x 4)"
+    ) in err
+    argv[3] = "Box(1,12,12)"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "") and "  agree: yes\n" in out
 
 
 @pytest.mark.parametrize(

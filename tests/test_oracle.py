@@ -21,7 +21,6 @@ from nilcantor.oracle import (
     OracleBudget,
     canonical_by_enumeration,
     canonical_table_by_enumeration,
-    core_by_enumeration,
     coset_partition,
     fixing_scan,
     relative_core_by_enumeration,
@@ -33,20 +32,25 @@ from nilcantor.dynamics import trivial_action_kernel
 
 
 def test_core_oracle_examples():
-    assert core_by_enumeration(BoxSubgroup(2, 2, 4)) == BoxSubgroup(4, 4, 4)
-    assert core_by_enumeration(BoxSubgroup(2, 3, 6)) == BoxSubgroup(6, 6, 6)
-    assert core_by_enumeration(GAMMA) == GAMMA
+    # The normal core is the relative core over the whole group.
+    assert relative_core_by_enumeration(GAMMA, BoxSubgroup(2, 2, 4)) == BoxSubgroup(4, 4, 4)
+    assert relative_core_by_enumeration(GAMMA, BoxSubgroup(2, 3, 6)) == BoxSubgroup(6, 6, 6)
+    assert relative_core_by_enumeration(GAMMA, GAMMA) == GAMMA
 
 
 def test_core_oracle_budget():
-    # 12^2 conjugators x (2*13 candidates + 13^2 survivor pairs) = 28,080
-    # tests fit 9,000 x 4; at Mc = 13 the scan needs 37,856 and is refused.
-    budget = OracleBudget(max_group_order=9000)
-    assert core_by_enumeration(BoxSubgroup(1, 12, 12), budget) == BoxSubgroup(12, 12, 12)
+    # 12^2 conjugators x 2*13 candidates = 3,744 tests fit 1,000 x 4; at
+    # Mc = 13 the scan needs 169 x 28 = 4,732 and is refused.
+    budget = OracleBudget(max_group_order=1000)
+    assert relative_core_by_enumeration(GAMMA, BoxSubgroup(1, 12, 12), budget) == BoxSubgroup(
+        12, 12, 12
+    )
     with pytest.raises(ResourceError) as err:
-        core_by_enumeration(BoxSubgroup(1, 13, 13), budget)
-    assert "core scan of Box(1,13,13): 37856 exceeds" in str(err.value)
-    assert "budget 36000 (max_group_order 9000 x 4)" in str(err.value)
+        relative_core_by_enumeration(GAMMA, BoxSubgroup(1, 13, 13), budget)
+    assert (
+        "relative core scan of Box(1,13,13) in Box(1,1,1): 4732 exceeds budget 4000 "
+        "(max_group_order 1000 x 4)"
+    ) in str(err.value)
 
 
 def test_core_oracle_equals_closed_form_all_moduli_up_to_12():
@@ -56,13 +60,12 @@ def test_core_oracle_equals_closed_form_all_moduli_up_to_12():
                 if (ma * mb) % mc:
                     continue
                 box = BoxSubgroup(ma, mb, mc)
-                assert core_by_enumeration(box) == box.core()
+                assert relative_core_by_enumeration(GAMMA, box) == box.core()
 
 
 def test_relative_core_oracle_examples():
     assert relative_core_by_enumeration(BoxSubgroup(2, 3, 6), BoxSubgroup(4, 9, 36)) == BoxSubgroup(12, 18, 36)
     b = BoxSubgroup(2, 2, 4)
-    assert relative_core_by_enumeration(GAMMA, b) == core_by_enumeration(b)
     assert relative_core_by_enumeration(b, b) == b
 
 
@@ -98,7 +101,7 @@ def test_fixing_scan_matches_kernel():
     chain = wild_chain(2, 1)
     for cyl, depth in ((1, 1), (1, 2), (2, 2), (0, 1)):
         scanned = fixing_scan(chain, cyl, depth)
-        kernel = trivial_action_kernel(chain, cyl, depth) if cyl else chain.core_at(depth)
+        kernel = trivial_action_kernel(chain, cyl, depth)
         assert scanned == _residues(kernel, chain.core_at(depth))
 
 

@@ -32,7 +32,7 @@ from nilcantor.dynamics import (
     wildness_certificate,
 )
 from nilcantor.errors import ContractError
-from nilcantor.heisenberg import BoxSubgroup, HeisenbergElement, index_in
+from nilcantor.heisenberg import GAMMA, BoxSubgroup, HeisenbergElement, index_in
 from nilcantor.primes import isprime
 from nilcantor.steinitz import Primes, TreeBranchPrimes, asymptotically_equivalent, type_leq
 from nilcantor.towers import (
@@ -178,6 +178,22 @@ def test_kernel_closed_form_equals_fixing_scan(chain):
             kernel = trivial_action_kernel(chain, cylinder, depth)
             assert len(scanned) == index_in(kernel, core)
             assert all(kernel.contains(HeisenbergElement(*x)) for x in scanned)
+
+
+@PROPERTY_SETTINGS
+@given(chains())
+def test_level_zero_is_the_whole_group(chain):
+    # Every exponent is 0 at level 0, so Gamma_0 = Gamma: the level-0
+    # cylinder is the whole space, and the kernel of the action on it is
+    # the normal core, which holds one residue of Q_d.
+    assert all(s.coord(x).exponent(0) == 0 for s in chain.schedules(WALK_LEVELS) for x in "abc")
+    assert chain.box_at(0) == GAMMA
+    budget = oracle.OracleBudget(max_group_order=MAX_QUOTIENT)
+    for depth in range(1, ORDER_DEPTH + 1):
+        core = chain.core_at(depth)
+        assert trivial_action_kernel(chain, 0, depth) == core
+        if core.index() <= MAX_QUOTIENT:
+            assert oracle.fixing_scan(chain, 0, depth, budget) == {(0, 0, 0)}
 
 
 @PROPERTY_SETTINGS

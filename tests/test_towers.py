@@ -84,8 +84,9 @@ def test_box_at_examples():
 
 def test_level_walks_start_at_level_one():
     chain = ex41(2)
-    with pytest.raises(ContractError, match="level must be >= 1"):
-        chain.box_at(0)
+    assert chain.box_at(0) == GAMMA
+    with pytest.raises(ContractError, match="level must be >= 0"):
+        chain.box_at(-1)
     with pytest.raises(ContractError, match="depth must be >= 1"):
         chain.steinitz_order(0)
 
